@@ -205,7 +205,7 @@ def cmd_algebra(args) -> int:
         sections.append(("radius lemmas", check_radius_lemmas(alg)))
         topo = enumerate_topology(alg, args.bound)
         notes.append(f"topology: {len(topo)} open sets; axioms verified")
-        sections.append(("operation continuity", verify_operation_continuity(alg, args.bound)))
+        sections.append(("operation continuity", verify_operation_continuity(alg)))
     else:
         notes.append("axioms failed; skipping derived laws, topology, and continuity")
     return _emit(args, sections, notes)

@@ -161,6 +161,11 @@ class FiniteAlgebra:
 
 _REQUIRED = ("carrier", "leq", "star", "arrow", "bottom", "top", "signature")
 
+# Largest carrier a document may declare.  Loading validates the order and
+# computes meets and joins in O(n^3) steps: about 0.35 s at n = 64 and 3.3 s
+# at n = 128.
+MAX_CARRIER = 64
+
 
 def algebra_from_document(doc) -> FiniteAlgebra:
     if not isinstance(doc, dict):
@@ -171,6 +176,8 @@ def algebra_from_document(doc) -> FiniteAlgebra:
     carrier = doc["carrier"]
     if not isinstance(carrier, list) or not all(isinstance(x, str) for x in carrier):
         raise ParseError("carrier must be an array of strings")
+    if len(carrier) > MAX_CARRIER:
+        raise ParseError(f"carrier has {len(carrier)} elements; at most {MAX_CARRIER} are supported")
     index = {lbl: i for i, lbl in enumerate(carrier)}
     if len(index) != len(carrier):
         raise ParseError("carrier labels must be unique")

@@ -12,7 +12,10 @@ desugars deterministically before evaluation:
 
 Concrete syntax, tightest to loosest: ``!`` (prefix), ``&`` (left), ``^`` and
 ``|`` (one tier, left), ``->`` (right) with ``<->`` at the same tier but
-non-associative.  Atoms match [a-z][a-zA-Z0-9_]*.
+non-associative.  Atoms match [a-z][a-zA-Z0-9_]*.  A formula nests at most
+``_Parser.MAX_DEPTH`` levels deep: each parenthesis, prefix ``!`` and binary
+operator counts one level on the path to an atom, and deeper input is a
+positioned syntax error.
 
 Evaluation extends an atom assignment homomorphically: e(0) = 0,
 e(p & q) = e(p) * e(q), e(p -> q) = e(p) -> e(q), either over a t-norm on
@@ -178,9 +181,16 @@ def _tokenize(text: str) -> list[_Token]:
 
 
 class _Parser:
+    # Deepest syntax tree accepted.  Parsing one level costs up to five
+    # interpreter frames (a parenthesis), and printing, desugaring and
+    # evaluating recurse once or twice per level, so a formula at the limit
+    # stays well inside the default recursion limit of 1000.
+    MAX_DEPTH = 100
+
     def __init__(self, tokens: list[_Token]):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
 
     @property
     def current(self) -> _Token:
@@ -195,6 +205,12 @@ class _Parser:
         tok = self.current
         raise cls(message, tok.line, tok.column)
 
+    def nest(self) -> None:
+        """One level deeper, for the operator or parenthesis at the current token."""
+        if self.depth == self.MAX_DEPTH:
+            self.error(f"formula nested deeper than {self.MAX_DEPTH} levels")
+        self.depth += 1
+
     def parse(self) -> Formula:
         f = self.implication()
         if self.current.kind == "rparen":
@@ -206,35 +222,52 @@ class _Parser:
     def implication(self) -> Formula:
         left = self.junction()
         if self.current.kind == "impl":
+            self.nest()
             self.advance()
-            return Impl(left, self.implication())
+            right = self.implication()
+            self.depth -= 1
+            return Impl(left, right)
         if self.current.kind == "iff":
+            self.nest()
             self.advance()
             right = self.junction()
+            self.depth -= 1
             if self.current.kind in ("impl", "iff"):
                 self.error("'<->' is non-associative; use parentheses")
             return Iff(left, right)
         return left
 
+    # A left-associative chain of k operators is a tree k levels deep, so
+    # each operator of a chain counts as one level until the chain ends.
+
     def junction(self) -> Formula:
+        depth = self.depth
         left = self.conjunction()
         while self.current.kind in ("meet", "join"):
+            self.nest()
             op = self.advance().kind
             right = self.conjunction()
             left = Meet(left, right) if op == "meet" else Join(left, right)
+        self.depth = depth
         return left
 
     def conjunction(self) -> Formula:
+        depth = self.depth
         left = self.unary()
         while self.current.kind == "conj":
+            self.nest()
             self.advance()
             left = Conj(left, self.unary())
+        self.depth = depth
         return left
 
     def unary(self) -> Formula:
         if self.current.kind == "neg":
+            self.nest()
             self.advance()
-            return Neg(self.unary())
+            arg = self.unary()
+            self.depth -= 1
+            return Neg(arg)
         return self.primary()
 
     def primary(self) -> Formula:
@@ -249,11 +282,13 @@ class _Parser:
             self.advance()
             return Top()
         if tok.kind == "lparen":
+            self.nest()
             self.advance()
             inner = self.implication()
             if self.current.kind != "rparen":
                 self.error("expected ')'", UnbalancedParens)
             self.advance()
+            self.depth -= 1
             return inner
         if tok.kind == "eof":
             self.error("unexpected end of input")

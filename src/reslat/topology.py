@@ -4,20 +4,33 @@ Admissible radii are the strongly-less-than-1 elements (BL side) or the
 positive elements (DBL side).  Balls compare against the radius in the
 strict lattice order (comparable and unequal); incomparable elements never
 qualify.  A subset is open when every one of its points has a ball, for some
-admissible radius, inside the subset.  Enumerating all subsets and checking
-the topology axioms turns the topology theorems into executable statements;
-continuity of the monoid and residuum maps is verified preimage by
-preimage.
+admissible radius, inside the subset.
+
+Every decision here uses one smallest ball per centre.  In any lattice the
+admissible radii are closed under join (BL) and meet (DBL): if a and a' are
+strongly below 1 and (a | a') | b = 1, then a | (a' | b) = 1, so a' | b = 1
+and b = 1; the DBL case is the order dual.  So the widest radius r*, the
+join (BL) or meet (DBL) of all admissible radii, is admissible, and since the
+strict order is transitive, N(a) = ball(a, r*) lies inside ball(a, r) for
+every admissible r.  A set is therefore open iff it contains N(a) for each
+of its points: the opens are the N-closed sets, an Alexandrov topology.  The
+squared carrier works the same way, with N2(p) at the same r*.
+
+A map f from pairs is continuous iff f(q) lies in U(f(p)) for every pair p
+and every q in N2(p), where U(x), the closure of {x} under N, is the
+smallest open containing x.  That is an O(n^4) neighbourhood check.  The
+2^n subset enumeration serves only the listing of the opens and their count,
+where the topology axioms are also verified on the result.
 
 Subsets are represented internally as bitmasks over the carrier (and over
-the squared carrier for product-space work).
+the squared carrier, pair (i, j) at bit i * n + j, for product-space work).
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import reduce
 
 from .errors import CarrierTooLarge, InadmissibleRadius, TheoremViolation
 from .finite import FiniteAlgebra, Signature
@@ -36,7 +49,6 @@ def _is_strongly_less(alg: FiniteAlgebra, a: int) -> bool:
     return all(b == alg.top for b in alg.elements() if alg.join(a, b) == alg.top)
 
 
-@lru_cache(maxsize=None)
 def _admissible_indices(alg: FiniteAlgebra) -> tuple[int, ...]:
     test = _is_strongly_less if alg.signature is Signature.BL else _is_positive
     return tuple(a for a in alg.elements() if test(alg, a))
@@ -64,27 +76,57 @@ def admissible_radii(alg: FiniteAlgebra) -> RadiusSet:
     return RadiusSet(alg, tuple(alg.labels[i] for i in _admissible_indices(alg)))
 
 
-def _in_ball(alg: FiniteAlgebra, center: int, radius: int, b: int) -> bool:
-    value = alg.bires(center, b)
+def _widest_radius(alg: FiniteAlgebra) -> int:
+    # Never empty: the bottom is strongly less than 1 and the top is positive.
+    combine = alg.join if alg.signature is Signature.BL else alg.meet
+    return reduce(combine, _admissible_indices(alg))
+
+
+def _inside(alg: FiniteAlgebra, radius: int, value: int) -> bool:
     if alg.signature is Signature.BL:
         return alg.lt(radius, value)  # biresiduum > r
     return alg.lt(value, radius)  # distance < r
 
 
 def _ball_mask(alg: FiniteAlgebra, center: int, radius: int) -> int:
-    mask = 0
-    for b in alg.elements():
-        if _in_ball(alg, center, radius, b):
-            mask |= 1 << b
-    return mask
+    return sum(1 << b for b in alg.elements() if _inside(alg, radius, alg.bires(center, b)))
 
 
-@lru_cache(maxsize=None)
-def _ball_masks_by_center(alg: FiniteAlgebra) -> tuple[tuple[int, ...], ...]:
-    radii = _admissible_indices(alg)
-    return tuple(
-        tuple(_ball_mask(alg, center, r) for r in radii) for center in alg.elements()
+def _pair_ball_mask(alg: FiniteAlgebra, center: tuple[int, int], radius: int) -> int:
+    n = alg.n
+    return sum(
+        1 << (b1 * n + b2)
+        for b1, b2 in itertools.product(range(n), repeat=2)
+        if _inside(alg, radius, alg.pair_bires(center, (b1, b2)))
     )
+
+
+def _smallest_balls(alg: FiniteAlgebra) -> list[int]:
+    """N(a) for every centre a, in carrier order."""
+    r = _widest_radius(alg)
+    return [_ball_mask(alg, a, r) for a in alg.elements()]
+
+
+def _smallest_pair_balls(alg: FiniteAlgebra) -> list[int]:
+    """N2(p) for every pair p, in pair-index order."""
+    r = _widest_radius(alg)
+    return [_pair_ball_mask(alg, p, r) for p in itertools.product(alg.elements(), repeat=2)]
+
+
+def _mask_is_open(balls: list[int], mask: int) -> bool:
+    """True iff the set contains the smallest ball of each of its points."""
+    return all(ball & ~mask == 0 for a, ball in enumerate(balls) if mask >> a & 1)
+
+
+def _smallest_open(balls: list[int], a: int) -> int:
+    """U(a): the closure of {a} under the smallest balls."""
+    mask, grown = 0, 1 << a
+    while grown != mask:
+        mask = grown
+        for b, ball in enumerate(balls):
+            if mask >> b & 1:
+                grown |= ball
+    return mask
 
 
 def _check_radius(alg: FiniteAlgebra, radius: int) -> None:
@@ -97,7 +139,7 @@ def ball(alg: FiniteAlgebra, center: str, radius: str) -> frozenset[str]:
     """The ball around ``center`` of admissible radius ``radius``."""
     c, r = alg.index(center), alg.index(radius)
     _check_radius(alg, r)
-    return frozenset(alg.labels[b] for b in alg.elements() if _in_ball(alg, c, r, b))
+    return frozenset(_labels_of(alg, _ball_mask(alg, c, r)))
 
 
 def _mask_of(alg: FiniteAlgebra, subset) -> int:
@@ -111,18 +153,14 @@ def _labels_of(alg: FiniteAlgebra, mask: int) -> tuple[str, ...]:
     return tuple(alg.labels[i] for i in alg.elements() if mask >> i & 1)
 
 
-def _mask_is_open(alg: FiniteAlgebra, mask: int) -> bool:
-    balls = _ball_masks_by_center(alg)
-    for a in alg.elements():
-        if mask >> a & 1 and not any(bm & ~mask == 0 for bm in balls[a]):
-            return False
-    return True
+def _set_text(alg: FiniteAlgebra, mask: int) -> str:
+    return "{" + ", ".join(_labels_of(alg, mask)) + "}"
 
 
 def is_open(alg: FiniteAlgebra, subset) -> bool:
     """True iff every point of the subset has a ball inside it (empty set is
     vacuously open)."""
-    return _mask_is_open(alg, _mask_of(alg, subset))
+    return _mask_is_open(_smallest_balls(alg), _mask_of(alg, subset))
 
 
 @dataclass(frozen=True)
@@ -142,7 +180,7 @@ class Topology:
 
     def export_lines(self) -> list[str]:
         """Line-oriented listing, smallest sets first, labels in carrier order."""
-        return ["{" + ", ".join(_labels_of(self.algebra, m)) + "}" for m in self.masks]
+        return [_set_text(self.algebra, m) for m in self.masks]
 
 
 def _verify_topology_axioms(alg: FiniteAlgebra, masks: tuple[int, ...]) -> None:
@@ -171,9 +209,10 @@ def enumerate_topology(alg: FiniteAlgebra, bound: int = DEFAULT_ENUMERATION_BOUN
     """
     if alg.n > bound:
         raise CarrierTooLarge(f"carrier size {alg.n} exceeds enumeration bound {bound}")
+    balls = _smallest_balls(alg)
     masks = tuple(
         sorted(
-            (m for m in range(1 << alg.n) if _mask_is_open(alg, m)),
+            (m for m in range(1 << alg.n) if _mask_is_open(balls, m)),
             key=lambda m: (m.bit_count(), tuple(i for i in range(alg.n) if m >> i & 1)),
         )
     )
@@ -183,95 +222,49 @@ def enumerate_topology(alg: FiniteAlgebra, bound: int = DEFAULT_ENUMERATION_BOUN
 
 # -- product space -------------------------------------------------------------
 
-def _pair_index(alg: FiniteAlgebra, i: int, j: int) -> int:
-    return i * alg.n + j
-
-
-@lru_cache(maxsize=None)
-def _pair_ball_masks_by_center(alg: FiniteAlgebra) -> tuple[tuple[int, ...], ...]:
-    radii = _admissible_indices(alg)
-    n = alg.n
-    bires = [[alg.bires(i, j) for j in range(n)] for i in range(n)]
-    bl = alg.signature is Signature.BL
-    out = []
-    for a1, a2 in itertools.product(range(n), repeat=2):
-        masks = []
-        for r in radii:
-            mask = 0
-            for b1, b2 in itertools.product(range(n), repeat=2):
-                value = alg.star(bires[a1][b1], bires[a2][b2])
-                inside = alg.lt(r, value) if bl else alg.lt(value, r)
-                if inside:
-                    mask |= 1 << _pair_index(alg, b1, b2)
-            masks.append(mask)
-        out.append(tuple(masks))
-    return tuple(out)
-
-
 def product_ball(alg: FiniteAlgebra, center: tuple[str, str], radius: str) -> frozenset[tuple[str, str]]:
     """Ball in the squared carrier under the pair operator."""
-    c1, c2 = alg.index(center[0]), alg.index(center[1])
+    c = (alg.index(center[0]), alg.index(center[1]))
     r = alg.index(radius)
     _check_radius(alg, r)
-    radii = _admissible_indices(alg)
-    mask = _pair_ball_masks_by_center(alg)[_pair_index(alg, c1, c2)][radii.index(r)]
+    mask = _pair_ball_mask(alg, c, r)
     return frozenset(
         (alg.labels[i], alg.labels[j])
-        for i, j in itertools.product(range(alg.n), repeat=2)
-        if mask >> _pair_index(alg, i, j) & 1
+        for i, j in itertools.product(alg.elements(), repeat=2)
+        if mask >> (i * alg.n + j) & 1
     )
-
-
-def _pair_mask_is_open(alg: FiniteAlgebra, mask: int) -> bool:
-    balls = _pair_ball_masks_by_center(alg)
-    for p in range(alg.n * alg.n):
-        if mask >> p & 1 and not any(bm & ~mask == 0 for bm in balls[p]):
-            return False
-    return True
 
 
 def product_is_open(alg: FiniteAlgebra, subset) -> bool:
     """Openness of a set of label pairs in the product topology."""
     mask = 0
     for a, b in subset:
-        mask |= 1 << _pair_index(alg, alg.index(a), alg.index(b))
-    return _pair_mask_is_open(alg, mask)
+        mask |= 1 << (alg.index(a) * alg.n + alg.index(b))
+    return _mask_is_open(_smallest_pair_balls(alg), mask)
 
 
-def verify_operation_continuity(
-    alg: FiniteAlgebra, bound: int = DEFAULT_ENUMERATION_BOUND
-) -> list[LawReport]:
-    """For every open set, the preimages under the monoid and residuum maps
-    (as maps from the squared carrier) must be product-open."""
-    topo = enumerate_topology(alg, bound)
+def verify_operation_continuity(alg: FiniteAlgebra) -> list[LawReport]:
+    """The monoid and residuum maps, from the squared carrier, must be
+    continuous: every pair p maps its smallest ball N2(p) into U(f(p)).
+
+    One check per pair and map.  A failing pair p is reported with the open
+    U(f(p)), whose preimage contains p but not N2(p) and so is not open.
+    """
     n = alg.n
+    balls = _smallest_balls(alg)
+    smallest_opens = [_smallest_open(balls, a) for a in alg.elements()]
+    pair_balls = _smallest_pair_balls(alg)
     reports = []
     for name, table in (("star-continuity", alg.monoid), ("arrow-continuity", alg.residuum)):
+        image = [table[p // n][p % n] for p in range(n * n)]
+        preimages = [sum(1 << q for q, x in enumerate(image) if up >> x & 1) for up in smallest_opens]
         report = LawReport(name)
-        for open_mask in topo.masks:
+        for p, pair_ball in enumerate(pair_balls):
             report.checked += 1
-            pre = 0
-            for i, j in itertools.product(range(n), repeat=2):
-                if open_mask >> table[i][j] & 1:
-                    pre |= 1 << _pair_index(alg, i, j)
-            if not _pair_mask_is_open(alg, pre):
-                witness = next(
-                    (alg.labels[i], alg.labels[j])
-                    for i, j in itertools.product(range(n), repeat=2)
-                    if pre >> _pair_index(alg, i, j) & 1
-                    and not any(
-                        bm & ~pre == 0
-                        for bm in _pair_ball_masks_by_center(alg)[_pair_index(alg, i, j)]
-                    )
-                )
-                report.register(
-                    Violation(
-                        name,
-                        ("{" + ", ".join(_labels_of(alg, open_mask)) + "}",),
-                        f"preimage not open at {witness}",
-                        "product-open",
-                    )
-                )
+            if pair_ball & ~preimages[image[p]]:
+                witness = (alg.labels[p // n], alg.labels[p % n])
+                target = _set_text(alg, smallest_opens[image[p]])
+                report.register(Violation(name, (target,), f"preimage not open at {witness}", "product-open"))
         reports.append(report)
     return reports
 

@@ -5,6 +5,8 @@ import sys
 import pytest
 
 from reslat.cli import main
+from reslat.finite import MAX_CARRIER
+from reslat.fixtures import lukasiewicz_chain
 
 
 def run(capsys, *argv):
@@ -100,6 +102,13 @@ class TestAlgebra:
         assert code == 2
         assert err.startswith("error:")
 
+    def test_carrier_cap_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "big.alg"
+        path.write_text(json.dumps(lukasiewicz_chain(MAX_CARRIER + 1)), encoding="utf-8")
+        code, _, err = run(capsys, "algebra", "check", str(path))
+        assert code == 2
+        assert err == f"error: carrier has {MAX_CARRIER + 1} elements; at most {MAX_CARRIER} are supported\n"
+
     def test_bound_cap(self, capsys, fixtures_dir):
         code, _, err = run(capsys, "algebra", "check", str(fixtures_dir / "l4.alg"), "--bound", "30")
         assert code == 2
@@ -133,6 +142,12 @@ class TestEval:
         code, _, err = run(capsys, "eval", "p -> (", "--t-algebra", "product", "--assign", "p=1")
         assert code == 2
         assert "column 7" in err
+
+    @pytest.mark.parametrize("formula", ["(" * 500 + "p" + ")" * 500, "!" * 2000 + "p"])
+    def test_deep_nesting_exit_2(self, capsys, formula):
+        code, out, err = run(capsys, "eval", formula, "--t-algebra", "product", "--assign", "p=1/2")
+        assert code == 2 and out == ""
+        assert err.startswith("error: line 1, column 101: ") and err.count("\n") == 1
 
     def test_missing_assignment(self, capsys):
         code, _, err = run(capsys, "eval", "p & q", "--t-algebra", "product")
@@ -188,3 +203,15 @@ def test_module_entry_point(fixtures_dir):
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "1"
+
+
+@pytest.mark.parametrize("formula", ["(" * 500 + "p" + ")" * 500, "!" * 2000 + "p"])
+def test_module_entry_point_deep_nesting_has_no_traceback(formula):
+    proc = subprocess.run(
+        [sys.executable, "-m", "reslat", "eval", formula, "--t-algebra", "product", "--assign", "p=1/2"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: line 1, column 101: ") and proc.stderr.count("\n") == 1

@@ -5,6 +5,7 @@ import pytest
 
 from reslat.errors import NotALattice, NotAPartialOrder, ParseError, TableOutOfRange
 from reslat.finite import (
+    MAX_CARRIER,
     Signature,
     algebra_from_document,
     algebra_to_document,
@@ -48,6 +49,11 @@ class TestLoading:
         alg = algebra_from_document(boolean_algebra(1))
         assert alg.labels == ("0", "1")
         assert alg.star(1, 1) == 1 and alg.star(0, 1) == 0
+
+    def test_carrier_cap(self):
+        assert algebra_from_document(chain_doc([str(i) for i in range(MAX_CARRIER)])).n == MAX_CARRIER
+        with pytest.raises(ParseError, match=f"at most {MAX_CARRIER}"):
+            algebra_from_document(chain_doc([str(i) for i in range(MAX_CARRIER + 1)]))
 
     def test_missing_field(self):
         doc = chain_doc(["0", "1"])

@@ -24,6 +24,7 @@ from reslat.formulas import (
     Meet,
     Neg,
     Top,
+    _Parser,
     atoms,
     check_prelinearity_tautology,
     desugar,
@@ -92,6 +93,49 @@ class TestParsing:
             parse("p & q)")
         with pytest.raises(UnbalancedParens):
             parse(")")
+
+
+LIMIT = _Parser.MAX_DEPTH
+
+
+def nested(shape: str, depth: int) -> str:
+    """A formula ``depth`` levels deep, built from one kind of nesting."""
+    if shape == "parens":
+        return "(" * depth + "p" + ")" * depth
+    if shape == "negations":
+        return "!" * depth + "p"
+    operator = {"implications": " -> ", "conjunctions": " & "}[shape]
+    return operator.join(["p"] * (depth + 1))
+
+
+class TestNestingLimit:
+    SHAPES = ("parens", "negations", "implications", "conjunctions")
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_at_limit_round_trips_and_evaluates(self, shape, fixture_algebras):
+        f = parse(nested(shape, LIMIT))
+        assert parse(to_text(f)) == f
+        assert atoms(f) == ("p",)
+        assert desugar(desugar(f)) == desugar(f)
+        assert evaluate(f, T_LUK, {"p": u(1)}) == ONE
+        l4 = fixture_algebras["l4"]
+        assert evaluate(f, l4, {"p": "1"}) == "1"
+
+    @pytest.mark.parametrize(
+        "shape, column",
+        [("parens", LIMIT + 1), ("negations", LIMIT + 1),
+         ("implications", 5 * LIMIT + 3), ("conjunctions", 4 * LIMIT + 3)],
+    )
+    def test_one_past_limit_points_at_the_offending_token(self, shape, column):
+        with pytest.raises(FormulaSyntaxError, match="nested deeper") as exc:
+            parse(nested(shape, LIMIT + 1))
+        assert (exc.value.line, exc.value.column) == (1, column)
+
+    def test_depth_is_nesting_not_length(self):
+        # siblings do not add up: LIMIT parenthesised operands side by side
+        wide = " & ".join(["(" * (LIMIT // 2) + "p" + ")" * (LIMIT // 2)] * 2)
+        assert atoms(parse(wide)) == ("p",)
+        assert parse("(" * LIMIT + "p" + ")" * LIMIT + " -> q") == Impl(Atom("p"), Atom("q"))
 
 
 formulas = st.recursive(
