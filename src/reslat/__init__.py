@@ -94,6 +94,7 @@ from .topology import (
     admissible_radii,
     ball,
     check_radius_lemmas,
+    count_opens,
     enumerate_topology,
     is_open,
     product_ball,

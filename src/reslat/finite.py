@@ -20,8 +20,8 @@ from enum import Enum
 from pathlib import Path
 
 from .errors import NotALattice, NotAPartialOrder, ParseError, TableOutOfRange
-from .laws import B_LAWS, D_LAWS, run_catalogue
-from .reports import LawReport, Violation
+from .laws import D_LAWS, LawContext, as_bl, check_signature_axioms, run_catalogue
+from .reports import LawReport
 
 
 class Signature(Enum):
@@ -110,11 +110,6 @@ class FiniteAlgebra:
 
     def elements(self):
         return range(self.n)
-
-    @property
-    def unit(self) -> int:
-        """Monoid unit: top in the BL signature, bottom in the DBL one."""
-        return self.top if self.signature is Signature.BL else self.bottom
 
     def le(self, i: int, j: int) -> bool:
         return self.leq[i][j]
@@ -259,111 +254,37 @@ def dump_algebra(alg: FiniteAlgebra, path) -> None:
 
 # -- axiom and law checking ---------------------------------------------------
 
-class _FiniteContext:
-    def __init__(self, alg: FiniteAlgebra):
-        self.alg = alg
-        self.zero = alg.bottom
-        self.one = alg.top
-
-    def elements(self):
-        return range(self.alg.n)
-
-    def star(self, a, b):
-        return self.alg.star(a, b)
-
-    def res(self, a, b):
-        return self.alg.arrow(a, b)
-
-    def meet(self, a, b):
-        return self.alg.meet(a, b)
-
-    def join(self, a, b):
-        return self.alg.join(a, b)
-
-    def le(self, a, b):
-        return self.alg.le(a, b)
-
-    def fmt(self, v):
-        if isinstance(v, bool):
-            return str(v)
-        if isinstance(v, int):
-            return self.alg.labels[v]
-        return str(v)
+def dbl_context(alg: FiniteAlgebra) -> LawContext:
+    """The algebra in the DBL form the law checkers take: itself, or, for a
+    BL-algebra, its order dual (the reversed order on the same tables, the
+    context of ``dualize_algebra(alg)`` without rebuilding the algebra)."""
+    fmt = lambda v: str(v) if isinstance(v, bool) else alg.labels[v]
+    if alg.signature is Signature.DBL:
+        return LawContext(alg.elements, alg.star, alg.arrow, alg.meet, alg.join, alg.le, alg.bottom, alg.top, fmt)
+    leq = alg.leq
+    ge = lambda i, j: leq[j][i]
+    return LawContext(alg.elements, alg.star, alg.arrow, alg.join, alg.meet, ge, alg.top, alg.bottom, fmt)
 
 
 def check_axioms(alg: FiniteAlgebra) -> list[LawReport]:
-    """The five signature axioms, exhaustively over the carrier."""
+    """The five signature axioms, exhaustively over the carrier: DBL1..DBL5,
+    or BL1..BL5 as DBL1..DBL5 on the order dual."""
     bl = alg.signature is Signature.BL
-    prefix = "BL" if bl else "DBL"
-    lbl = lambda i: alg.labels[i]
-    n = alg.n
-
-    lattice = LawReport(f"{prefix}1")
-    for i, j in itertools.product(range(n), repeat=2):
-        lattice.checked += 1
-        m, jn = alg.meet(i, j), alg.join(i, j)
-        if not (alg.le(m, i) and alg.le(m, j) and alg.le(i, jn) and alg.le(j, jn)):
-            lattice.register(Violation(f"{prefix}1", (lbl(i), lbl(j)), lbl(m), lbl(jn), "bounds fail"))
-        if not (alg.le(alg.bottom, i) and alg.le(i, alg.top)):
-            lattice.register(Violation(f"{prefix}1", (lbl(i),), lbl(alg.bottom), lbl(alg.top), "0/1 not extreme"))
-
-    monoid = LawReport(f"{prefix}2")
-    unit = alg.unit
-    for i in range(n):
-        monoid.checked += 1
-        if alg.star(i, unit) != i:
-            monoid.register(Violation(f"{prefix}2", (lbl(i),), lbl(alg.star(i, unit)), lbl(i), "unit fails"))
-    for i, j in itertools.product(range(n), repeat=2):
-        monoid.checked += 1
-        if alg.star(i, j) != alg.star(j, i):
-            monoid.register(
-                Violation(f"{prefix}2", (lbl(i), lbl(j)), lbl(alg.star(i, j)), lbl(alg.star(j, i)), "not commutative")
-            )
-    for i, j, k in itertools.product(range(n), repeat=3):
-        monoid.checked += 1
-        lhs, rhs = alg.star(alg.star(i, j), k), alg.star(i, alg.star(j, k))
-        if lhs != rhs:
-            monoid.register(Violation(f"{prefix}2", (lbl(i), lbl(j), lbl(k)), lbl(lhs), lbl(rhs), "not associative"))
-
-    adjunction = LawReport(f"{prefix}3")
-    for a, b, c in itertools.product(range(n), repeat=3):
-        adjunction.checked += 1
-        if bl:
-            left, right = alg.le(c, alg.arrow(a, b)), alg.le(alg.star(c, a), b)
-        else:
-            left, right = alg.le(alg.arrow(b, c), a), alg.le(c, alg.star(a, b))
-        if left != right:
-            adjunction.register(
-                Violation(f"{prefix}3", (lbl(a), lbl(b), lbl(c)), left, right, "residuation biconditional fails")
-            )
-
-    divisibility = LawReport(f"{prefix}4")
-    for a, b in itertools.product(range(n), repeat=2):
-        divisibility.checked += 1
-        lhs = alg.meet(a, b) if bl else alg.join(a, b)
-        rhs = alg.star(a, alg.arrow(a, b))
-        if lhs != rhs:
-            divisibility.register(Violation(f"{prefix}4", (lbl(a), lbl(b)), lbl(lhs), lbl(rhs)))
-
-    prelinearity = LawReport(f"{prefix}5")
-    target = alg.top if bl else alg.bottom
-    for a, b in itertools.product(range(n), repeat=2):
-        prelinearity.checked += 1
-        combine = alg.join if bl else alg.meet
-        got = combine(alg.arrow(a, b), alg.arrow(b, a))
-        if got != target:
-            prelinearity.register(Violation(f"{prefix}5", (lbl(a), lbl(b)), lbl(got), lbl(target)))
-
-    return [lattice, monoid, adjunction, divisibility, prelinearity]
+    reports = check_signature_axioms(dbl_context(alg), bl)
+    return as_bl(reports) if bl else reports
 
 
 def check_derived_laws(alg: FiniteAlgebra, ids=None) -> list[LawReport]:
-    """B1..B15 (BL signature) or D1..D15 (DBL signature), exhaustively.
+    """D1..D15 (DBL signature) or B1..B15 (BL signature, as D1..D15 on the
+    order dual), exhaustively.
 
     The arity-4 laws sweep n^4 tuples; carriers up to n = 24 stay practical.
     """
-    catalogue = B_LAWS if alg.signature is Signature.BL else D_LAWS
-    return run_catalogue(_FiniteContext(alg), catalogue, ids)
+    if alg.signature is Signature.DBL:
+        return run_catalogue(dbl_context(alg), D_LAWS, ids)
+    if ids is not None:
+        ids = ["D" + i[1:] for i in ids if i.upper().startswith("B")]
+    return as_bl(run_catalogue(dbl_context(alg), D_LAWS, ids))
 
 
 def dualize_algebra(alg: FiniteAlgebra) -> FiniteAlgebra:

@@ -114,7 +114,8 @@ def desugar(f: Formula) -> Formula:
             return Conj(a, Impl(a, b))
         case Join(lhs, rhs):
             a, b = desugar(lhs), desugar(rhs)
-            return desugar(Meet(Impl(Impl(a, b), b), Impl(Impl(b, a), a)))
+            x, y = Impl(Impl(a, b), b), Impl(Impl(b, a), a)
+            return Conj(x, Impl(x, y))  # the Meet case on operands already lowered
         case Iff(lhs, rhs):
             a, b = desugar(lhs), desugar(rhs)
             return Conj(Impl(a, b), Impl(b, a))

@@ -13,11 +13,12 @@ pair distance of their inputs (the Lipschitz-style continuity contracts).
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvalidRadius
-from .laws import D_LAWS, run_catalogue
+from .laws import D_LAWS, LawContext, check_signature_axioms, run_catalogue
 from .norms import NormFamily, NormKind, NormSide, apply_norm, residuum
 from .reports import LawReport, Violation
 from .unitval import ONE, ZERO, GridSpec, UnitValue
@@ -292,89 +293,18 @@ def continuity_inequalities_check(alg: SAlgebra, g: GridSpec) -> list[LawReport]
     return [reports[law] for law in ids]
 
 
-class _UnitContext:
-    """Adapter exposing the s-algebra on a grid to the shared law engine."""
-
-    def __init__(self, alg: SAlgebra, g: GridSpec):
-        self.alg = alg
-        self.grid = g
-        self.zero = ZERO
-        self.one = ONE
-
-    def elements(self):
-        return self.grid.points()
-
-    def star(self, a, b):
-        return self.alg.star(a, b)
-
-    def res(self, a, b):
-        return self.alg.res(a, b)
-
-    def meet(self, a, b):
-        return min(a, b)
-
-    def join(self, a, b):
-        return max(a, b)
-
-    def le(self, a, b):
-        return a <= b
-
-    def fmt(self, v):
-        return str(v)
+def _grid_context(alg: SAlgebra, g: GridSpec) -> LawContext:
+    return LawContext(g.points, alg.star, alg.res, min, max, operator.le, ZERO, ONE, str)
 
 
 def dbl_laws_check(alg: SAlgebra, g: GridSpec, ids=None) -> list[LawReport]:
     """D1..D15 exhaustively over grid tuples (arity up to 4)."""
-    return run_catalogue(_UnitContext(alg, g), D_LAWS, ids)
+    return run_catalogue(_grid_context(alg, g), D_LAWS, ids)
 
 
 def dbl_axioms_check(alg: SAlgebra, g: GridSpec) -> list[LawReport]:
-    """The five signature axioms of the dual structure, sampled on the grid."""
-    pts = g.points()
-
-    lattice = LawReport("DBL1")
-    for a, b in itertools.product(pts, repeat=2):
-        lattice.checked += 1
-        if not (ZERO <= min(a, b) <= a <= max(a, b) <= ONE):
-            lattice.register(Violation("DBL1", (a, b), min(a, b), max(a, b)))
-
-    monoid = LawReport("DBL2")
-    for a in pts:
-        monoid.checked += 1
-        if alg.star(a, ZERO) != a:
-            monoid.register(Violation("DBL2", (a,), alg.star(a, ZERO), a, "unit 0 fails"))
-    for a, b in itertools.product(pts, repeat=2):
-        monoid.checked += 1
-        if alg.star(a, b) != alg.star(b, a):
-            monoid.register(Violation("DBL2", (a, b), alg.star(a, b), alg.star(b, a), "commutativity fails"))
-    for a, b, c in itertools.product(pts, repeat=3):
-        monoid.checked += 1
-        lhs, rhs = alg.star(alg.star(a, b), c), alg.star(a, alg.star(b, c))
-        if lhs != rhs:
-            monoid.register(Violation("DBL2", (a, b, c), lhs, rhs, "associativity fails"))
-
-    adjunction = LawReport("DBL3")
-    res = {(b, c): alg.res(b, c) for b in pts for c in pts}
-    for a, b, c in itertools.product(pts, repeat=3):
-        adjunction.checked += 1
-        if (a >= res[b, c]) != (alg.star(a, b) >= c):
-            adjunction.register(Violation("DBL3", (a, b, c), a >= res[b, c], alg.star(a, b) >= c))
-
-    divisibility = LawReport("DBL4")
-    for a, b in itertools.product(pts, repeat=2):
-        divisibility.checked += 1
-        lhs, rhs = max(a, b), alg.star(a, alg.res(a, b))
-        if lhs != rhs:
-            divisibility.register(Violation("DBL4", (a, b), lhs, rhs))
-
-    prelinearity = LawReport("DBL5")
-    for a, b in itertools.product(pts, repeat=2):
-        prelinearity.checked += 1
-        lhs = min(alg.res(a, b), alg.res(b, a))
-        if lhs != ZERO:
-            prelinearity.register(Violation("DBL5", (a, b), lhs, ZERO))
-
-    return [lattice, monoid, adjunction, divisibility, prelinearity]
+    """The five signature axioms of the dual structure, exhaustively on the grid."""
+    return check_signature_axioms(_grid_context(alg, g))
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,27 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from reslat.cli import main
 from reslat.finite import MAX_CARRIER
 from reslat.fixtures import lukasiewicz_chain
+
+SRC_DIR = Path(__file__).resolve().parents[1] / "src"
+
+
+def module_run(*argv):
+    """``python -m reslat ARGV`` in a subprocess that imports this checkout."""
+    path = os.pathsep.join(filter(None, [str(SRC_DIR), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "reslat", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
 
 
 def run(capsys, *argv):
@@ -109,6 +124,13 @@ class TestAlgebra:
         assert code == 2
         assert err == f"error: carrier has {MAX_CARRIER + 1} elements; at most {MAX_CARRIER} are supported\n"
 
+    def test_check_counts_opens_beyond_listing_bound(self, capsys, tmp_path):
+        path = tmp_path / "l16.alg"
+        path.write_text(json.dumps(lukasiewicz_chain(16)), encoding="utf-8")
+        code, out, _ = run(capsys, "algebra", "check", str(path))
+        assert code == 0
+        assert "note: topology: 65536 open sets\n" in out
+
     def test_bound_cap(self, capsys, fixtures_dir):
         code, _, err = run(capsys, "algebra", "check", str(fixtures_dir / "l4.alg"), "--bound", "30")
         assert code == 2
@@ -195,23 +217,14 @@ class TestEnvironment:
 
 
 def test_module_entry_point(fixtures_dir):
-    proc = subprocess.run(
-        [sys.executable, "-m", "reslat", "eval", "p -> q", "--t-algebra", "goedel",
-         "--assign", "p=1/2,q=1/2"],
-        capture_output=True,
-        text=True,
-    )
+    proc = module_run("eval", "p -> q", "--t-algebra", "goedel", "--assign", "p=1/2,q=1/2")
     assert proc.returncode == 0
     assert proc.stdout.strip() == "1"
 
 
 @pytest.mark.parametrize("formula", ["(" * 500 + "p" + ")" * 500, "!" * 2000 + "p"])
 def test_module_entry_point_deep_nesting_has_no_traceback(formula):
-    proc = subprocess.run(
-        [sys.executable, "-m", "reslat", "eval", formula, "--t-algebra", "product", "--assign", "p=1/2"],
-        capture_output=True,
-        text=True,
-    )
+    proc = module_run("eval", formula, "--t-algebra", "product", "--assign", "p=1/2")
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: line 1, column 101: ") and proc.stderr.count("\n") == 1

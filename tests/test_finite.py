@@ -18,6 +18,7 @@ from reslat.finite import (
     pair_biresiduum,
 )
 from reslat.fixtures import build_all, boolean_algebra, goedel_chain, lukasiewicz_chain
+from reslat.laws import as_bl
 from reslat.reports import all_ok
 
 
@@ -185,6 +186,13 @@ class TestDualization:
             reports = check_derived_laws(dualize_algebra(alg))
             assert [r.law_id for r in reports] == [f"D{i}" for i in range(1, 16)]
             assert all_ok(reports), name
+
+    def test_b_laws_are_d_laws_on_the_dual(self, fixture_algebras, corrupt_algebra):
+        for alg in [*fixture_algebras.values(), corrupt_algebra]:
+            b_side = check_derived_laws(alg)
+            d_side = as_bl(check_derived_laws(dualize_algebra(alg)))
+            assert [r.to_dict() for r in b_side] == [r.to_dict() for r in d_side]
+        assert not all_ok(b_side)
 
     def test_involution(self, fixture_algebras):
         for alg in fixture_algebras.values():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import reslat.formulas as formulas_module
 from formula_corpus import CORPUS
 from reslat.errors import (
     DrasticNotResiduated,
@@ -183,6 +184,24 @@ class TestDesugaring:
         a = Impl(Impl(p, q), q)
         b = Impl(Impl(q, p), p)
         assert desugar(Join(p, q)) == Conj(a, Impl(a, b))
+
+    def test_join_chain_lowers_each_node_once(self, monkeypatch):
+        lower = formulas_module.desugar
+        calls = 0
+
+        def counting(f):
+            nonlocal calls
+            calls += 1
+            if calls > 1000:
+                raise AssertionError("desugar walks lowered subterms again")
+            return lower(f)
+
+        monkeypatch.setattr(formulas_module, "desugar", counting)
+        chain = Atom("p")
+        for k in range(20):
+            chain = Join(chain, Atom(f"q{k}"))
+        counting(chain)
+        assert calls == 2 * 20 + 1
 
 
 class TestEvaluation:

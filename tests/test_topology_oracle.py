@@ -15,7 +15,7 @@ import pytest
 
 from reslat.finite import FiniteAlgebra, Signature, algebra_from_document, dualize_algebra, load_algebra
 from reslat.fixtures import goedel_chain, lukasiewicz_chain
-from reslat.topology import enumerate_topology, verify_operation_continuity
+from reslat.topology import count_opens, enumerate_topology, verify_operation_continuity
 
 from conftest import FIXTURE_NAMES, FIXTURES_DIR
 
@@ -134,6 +134,11 @@ def test_cases_stay_small_and_include_discontinuous_mutants():
 def test_open_family_matches_oracle(name):
     alg = CASES[name]
     assert set(enumerate_topology(alg).masks) == oracle_for(name).opens
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_open_count_matches_oracle(name):
+    assert count_opens(CASES[name]) == len(oracle_for(name).opens)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
