@@ -156,7 +156,7 @@ def cmd_metric(args) -> int:
         center = UnitValue(Fraction(center_text.strip()))
         radius = UnitValue(Fraction(radius_text.strip()))
         ball = interval_ball(alg, center, radius)
-        agreement = ball.agreement_check(GridSpec(1000))
+        agreement = ball.agreement_check()
         extra = {
             "ball": ball.describe(),
             "center": format_unit(center, args.approx),
@@ -181,6 +181,8 @@ def cmd_metric(args) -> int:
 
 
 def cmd_algebra(args) -> int:
+    if args.action == "topology" and args.bound > 20:
+        raise ValueError("enumeration bound must be <= 20")
     alg = load_algebra(args.file)
     if args.action == "dualize":
         from .finite import dualize_algebra
@@ -323,9 +325,6 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     args = parser.parse_args(argv)
-    if getattr(args, "bound", None) is not None and args.bound > 20:
-        print("error: enumeration bound must be <= 20", file=sys.stderr)
-        return 2
     try:
         return args.func(args)
     except TheoremViolation as exc:

@@ -28,6 +28,7 @@ import itertools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 from .errors import (
     DrasticNotResiduated,
@@ -346,52 +347,59 @@ def evaluate(f: Formula, algebra, valuation):
     ``algebra`` is either a non-drastic t-norm family (values are
     UnitValues) or a FiniteAlgebra (values are carrier labels).
     """
-    core = desugar(f)
+    return _evaluator(algebra)(desugar(f), valuation)
+
+
+def _evaluator(algebra):
+    """The evaluator of core formulas over ``algebra``: (core, valuation) -> value."""
     if isinstance(algebra, FiniteAlgebra):
-        return _evaluate_finite(core, algebra, valuation)
-    if isinstance(algebra, NormFamily):
-        if algebra.side is not NormSide.TNORM:
-            raise ValueError("formula evaluation needs the t-norm side of a family")
-        if not algebra.is_residuated:
-            raise DrasticNotResiduated("cannot evaluate '->' over the drastic t-norm")
-        return _evaluate_tnorm(core, algebra, valuation)
-    raise TypeError(f"unsupported algebra: {algebra!r}")
+        return lambda core, valuation: algebra.labels[
+            _evaluate_core(core, lambda name: algebra.index(valuation[name]), algebra.bottom, algebra.star, algebra.arrow)
+        ]
+    if not isinstance(algebra, NormFamily):
+        raise TypeError(f"unsupported algebra: {algebra!r}")
+    if algebra.side is not NormSide.TNORM:
+        raise ValueError("formula evaluation needs the t-norm side of a family")
+    if not algebra.is_residuated:
+        raise DrasticNotResiduated("cannot evaluate '->' over the drastic t-norm")
+
+    def atom(valuation, name):
+        value = valuation[name]
+        return value if isinstance(value, UnitValue) else UnitValue(Fraction(value))
+
+    star, arrow = partial(apply_norm, algebra), partial(residuum, algebra)
+    return lambda core, valuation: _evaluate_core(core, partial(atom, valuation), ZERO, star, arrow)
 
 
-def _evaluate_tnorm(f: Formula, family: NormFamily, valuation) -> UnitValue:
-    match f:
-        case Atom(name):
-            try:
-                value = valuation[name]
-            except KeyError:
-                raise UnboundAtom(f"atom {name!r} has no value") from None
-            return value if isinstance(value, UnitValue) else UnitValue(Fraction(value))
-        case Bottom():
-            return ZERO
-        case Conj(l, r):
-            return apply_norm(family, _evaluate_tnorm(l, family, valuation), _evaluate_tnorm(r, family, valuation))
-        case Impl(l, r):
-            return residuum(family, _evaluate_tnorm(l, family, valuation), _evaluate_tnorm(r, family, valuation))
-    raise TypeError(f"non-core formula after desugaring: {f!r}")
+def _evaluate_core(f: Formula, atom, bottom, star, arrow):
+    """Evaluate a core formula once per node object.  ``desugar`` shares
+    subterms, so the core is a DAG that a tree walk would visit exponentially
+    often on join chains; the memo is keyed by node identity because
+    hashing a frozen dataclass node walks its whole subtree."""
+    memo: dict[int, object] = {}
 
-
-def _evaluate_finite(f: Formula, alg: FiniteAlgebra, valuation) -> str:
-    def run(node) -> int:
+    def run(node):
+        key = id(node)
+        if key in memo:
+            return memo[key]
         match node:
             case Atom(name):
                 try:
-                    return alg.index(valuation[name])
+                    value = atom(name)
                 except KeyError:
                     raise UnboundAtom(f"atom {name!r} has no value") from None
             case Bottom():
-                return alg.bottom
+                value = bottom
             case Conj(l, r):
-                return alg.star(run(l), run(r))
+                value = star(run(l), run(r))
             case Impl(l, r):
-                return alg.arrow(run(l), run(r))
-        raise TypeError(f"non-core formula after desugaring: {node!r}")
+                value = arrow(run(l), run(r))
+            case _:
+                raise TypeError(f"non-core formula after desugaring: {node!r}")
+        memo[key] = value
+        return value
 
-    return alg.labels[run(f)]
+    return run(f)
 
 
 def parse_valuation(text: str, finite: bool = False) -> dict:
@@ -418,10 +426,8 @@ def sweep_values(f: Formula, algebra, domain) -> dict:
     """Evaluate over every total valuation with values from ``domain``;
     returns {valuation tuple: value} with deterministic ordering."""
     names = atoms(f)
-    results = {}
-    for combo in itertools.product(domain, repeat=len(names)):
-        results[combo] = evaluate(f, algebra, dict(zip(names, combo)))
-    return results
+    core, run = desugar(f), _evaluator(algebra)
+    return {combo: run(core, dict(zip(names, combo))) for combo in itertools.product(domain, repeat=len(names))}
 
 
 def check_prelinearity_tautology(algebra, g: GridSpec | None = None) -> LawReport:

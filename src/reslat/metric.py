@@ -13,14 +13,15 @@ pair distance of their inputs (the Lipschitz-style continuity contracts).
 from __future__ import annotations
 
 import itertools
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .errors import InvalidRadius
 from .laws import D_LAWS, LawContext, check_signature_axioms, run_catalogue
 from .norms import NormFamily, NormKind, NormSide, apply_norm, residuum
 from .reports import LawReport, Violation
+from .tables import ValueTable, square
 from .unitval import ONE, ZERO, GridSpec, UnitValue
 
 
@@ -100,84 +101,68 @@ def d_star_closed_form_check(alg: SAlgebra, g: GridSpec) -> LawReport:
     return report
 
 
-def _distance_table(alg: SAlgebra, pts) -> dict:
-    return {(a, b): d_star(alg, a, b) for a in pts for b in pts}
+def _metric_laws(prefix: str, points, dist, table: ValueTable, star, numeric: bool) -> list[LawReport]:
+    """Identity, symmetry, star-triangle and (with ``numeric``) the numeric
+    triangle of the distance table ``dist`` (ids) on ``points`` (witness
+    labels); point i is row i, and id 0 is the distance 0."""
+    values, le = table.values, table.le
+    rng = range(len(points))
+    identity, symmetry = LawReport(f"{prefix}-identity"), LawReport(f"{prefix}-symmetry")
+    for a, b in itertools.product(rng, repeat=2):
+        identity.checked += 1
+        if (dist[a][b] == 0) != (a == b):
+            identity.register(Violation(identity.law_id, (points[a], points[b]), values[dist[a][b]], ZERO))
+        symmetry.checked += 1
+        if dist[a][b] != dist[b][a]:
+            symmetry.register(
+                Violation(symmetry.law_id, (points[a], points[b]), values[dist[a][b]], values[dist[b][a]])
+            )
+
+    star_triangle = LawReport(f"{prefix}-star-triangle")
+    triangle = LawReport(f"{prefix}-triangle") if numeric else None
+    # The numeric triangle in integers: every distance over one common denominator.
+    common = lcm(*(values[i].denominator for row in dist for i in row))
+    scaled = [[values[i].numerator * (common // values[i].denominator) for i in row] for row in dist]
+    for a, b, c in itertools.product(rng, repeat=3):
+        star_triangle.checked += 1
+        d_ab, bound = dist[a][b], star(dist[a][c], dist[c][b])
+        if not le(d_ab, bound):
+            star_triangle.register(
+                Violation(star_triangle.law_id, (points[a], points[b], points[c]), values[d_ab], values[bound])
+            )
+        if triangle is not None:
+            triangle.checked += 1
+            if scaled[a][b] > scaled[a][c] + scaled[c][b]:
+                total = Fraction(values[dist[a][c]]) + Fraction(values[dist[c][b]])
+                triangle.register(Violation(triangle.law_id, (points[a], points[b], points[c]), values[d_ab], total))
+    return [identity, symmetry, star_triangle] + ([triangle] if numeric else [])
+
+
+def _distances(alg: SAlgebra, pts):
+    """The grid interned, the s-norm and residuum on ids, and the table of d(a, b) ids."""
+    table = ValueTable(pts)
+    star, res = table.operation(alg.star), table.operation(alg.res)
+    rng = range(len(pts))
+    return table, star, res, [[star(res(a, b), res(b, a)) for b in rng] for a in rng]
 
 
 def metric_axioms_check(alg: SAlgebra, g: GridSpec) -> list[LawReport]:
     """Identity of indiscernibles, symmetry, the star-triangle inequality,
     and (when the norm is weaker than Lukasiewicz) the numeric triangle
     inequality, all exhaustively on the grid."""
-    pts = g.points()
-    dist = _distance_table(alg, pts)
-
-    identity = LawReport("d-identity")
-    symmetry = LawReport("d-symmetry")
-    for a, b in itertools.product(pts, repeat=2):
-        identity.checked += 1
-        if (dist[a, b] == ZERO) != (a == b):
-            identity.register(Violation("d-identity", (a, b), dist[a, b], ZERO))
-        symmetry.checked += 1
-        if dist[a, b] != dist[b, a]:
-            symmetry.register(Violation("d-symmetry", (a, b), dist[a, b], dist[b, a]))
-
-    star_triangle = LawReport("d-star-triangle")
-    numeric = weaker_than_lukasiewicz(alg, g)
-    triangle = LawReport("d-triangle") if numeric else None
-    for a, b, c in itertools.product(pts, repeat=3):
-        star_triangle.checked += 1
-        bound = alg.star(dist[a, c], dist[c, b])
-        if dist[a, b] > bound:
-            star_triangle.register(Violation("d-star-triangle", (a, b, c), dist[a, b], bound))
-        if triangle is not None:
-            triangle.checked += 1
-            total = Fraction(dist[a, c]) + Fraction(dist[c, b])
-            if dist[a, b] > total:
-                triangle.register(Violation("d-triangle", (a, b, c), dist[a, b], total))
-    reports = [identity, symmetry, star_triangle]
-    if triangle is not None:
-        reports.append(triangle)
-    return reports
+    table, star, _, dist = _distances(alg, g.points())
+    return _metric_laws("d", g.points(), dist, table, star, weaker_than_lukasiewicz(alg, g))
 
 
 def pair_metric_axioms_check(alg: SAlgebra, g: GridSpec) -> list[LawReport]:
     """The three pair-distance clauses (plus the numeric triangle when it
     applies) over all pairs of grid points; cubic in the squared grid."""
     pts = g.points()
-    dist = _distance_table(alg, pts)
-    pairs = [PairValue(x, y) for x in pts for y in pts]
-
-    def pair_dist(a: PairValue, b: PairValue) -> UnitValue:
-        return alg.star(dist[a.first, b.first], dist[a.second, b.second])
-
-    identity = LawReport("pair-identity")
-    symmetry = LawReport("pair-symmetry")
-    for a, b in itertools.product(pairs, repeat=2):
-        identity.checked += 1
-        if (pair_dist(a, b) == ZERO) != (a == b):
-            identity.register(Violation("pair-identity", (a, b), pair_dist(a, b), ZERO))
-        symmetry.checked += 1
-        if pair_dist(a, b) != pair_dist(b, a):
-            symmetry.register(Violation("pair-symmetry", (a, b), pair_dist(a, b), pair_dist(b, a)))
-
-    star_triangle = LawReport("pair-star-triangle")
-    numeric = weaker_than_lukasiewicz(alg, g)
-    triangle = LawReport("pair-triangle") if numeric else None
-    for a, b, c in itertools.product(pairs, repeat=3):
-        star_triangle.checked += 1
-        d_ab = pair_dist(a, b)
-        bound = alg.star(pair_dist(a, c), pair_dist(c, b))
-        if d_ab > bound:
-            star_triangle.register(Violation("pair-star-triangle", (a, b, c), d_ab, bound))
-        if triangle is not None:
-            triangle.checked += 1
-            total = Fraction(pair_dist(a, c)) + Fraction(pair_dist(c, b))
-            if d_ab > total:
-                triangle.register(Violation("pair-triangle", (a, b, c), d_ab, total))
-    reports = [identity, symmetry, star_triangle]
-    if triangle is not None:
-        reports.append(triangle)
-    return reports
+    table, star, _, dist = _distances(alg, pts)
+    pairs = [(x, y) for x in range(len(pts)) for y in range(len(pts))]
+    pair_dist = [[star(dist[a1][b1], dist[a2][b2]) for b1, b2 in pairs] for a1, a2 in pairs]
+    labels = [PairValue(pts[x], pts[y]) for x, y in pairs]
+    return _metric_laws("pair", labels, pair_dist, table, star, weaker_than_lukasiewicz(alg, g))
 
 
 def continuity_inequalities_check(alg: SAlgebra, g: GridSpec) -> list[LawReport]:
@@ -194,107 +179,42 @@ def continuity_inequalities_check(alg: SAlgebra, g: GridSpec) -> list[LawReport]
     where D(a, b) = d(a1, b1) * d(a2, b2).
     """
     pts = g.points()
-    m = len(pts)
-    rng = range(m)
-
-    # Values are interned to small integers so the hot loop works on
-    # int-keyed dictionaries instead of repeated Fraction arithmetic.
-    values: list[UnitValue] = []
-    intern: dict = {}
-
-    def vid(v: UnitValue) -> int:
-        i = intern.get(v)
-        if i is None:
-            i = len(values)
-            intern[v] = i
-            values.append(v)
-        return i
-
-    res_id = [[vid(alg.res(pts[i], pts[j])) for j in rng] for i in rng]
-    star_grid_id = [[vid(alg.star(pts[i], pts[j])) for j in rng] for i in rng]
-
-    star_pair: dict = {}
-    res_pair: dict = {}
-    dist_pair: dict = {}
-    le_pair: dict = {}
-
-    def star2(i: int, j: int) -> int:
-        key = (i, j)
-        v = star_pair.get(key)
-        if v is None:
-            v = vid(alg.star(values[i], values[j]))
-            star_pair[key] = v
-        return v
-
-    def res2(i: int, j: int) -> int:
-        key = (i, j)
-        v = res_pair.get(key)
-        if v is None:
-            v = vid(alg.res(values[i], values[j]))
-            res_pair[key] = v
-        return v
-
-    def dist2(i: int, j: int) -> int:
-        key = (i, j)
-        v = dist_pair.get(key)
-        if v is None:
-            v = star2(res2(i, j), res2(j, i))
-            dist_pair[key] = v
-        return v
-
-    def le2(i: int, j: int) -> bool:
-        key = (i, j)
-        v = le_pair.get(key)
-        if v is None:
-            v = values[i] <= values[j]
-            le_pair[key] = v
-        return v
-
-    dist_grid_id = [[star2(res_id[i][j], res_id[j][i]) for j in rng] for i in rng]
-
-    ids = ["star-lipschitz", "res-lipschitz", "z1", "z2", "z3"]
-    reports = {law: LawReport(law) for law in ids}
-    total = 0
-
-    def fail(law: str, tup, lhs_id: int, rhs_id: int):
-        reports[law].register(Violation(law, tup, values[lhs_id], values[rhs_id]))
-
-    for a1 in rng:
-        res_a1 = res_id[a1]
-        star_a1 = star_grid_id[a1]
-        dist_a1 = dist_grid_id[a1]
-        for a2 in rng:
-            r_a = res_a1[a2]
-            s_a = star_a1[a2]
-            res_a2 = res_id[a2]
-            dist_a2 = dist_grid_id[a2]
-            for b1 in rng:
-                d1 = dist_a1[b1]
-                r_a1b1 = res_a1[b1]
-                r_b1a1 = res_id[b1][a1]
-                res_b1 = res_id[b1]
-                star_b1 = star_grid_id[b1]
-                for b2 in rng:
-                    total += 1
-                    big = star2(d1, dist_a2[b2])
-                    r_b = res_b1[b2]
-                    if not le2(dist2(s_a, star_b1[b2]), big):
-                        fail("star-lipschitz", (pts[a1], pts[a2], pts[b1], pts[b2]), dist2(s_a, star_b1[b2]), big)
-                    if not le2(dist2(r_a, r_b), big):
-                        fail("res-lipschitz", (pts[a1], pts[a2], pts[b1], pts[b2]), dist2(r_a, r_b), big)
-                    if not le2(res_a1[b2], star2(r_a1b1, r_b)):
-                        fail("z1", (pts[a1], pts[a2], pts[b1], pts[b2]), res_a1[b2], star2(r_a1b1, r_b))
-                    if not le2(res2(r_b, r_a), star2(r_a1b1, res_id[b2][a2])):
-                        fail("z2", (pts[a1], pts[a2], pts[b1], pts[b2]), res2(r_b, r_a), star2(r_a1b1, res_id[b2][a2]))
-                    if not le2(res2(r_a, r_b), star2(r_b1a1, res_a2[b2])):
-                        fail("z3", (pts[a1], pts[a2], pts[b1], pts[b2]), res2(r_a, r_b), star2(r_b1a1, res_a2[b2]))
-    for law in ids:
-        reports[law].checked = total
-    return [reports[law] for law in ids]
+    table, star, res, dist_g = _distances(alg, pts)
+    values, le = table.values, table.le
+    res_g, star_g = square(res, len(pts)), square(star, len(pts))
+    dist = lambda i, j: star(res(i, j), res(j, i))
+    reports = [LawReport(law, len(pts) ** 4) for law in ("star-lipschitz", "res-lipschitz", "z1", "z2", "z3")]
+    for a1, a2, b1, b2 in itertools.product(range(len(pts)), repeat=4):
+        r_a, r_b, r_a1b1 = res_g[a1][a2], res_g[b1][b2], res_g[a1][b1]
+        big = star(dist_g[a1][b1], dist_g[a2][b2])
+        sides = (
+            (dist(star_g[a1][a2], star_g[b1][b2]), big),
+            (dist(r_a, r_b), big),
+            (res_g[a1][b2], star(r_a1b1, r_b)),
+            (res(r_b, r_a), star(r_a1b1, res_g[b2][a2])),
+            (res(r_a, r_b), star(res_g[b1][a1], res_g[a2][b2])),
+        )
+        for report, (lhs, rhs) in zip(reports, sides):
+            if not le(lhs, rhs):
+                report.register(Violation(report.law_id, (pts[a1], pts[a2], pts[b1], pts[b2]), values[lhs], values[rhs]))
+    return reports
 
 
 def _grid_context(alg: SAlgebra, g: GridSpec) -> LawContext:
-    return LawContext(g.points, alg.star, alg.res, min, max, operator.le, ZERO, ONE, str)
+    """The grid as a law context on interned ids: 0 is ZERO, len(g) - 1 is ONE."""
+    table = ValueTable(g.points())
+    values, le = table.values, table.le
+    return LawContext(
+        lambda: range(len(g)),
+        table.operation(alg.star),
+        table.operation(alg.res),
+        lambda a, b: a if le(a, b) else b,
+        lambda a, b: b if le(a, b) else a,
+        le,
+        0,
+        len(g) - 1,
+        lambda v: str(v) if isinstance(v, bool) else str(values[v]),
+    )
 
 
 def dbl_laws_check(alg: SAlgebra, g: GridSpec, ids=None) -> list[LawReport]:
@@ -321,6 +241,9 @@ class Interval:
             return False
         return True
 
+    def ends(self) -> tuple:
+        return (self.lo, self.hi)
+
     def describe(self) -> str:
         left = "[" if self.lo_closed else "("
         right = "]" if self.hi_closed else ")"
@@ -334,6 +257,9 @@ class Point:
     def contains(self, v: UnitValue) -> bool:
         return v == self.value
 
+    def ends(self) -> tuple:
+        return (self.value,)
+
     def describe(self) -> str:
         return f"{{{self.value}}}"
 
@@ -344,7 +270,7 @@ class IntervalBall:
 
     The description is a union of at most two intervals/points; membership
     can always be decided from the raw metric predicate, and the two must
-    agree at every point (checked by :meth:`agreement_check`).
+    agree at every point of [0, 1] (decided by :meth:`agreement_check`).
     """
 
     algebra: SAlgebra
@@ -361,13 +287,30 @@ class IntervalBall:
     def describe(self) -> str:
         return " U ".join(p.describe() for p in self.pieces)
 
-    def agreement_check(self, g: GridSpec) -> LawReport:
+    def agreement_check(self) -> LawReport:
+        """The closed form against the predicate on all of [0, 1], exactly.
+
+        With centre c and radius r, d(c, .) falls on [0, c] and rises on
+        [c, 1], and by adjunction d(c, b) <= r iff R(r, c) <= b <= S(c, r).
+        For the three families d(c, .) takes the value r at most once on
+        each side of c, or (Goedel) on all of [0, c).  So the predicate is
+        constant between neighbouring cut points (0, c, 1, R(r, c), S(c, r))
+        and the closed form between neighbouring piece endpoints: checking
+        every cut point, every endpoint, and the midpoint between each
+        neighbouring pair of them decides agreement everywhere.
+        """
+        alg, c, r = self.algebra, self.center, self.radius
+        cuts = {ZERO, ONE, c, alg.res(r, c), alg.star(c, r)}
+        for piece in self.pieces:
+            cuts.update(piece.ends())
+        cuts = sorted(cuts)
+        probes = sorted(cuts + [UnitValue((lo + hi) / 2) for lo, hi in zip(cuts, cuts[1:])])
         report = LawReport("ball-closed-form")
-        for b in g.points():
+        for b in probes:
             report.checked += 1
             raw, closed = self.contains(b), self.closed_form_contains(b)
             if raw != closed:
-                report.register(Violation("ball-closed-form", (self.center, self.radius, b), raw, closed))
+                report.register(Violation("ball-closed-form", (c, r, b), raw, closed))
         return report
 
 

@@ -18,11 +18,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import lcm
 
 from .errors import DrasticNotResiduated
 from .reports import LawReport, Violation
+from .tables import ValueTable, square
 from .unitval import ONE, ZERO, GridSpec, UnitValue
 
 
@@ -91,7 +92,6 @@ def closed_form(f: NormFamily):
     return lambda x, y: max(x, y) if min(x, y) == 0 else ONE
 
 
-@lru_cache(maxsize=None)
 def apply_norm(f: NormFamily, x: UnitValue, y: UnitValue) -> UnitValue:
     """Closed-form value of the norm; exact rational."""
     return closed_form(f)(x, y)
@@ -110,7 +110,6 @@ def dual_check(f: NormFamily, x: UnitValue, y: UnitValue) -> bool:
     return apply_norm(s, x, y) == apply_norm(t, x.complement(), y.complement()).complement()
 
 
-@lru_cache(maxsize=None)
 def residuum(f: NormFamily, x: UnitValue, y: UnitValue) -> UnitValue:
     """Residuum closed form.
 
@@ -183,28 +182,18 @@ def adjointness_check(f: NormFamily, g: GridSpec) -> LawReport:
     if not f.is_residuated:
         raise DrasticNotResiduated("adjointness is undefined for the drastic family")
     pts = g.points()
-    rng = range(len(pts))
     law = "DBL3-adjointness" if f.side is NormSide.SNORM else "BL3-adjointness"
     report = LawReport(law)
-    res = [[residuum(f, pts[b], pts[c]) for c in rng] for b in rng]
-    nrm = [[apply_norm(f, pts[a], pts[b]) for b in rng] for a in rng]
-    snorm_side = f.side is NormSide.SNORM
-    for a in rng:
-        pa = pts[a]
-        nrm_a = nrm[a]
-        for b in rng:
-            nab = nrm_a[b]
-            res_b = res[b]
-            for c in rng:
-                report.checked += 1
-                if snorm_side:
-                    left, right = pa >= res_b[c], nab >= pts[c]
-                else:
-                    left, right = pa <= res_b[c], nab <= pts[c]
-                if left != right:
-                    report.register(
-                        Violation(law, (pa, pts[b], pts[c]), left, right, "biconditional mismatch")
-                    )
+    table = ValueTable(pts)
+    le, snorm_side = table.le, f.side is NormSide.SNORM
+    res = square(table.operation(partial(residuum, f)), len(pts))
+    nrm = square(table.operation(closed_form(f)), len(pts))
+    for a, b, c in itertools.product(range(len(pts)), repeat=3):
+        report.checked += 1
+        r, n = res[b][c], nrm[a][b]
+        left, right = (le(r, a), le(c, n)) if snorm_side else (le(a, r), le(n, c))
+        if left != right:
+            report.register(Violation(law, (pts[a], pts[b], pts[c]), left, right, "biconditional mismatch"))
     return report
 
 
@@ -224,37 +213,15 @@ def norm_axioms_check(f: NormFamily, g: GridSpec) -> list[LawReport]:
     pts = g.points()
     m = len(pts)
     rng = range(m)
-
-    # Intern values so the cubic associativity sweep runs on int-keyed
-    # lookups; off-grid intermediates (product family) intern on demand.
-    values: list[UnitValue] = list(pts)
-    ids: dict = {v: i for i, v in enumerate(values)}
-
-    def vid(v: UnitValue) -> int:
-        i = ids.get(v)
-        if i is None:
-            i = len(values)
-            ids[v] = i
-            values.append(v)
-        return i
-
-    fn = closed_form(f)
-    pair: dict = {}
-
-    def norm2(i: int, j: int) -> int:
-        key = (i, j)
-        v = pair.get(key)
-        if v is None:
-            v = vid(fn(values[i], values[j]))
-            pair[key] = v
-        return v
-
-    grid_tab = [[norm2(i, j) for j in rng] for i in rng]
+    table = ValueTable(pts)
+    values, le = table.values, table.le
+    norm = table.operation(closed_form(f))
+    grid_tab = square(norm, m)
 
     assoc = LawReport("associativity")
     for x, y, z in itertools.product(rng, repeat=3):
         assoc.checked += 1
-        lhs, rhs = norm2(grid_tab[x][y], z), norm2(x, grid_tab[y][z])
+        lhs, rhs = norm(grid_tab[x][y], z), norm(x, grid_tab[y][z])
         if lhs != rhs:
             assoc.register(
                 Violation("associativity", (pts[x], pts[y], pts[z]), values[lhs], values[rhs])
@@ -271,17 +238,17 @@ def norm_axioms_check(f: NormFamily, g: GridSpec) -> list[LawReport]:
         row_lo, row_hi = grid_tab[x1], grid_tab[x2]
         for y in rng:
             mono.checked += 1
-            if values[row_lo[y]] > values[row_hi[y]]:
+            if not le(row_lo[y], row_hi[y]):
                 mono.register(
                     Violation("monotonicity", (pts[x1], pts[x2], pts[y]), values[row_lo[y]], values[row_hi[y]])
                 )
-    unit_idx = ids[ONE if f.side is NormSide.TNORM else ZERO]
+    unit_idx = m - 1 if f.side is NormSide.TNORM else 0
     boundary = LawReport("boundary")
     for x in rng:
         boundary.checked += 1
         got = grid_tab[unit_idx][x]
-        if values[got] != pts[x]:
-            boundary.register(Violation("boundary", (values[unit_idx], pts[x]), values[got], pts[x]))
+        if got != x:
+            boundary.register(Violation("boundary", (pts[unit_idx], pts[x]), values[got], pts[x]))
     return [assoc, comm, mono, boundary]
 
 
@@ -296,18 +263,22 @@ def ordering_chain_check(side: NormSide, g: GridSpec) -> LawReport:
     else:
         chain = [NormKind.GOEDEL, NormKind.PRODUCT, NormKind.LUKASIEWICZ, NormKind.DRASTIC]
     families = [NormFamily(k, side) for k in chain]
+    pts = g.points()
+    table = ValueTable(pts)
+    values, le = table.values, table.le
+    norms = [table.operation(closed_form(f)) for f in families]
     report = LawReport("ordering-chain")
-    for x, y in itertools.product(g.points(), repeat=2):
-        values = [apply_norm(f, x, y) for f in families]
-        for lo, hi, f_lo, f_hi in zip(values, values[1:], families, families[1:]):
+    for x, y in itertools.product(range(len(pts)), repeat=2):
+        ids = [norm(x, y) for norm in norms]
+        for lo, hi, f_lo, f_hi in zip(ids, ids[1:], families, families[1:]):
             report.checked += 1
-            if lo > hi:
+            if not le(lo, hi):
                 report.register(
                     Violation(
                         "ordering-chain",
-                        (x, y),
-                        lo,
-                        hi,
+                        (pts[x], pts[y]),
+                        values[lo],
+                        values[hi],
                         f"{f_lo.kind.value} > {f_hi.kind.value}",
                     )
                 )
@@ -315,13 +286,18 @@ def ordering_chain_check(side: NormSide, g: GridSpec) -> LawReport:
 
 
 def duality_check(kind: NormKind, g: GridSpec) -> LawReport:
-    """Duality identity on all grid pairs for one family kind."""
+    """Duality identity on all grid pairs for one family kind: the grid is
+    closed under complement, and grid id k complements to id N - k."""
     report = LawReport("duality")
-    f = NormFamily.s_norm(kind)
-    for x, y in itertools.product(g.points(), repeat=2):
+    pts = g.points()
+    top = len(pts) - 1
+    table = ValueTable(pts)
+    values = table.values
+    s_norm = table.operation(closed_form(NormFamily.s_norm(kind)))
+    t_norm = table.operation(closed_form(NormFamily.t_norm(kind)))
+    for x, y in itertools.product(range(len(pts)), repeat=2):
         report.checked += 1
-        if not dual_check(f, x, y):
-            s = apply_norm(f, x, y)
-            t = apply_norm(dualize(f), x.complement(), y.complement()).complement()
-            report.register(Violation("duality", (x, y), s, t))
+        s, t = values[s_norm(x, y)], values[t_norm(top - x, top - y)]
+        if s + t != 1:
+            report.register(Violation("duality", (pts[x], pts[y]), s, t.complement()))
     return report

@@ -28,7 +28,8 @@ class UnitValue(Fraction):
         if isinstance(numerator, float) or isinstance(denominator, float):
             raise TypeError("UnitValue does not accept floats; use a string or Fraction")
         self = super().__new__(cls, numerator, denominator)
-        if self < 0 or self > 1:
+        # Normalised: the denominator is positive, so compare the ints directly.
+        if self._numerator < 0 or self._numerator > self._denominator:
             raise ValueError(f"value {Fraction(self)} outside [0, 1]")
         return self
 

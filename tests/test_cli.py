@@ -132,9 +132,15 @@ class TestAlgebra:
         assert "note: topology: 65536 open sets\n" in out
 
     def test_bound_cap(self, capsys, fixtures_dir):
-        code, _, err = run(capsys, "algebra", "check", str(fixtures_dir / "l4.alg"), "--bound", "30")
+        code, _, err = run(capsys, "algebra", "topology", str(fixtures_dir / "l4.alg"), "--bound", "30")
         assert code == 2
         assert "bound" in err
+
+    @pytest.mark.parametrize("action", ["check", "dualize"])
+    def test_bound_is_not_read_outside_the_listing(self, capsys, fixtures_dir, action):
+        code, _, err = run(capsys, "algebra", action, str(fixtures_dir / "l4.alg"), "--bound", "30")
+        assert code == 0
+        assert err == ""
 
 
 class TestEval:

@@ -35,8 +35,8 @@ from reslat.formulas import (
     sweep_values,
     to_text,
 )
-from reslat.norms import NormFamily, NormKind
-from reslat.unitval import ONE, GridSpec, UnitValue
+from reslat.norms import NormFamily, NormKind, apply_norm, residuum
+from reslat.unitval import ONE, ZERO, GridSpec, UnitValue
 
 u = UnitValue
 T_LUK = NormFamily.t_norm(NormKind.LUKASIEWICZ)
@@ -235,6 +235,79 @@ class TestEvaluation:
     def test_snorm_side_rejected(self):
         with pytest.raises(ValueError):
             evaluate(parse("p"), NormFamily.s_norm(NormKind.PRODUCT), {"p": u(1)})
+
+
+def semantic_value(f, family, valuation):
+    """Reference: the formula's value by the lattice semantics of the sugar
+    (meet = min, join = max), walking the formula before desugaring."""
+    star = lambda x, y: apply_norm(family, x, y)
+    res = lambda x, y: residuum(family, x, y)
+    match f:
+        case Atom(name):
+            return valuation[name]
+        case Bottom():
+            return ZERO
+        case Top():
+            return ONE
+        case Neg(a):
+            return res(semantic_value(a, family, valuation), ZERO)
+    a, b = semantic_value(f.lhs, family, valuation), semantic_value(f.rhs, family, valuation)
+    match f:
+        case Conj():
+            return star(a, b)
+        case Impl():
+            return res(a, b)
+        case Meet():
+            return min(a, b)
+        case Join():
+            return max(a, b)
+    return star(res(a, b), res(b, a))
+
+
+small_formulas = st.recursive(
+    st.sampled_from([Atom("p"), Atom("q"), Atom("r"), Bottom(), Top()]),
+    lambda sub: st.one_of(*(st.builds(op, sub, sub) for op in (Conj, Impl, Meet, Join, Iff)), st.builds(Neg, sub)),
+    max_leaves=12,
+)
+
+
+class TestDagEvaluation:
+    @given(small_formulas, st.lists(st.sampled_from(GridSpec(6).points()), min_size=3, max_size=3))
+    def test_random_formulas_round_trip_and_evaluate_by_the_semantics(self, ast, values):
+        assert parse(to_text(ast)) == ast
+        valuation = dict(zip("pqr", values))
+        for family in T_ALGS:
+            assert evaluate(ast, family, valuation) == semantic_value(ast, family, valuation)
+
+    @pytest.mark.parametrize("family", T_ALGS, ids=lambda f: f.kind.value)
+    def test_join_chain_applies_the_norm_once_per_join(self, family, monkeypatch):
+        calls = 0
+        norm = formulas_module.apply_norm
+
+        def counting(*args):
+            nonlocal calls
+            calls += 1
+            return norm(*args)
+
+        monkeypatch.setattr(formulas_module, "apply_norm", counting)
+        joins = 40
+        chain = parse(" | ".join(["p"] + [f"q{k}" for k in range(joins)]))
+        valuation = {"p": u(1, 3), **{f"q{k}": u(k, 2 * joins) for k in range(joins)}}
+        assert evaluate(chain, family, valuation) == max(valuation.values())
+        assert calls == joins  # one conjunction node per lowered join
+
+    def test_sweep_lowers_the_formula_once(self, monkeypatch):
+        lower = formulas_module.desugar
+        calls = 0
+
+        def counting(f):
+            nonlocal calls
+            calls += 1
+            return lower(f)
+
+        monkeypatch.setattr(formulas_module, "desugar", counting)
+        results = sweep_values(parse("p -> q"), T_LUK, GridSpec(4).points())
+        assert len(results) == 25 and calls == 3  # once per node of p -> q, not per valuation
 
 
 class TestSemanticProperties:

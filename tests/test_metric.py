@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from reslat.errors import InvalidRadius
 from reslat.metric import (
+    Interval,
+    IntervalBall,
     PairValue,
     SAlgebra,
     continuity_inequalities_check,
@@ -165,21 +167,21 @@ class TestIntervalBalls:
         assert ball.describe() == "{3/5}"
         assert ball.contains(u("3/5"))
         assert not ball.contains(u("59/100"))
-        assert ball.agreement_check(GridSpec(100)).ok
+        assert ball.agreement_check().ok
 
     def test_goedel_initial_segment(self):
         ball = interval_ball(GOE, u("1/5"), u("1/2"))
         assert ball.describe() == "[0, 1/2)"
         assert ball.contains(ZERO) and ball.contains(u("49/100"))
         assert not ball.contains(u("1/2"))
-        assert ball.agreement_check(GridSpec(100)).ok
+        assert ball.agreement_check().ok
 
     def test_lukasiewicz_full_interval(self):
         ball = interval_ball(LUK, u(1, 2), ONE)
         assert ball.describe() == "[0, 1]"
         for b in GridSpec(10).points():
             assert ball.contains(b)
-        assert ball.agreement_check(GridSpec(100)).ok
+        assert ball.agreement_check().ok
 
     def test_lukasiewicz_interior(self):
         ball = interval_ball(LUK, u(1, 2), u(1, 4))
@@ -197,10 +199,30 @@ class TestIntervalBalls:
         radii = [u(1, 7), u(1, 3), u(2, 3), ONE]
         for center, radius in itertools.product(centers, radii):
             ball = interval_ball(alg, center, radius)
-            report = ball.agreement_check(GridSpec(1000))
+            report = ball.agreement_check()
             assert report.ok, (alg.norm.kind, center, radius, report.lines())
+
+    @pytest.mark.parametrize(
+        "alg, center, radius, piece",
+        [
+            # (1/4, 3/4), stopped 10^-7 short of 3/4
+            (LUK, u(1, 2), u(1, 4), Interval(u(1, 4), False, u(Fraction(3, 4) - Fraction(1, 10**7)), False)),
+            # (2/9, 3/7), run 10^-9 past 3/7
+            (PROD, u(1, 3), u(1, 7), Interval(u(2, 9), False, u(Fraction(3, 7) + Fraction(1, 10**9)), False)),
+        ],
+        ids=["lukasiewicz-short", "product-long"],
+    )
+    def test_wrong_piece_between_sample_points_fails(self, alg, center, radius, piece):
+        ball = IntervalBall(alg, center, radius, (piece,))
+        # the 1000-point sample the check used to take sees no disagreement
+        assert all(ball.contains(b) == ball.closed_form_contains(b) for b in GridSpec(1000).points())
+        report = ball.agreement_check()
+        assert not report.ok
+        witness = report.witnesses[0]
+        b = witness.args[2]
+        assert (ball.contains(b), ball.closed_form_contains(b)) == (witness.lhs, witness.rhs)
 
     def test_product_ball_around_one_is_singleton(self):
         ball = interval_ball(PROD, ONE, ONE)
         assert ball.describe() == "{1}"
-        assert ball.agreement_check(GridSpec(50)).ok
+        assert ball.agreement_check().ok
