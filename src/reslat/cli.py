@@ -14,7 +14,6 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 
 from .errors import (
     AlgebraFileError,
@@ -49,7 +48,7 @@ from .norms import (
 )
 from .reports import all_ok
 from .topology import check_radius_lemmas, count_opens, enumerate_topology, verify_operation_continuity
-from .unitval import GridSpec, UnitValue, format_unit
+from .unitval import GridSpec, format_unit, parse_unit
 
 FAMILY_NAMES = [k.value for k in NormKind]
 RESIDUATED_NAMES = [k.value for k in NormKind if k is not NormKind.DRASTIC]
@@ -153,8 +152,7 @@ def cmd_metric(args) -> int:
         center_text, _, radius_text = args.ball.partition(",")
         if not radius_text:
             raise ValueError("--ball expects CENTER,RADIUS")
-        center = UnitValue(Fraction(center_text.strip()))
-        radius = UnitValue(Fraction(radius_text.strip()))
+        center, radius = parse_unit(center_text), parse_unit(radius_text)
         ball = interval_ball(alg, center, radius)
         agreement = ball.agreement_check()
         extra = {
@@ -164,6 +162,10 @@ def cmd_metric(args) -> int:
         }
         return _emit(args, [("ball closed form vs predicate", [agreement])], extra=extra)
 
+    if args.laws:
+        # Refuse a bad selector or laws grid before any sweep runs.
+        ids = _parse_law_selector(args.laws, "D", 15)
+        laws_grid = GridSpec(args.laws_grid)
     grid = GridSpec(args.grid)
     grid4 = GridSpec(args.grid4)
     sections = [
@@ -174,8 +176,7 @@ def cmd_metric(args) -> int:
     ]
     notes = []
     if args.laws:
-        ids = _parse_law_selector(args.laws, "D", 15)
-        sections.append((f"derived laws {ids[0]}..{ids[-1]}", dbl_laws_check(alg, GridSpec(args.laws_grid), ids)))
+        sections.append((f"derived laws {ids[0]}..{ids[-1]}", dbl_laws_check(alg, laws_grid, ids)))
         notes.append(f"derived-law sweep at denominator {args.laws_grid}")
     return _emit(args, sections, notes)
 

@@ -40,7 +40,7 @@ from .errors import (
 from .finite import FiniteAlgebra
 from .norms import NormFamily, NormSide, apply_norm, residuum
 from .reports import LawReport, Violation
-from .unitval import ONE, ZERO, GridSpec, UnitValue
+from .unitval import ONE, ZERO, GridSpec, UnitValue, parse_unit
 
 
 class Formula:
@@ -418,7 +418,7 @@ def parse_valuation(text: str, finite: bool = False) -> dict:
             raise ValueError(f"valuation entry {entry!r} is not 'atom = value'")
         name, _, value = entry.partition("=")
         name, value = name.strip(), value.strip()
-        assignment[name] = value if finite else UnitValue(Fraction(value))
+        assignment[name] = value if finite else parse_unit(value)
     return assignment
 
 

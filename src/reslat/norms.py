@@ -71,24 +71,52 @@ class NormFamily:
 CONTINUOUS_KINDS = (NormKind.LUKASIEWICZ, NormKind.GOEDEL, NormKind.PRODUCT)
 
 
+# The arithmetic closed forms and residua work on the arguments' numerators
+# and denominators as ints, x = a/b and y = c/d, and build one normalised
+# UnitValue at the end: one gcd per value and no intermediate Fractions.
+def _luk_t(x: UnitValue, y: UnitValue) -> UnitValue:
+    """max(0, x + y - 1)."""
+    a, b, c, d = x.numerator, x.denominator, y.numerator, y.denominator
+    n = a * d + c * b - b * d
+    return UnitValue(n, b * d) if n > 0 else ZERO
+
+
+def _luk_s(x: UnitValue, y: UnitValue) -> UnitValue:
+    """min(1, x + y)."""
+    a, b, c, d = x.numerator, x.denominator, y.numerator, y.denominator
+    n = a * d + c * b
+    return UnitValue(n, b * d) if n < b * d else ONE
+
+
+def _product_t(x: UnitValue, y: UnitValue) -> UnitValue:
+    """xy."""
+    return UnitValue(x.numerator * y.numerator, x.denominator * y.denominator)
+
+
+def _product_s(x: UnitValue, y: UnitValue) -> UnitValue:
+    """x + y - xy."""
+    a, b, c, d = x.numerator, x.denominator, y.numerator, y.denominator
+    return UnitValue(a * d + c * b - a * c, b * d)
+
+
 @lru_cache(maxsize=None)
 def closed_form(f: NormFamily):
     """The norm as a plain uncached callable, for hot exhaustive sweeps."""
     k = f.kind
     if f.side is NormSide.TNORM:
         if k is NormKind.LUKASIEWICZ:
-            return lambda x, y: x.sub_clamped(y.complement())
+            return _luk_t
         if k is NormKind.GOEDEL:
             return min
         if k is NormKind.PRODUCT:
-            return lambda x, y: UnitValue(x * y)
+            return _product_t
         return lambda x, y: min(x, y) if max(x, y) == 1 else ZERO
     if k is NormKind.LUKASIEWICZ:
-        return lambda x, y: x.add_clamped(y)
+        return _luk_s
     if k is NormKind.GOEDEL:
         return max
     if k is NormKind.PRODUCT:
-        return lambda x, y: UnitValue(x + y - x * y)
+        return _product_s
     return lambda x, y: max(x, y) if min(x, y) == 0 else ONE
 
 
@@ -118,22 +146,24 @@ def residuum(f: NormFamily, x: UnitValue, y: UnitValue) -> UnitValue:
     """
     if not f.is_residuated:
         raise DrasticNotResiduated("the drastic norms are not continuous; no residuum exists")
+    # x >= y iff a*d >= c*b (the denominators are positive).
     k = f.kind
+    a, b, c, d = x.numerator, x.denominator, y.numerator, y.denominator
     if f.side is NormSide.SNORM:
-        if x >= y:
+        if a * d >= c * b:
             return ZERO
         if k is NormKind.LUKASIEWICZ:
-            return UnitValue(y - x)
+            return UnitValue(c * b - a * d, b * d)  # y - x
         if k is NormKind.GOEDEL:
             return y
-        return UnitValue((y - x) / (1 - x))
-    if x <= y:
+        return UnitValue(c * b - a * d, d * (b - a))  # (y - x) / (1 - x)
+    if a * d <= c * b:
         return ONE
     if k is NormKind.LUKASIEWICZ:
-        return UnitValue(1 - x + y)
+        return UnitValue(b * d - a * d + c * b, b * d)  # 1 - x + y
     if k is NormKind.GOEDEL:
         return y
-    return UnitValue(y / x)
+    return UnitValue(c * b, d * a)  # y / x
 
 
 def _oracle_denominator(f: NormFamily, x: UnitValue, y: UnitValue, g: GridSpec) -> int:

@@ -7,6 +7,7 @@ equality/inequality tests.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -63,9 +64,27 @@ ZERO = UnitValue(0)
 ONE = UnitValue(1)
 
 
+# The largest decimal exponent parse_unit accepts, in magnitude: the
+# interpreter's default int/str digit limit.  Fraction('1e-N') builds 10**N,
+# so an unbounded exponent costs unbounded time and memory before any range
+# check can refuse the value.
+MAX_EXPONENT = 4300
+_EXPONENT = re.compile(r"e[-+]?([0-9_]+)\Z", re.IGNORECASE)
+
+
 def parse_unit(text: str) -> UnitValue:
-    """Parse 'p/q', an integer, or a finite decimal as an exact UnitValue."""
-    return UnitValue(Fraction(text.strip()))
+    """Parse 'p/q', an integer, or a finite decimal as an exact UnitValue.
+
+    A decimal exponent beyond MAX_EXPONENT in magnitude is refused with
+    ValueError before any digits are expanded.
+    """
+    text = text.strip()
+    match = _EXPONENT.search(text)
+    if match:
+        digits = match.group(1).replace("_", "").lstrip("0")
+        if len(digits) > len(str(MAX_EXPONENT)) or int(digits or "0") > MAX_EXPONENT:
+            raise ValueError(f"decimal exponent exceeds {MAX_EXPONENT} in magnitude")
+    return UnitValue(Fraction(text))
 
 
 def format_unit(value: Fraction, approx: bool = False) -> str:

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -81,6 +82,28 @@ class TestMetric:
         code, _, err = run(capsys, "metric", "--family", "lukasiewicz", "--ball", "1/2,0")
         assert code == 2
         assert "radius" in err
+
+    @pytest.mark.parametrize("ball", ["1e-1000000000,1/2", "1/2,1e-1000000000"])
+    def test_ball_huge_exponent_fails_fast(self, capsys, ball):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "metric", "--family", "product", "--ball", ball)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and "exponent" in err
+
+    @pytest.mark.parametrize(
+        "laws", [["--laws", "d0..d3"], ["--laws", "d1,d16"], ["--laws", "d1..d3", "--laws-grid", "1"]]
+    )
+    def test_bad_laws_refused_before_any_sweep(self, capsys, monkeypatch, laws):
+        import reslat.cli
+
+        sweeps = []
+        for name in ("d_star_closed_form_check", "metric_axioms_check", "continuity_inequalities_check"):
+            monkeypatch.setattr(reslat.cli, name, lambda *args, name=name: sweeps.append(name) or [])
+        code, out, err = run(capsys, "metric", "--family", "product", *laws)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert sweeps == []
 
 
 class TestAlgebra:
@@ -165,6 +188,20 @@ class TestEval:
                            "--sweep")
         assert code == 0
         assert out.strip() == "constant 1 over 16 valuations"
+
+    @pytest.mark.parametrize("text, value", [("0.25", "1/4"), ("1e-3", "1/1000"), ("3/10", "3/10")])
+    def test_assign_exact_decimals(self, capsys, text, value):
+        code, out, _ = run(capsys, "eval", "p", "--t-algebra", "product", "--assign", f"p={text}")
+        assert code == 0
+        assert out.strip() == value
+
+    @pytest.mark.parametrize("text", ["1e-1000000000", "1E+99999999999", "1e-4301", "1e-" + "9" * 5000])
+    def test_assign_huge_exponent_fails_fast(self, capsys, text):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "eval", "p", "--t-algebra", "product", "--assign", f"p={text}")
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == ""
+        assert err == "error: decimal exponent exceeds 4300 in magnitude\n"
 
     def test_syntax_error_position_exit_2(self, capsys):
         code, _, err = run(capsys, "eval", "p -> (", "--t-algebra", "product", "--assign", "p=1")

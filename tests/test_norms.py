@@ -168,3 +168,49 @@ class TestAdjointness:
         for kind in RESIDUATED:
             f = NormFamily.s_norm(kind)
             assert (a >= residuum(f, b, c)) == (apply_norm(f, a, b) >= c)
+
+
+# The textbook expressions on plain Fractions: the reference for the closed
+# forms and residua, which compute in integers.
+TEXTBOOK_NORMS = {
+    T[NormKind.LUKASIEWICZ]: lambda x, y: max(Fraction(0), x + y - 1),
+    S[NormKind.LUKASIEWICZ]: lambda x, y: min(Fraction(1), x + y),
+    T[NormKind.PRODUCT]: lambda x, y: x * y,
+    S[NormKind.PRODUCT]: lambda x, y: x + y - x * y,
+}
+TEXTBOOK_RESIDUA = {
+    S[NormKind.LUKASIEWICZ]: lambda x, y: Fraction(0) if x >= y else y - x,
+    T[NormKind.LUKASIEWICZ]: lambda x, y: Fraction(1) if x <= y else 1 - x + y,
+    S[NormKind.PRODUCT]: lambda x, y: Fraction(0) if x >= y else (y - x) / (1 - x),
+    T[NormKind.PRODUCT]: lambda x, y: Fraction(1) if x <= y else y / x,
+}
+
+# Each argument draws its own denominator; the endpoints and equal
+# arguments, where the clamps and the residuum guards switch, come often.
+rationals = st.one_of(
+    st.sampled_from([Fraction(0), Fraction(1)]),
+    st.fractions(min_value=0, max_value=1, max_denominator=10**9),
+)
+argument_pairs = st.one_of(st.tuples(rationals, rationals), rationals.map(lambda v: (v, v)))
+
+
+def assert_same_unit_value(got, expected):
+    """``got`` is the UnitValue of ``expected``, normalised as a Fraction:
+    ValueTable.intern keys on the (numerator, denominator) pair."""
+    assert type(got) is UnitValue
+    assert got == expected
+    assert (got.numerator, got.denominator) == (expected.numerator, expected.denominator)
+
+
+class TestIntegerForms:
+    @pytest.mark.parametrize("family", list(TEXTBOOK_NORMS), ids=NormFamily.describe)
+    @given(argument_pairs)
+    def test_closed_form_matches_textbook(self, family, pair):
+        x, y = pair
+        assert_same_unit_value(apply_norm(family, u(x), u(y)), TEXTBOOK_NORMS[family](x, y))
+
+    @pytest.mark.parametrize("family", list(TEXTBOOK_RESIDUA), ids=NormFamily.describe)
+    @given(argument_pairs)
+    def test_residuum_matches_textbook(self, family, pair):
+        x, y = pair
+        assert_same_unit_value(residuum(family, u(x), u(y)), TEXTBOOK_RESIDUA[family](x, y))

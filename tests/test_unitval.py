@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from reslat.unitval import ONE, ZERO, GridSpec, UnitValue, format_unit, parse_unit
+from reslat.unitval import MAX_EXPONENT, ONE, ZERO, GridSpec, UnitValue, format_unit, parse_unit
 
 units = st.fractions(min_value=0, max_value=1).map(UnitValue)
 
@@ -25,6 +25,15 @@ def test_parse_and_format():
     assert parse_unit(" 1 ") == ONE
     assert format_unit(UnitValue(1, 3)) == "1/3"
     assert format_unit(UnitValue(1, 4), approx=True) == "1/4 (0.25)"
+
+
+def test_parse_exponent_limit():
+    assert parse_unit("1e-3") == Fraction(1, 1000)
+    assert parse_unit(f"1e-{MAX_EXPONENT}") == Fraction(1, 10**MAX_EXPONENT)
+    assert parse_unit("2_5e-0_2") == Fraction(1, 4)
+    for text in (f"1e-{MAX_EXPONENT + 1}", f"1E+{MAX_EXPONENT + 1}", "1e-4_301", "0e-1000000000", "1e-" + "9" * 5000):
+        with pytest.raises(ValueError, match="exponent"):
+            parse_unit(text)
 
 
 @given(units, units)
