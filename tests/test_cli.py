@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import reslat.cli
 from reslat.cli import main
 from reslat.finite import MAX_CARRIER
 from reslat.fixtures import lukasiewicz_chain
@@ -95,8 +96,6 @@ class TestMetric:
         "laws", [["--laws", "d0..d3"], ["--laws", "d1,d16"], ["--laws", "d1..d3", "--laws-grid", "1"]]
     )
     def test_bad_laws_refused_before_any_sweep(self, capsys, monkeypatch, laws):
-        import reslat.cli
-
         sweeps = []
         for name in ("d_star_closed_form_check", "metric_axioms_check", "continuity_inequalities_check"):
             monkeypatch.setattr(reslat.cli, name, lambda *args, name=name: sweeps.append(name) or [])
