@@ -89,7 +89,6 @@ from .norms import (
 )
 from .reports import LawReport, Violation, all_ok
 from .topology import (
-    RadiusSet,
     Topology,
     admissible_radii,
     ball,

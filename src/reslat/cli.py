@@ -15,16 +15,7 @@ import json
 import os
 import sys
 
-from .errors import (
-    AlgebraFileError,
-    CarrierTooLarge,
-    DrasticNotResiduated,
-    FormulaSyntaxError,
-    InadmissibleRadius,
-    InvalidRadius,
-    TheoremViolation,
-    UnboundAtom,
-)
+from .errors import DrasticNotResiduated, ReslatError, TheoremViolation
 from .finite import algebra_to_document, check_axioms, check_derived_laws, load_algebra
 from .formulas import atoms, evaluate, parse, parse_valuation, sweep_values
 from .metric import (
@@ -48,7 +39,7 @@ from .norms import (
 )
 from .reports import all_ok
 from .topology import check_radius_lemmas, count_opens, enumerate_topology, verify_operation_continuity
-from .unitval import GridSpec, format_unit, parse_unit
+from .unitval import GridSpec, check_digits, format_unit, parse_unit
 
 FAMILY_NAMES = [k.value for k in NormKind]
 RESIDUATED_NAMES = [k.value for k in NormKind if k is not NormKind.DRASTIC]
@@ -182,8 +173,6 @@ def cmd_metric(args) -> int:
 
 
 def cmd_algebra(args) -> int:
-    if args.action == "topology" and args.bound > 20:
-        raise ValueError("enumeration bound must be <= 20")
     alg = load_algebra(args.file)
     if args.action == "dualize":
         from .finite import dualize_algebra
@@ -191,7 +180,7 @@ def cmd_algebra(args) -> int:
         print(json.dumps(algebra_to_document(dualize_algebra(alg)), indent=2))
         return 0
     if args.action == "topology":
-        topo = enumerate_topology(alg, args.bound)
+        topo = enumerate_topology(alg)
         if args.format == "json":
             print(json.dumps({"open_sets": topo.export_lines(), "count": len(topo)}, indent=2))
         else:
@@ -230,7 +219,7 @@ def cmd_eval(args) -> int:
                 text = handle.read()
         valuation = parse_valuation(text, finite=finite)
         value = evaluate(formula, algebra, valuation)
-        rendered = value if finite else format_unit(value, args.approx)
+        rendered = value if finite else format_unit(check_digits(value, "result"), args.approx)
         if args.format == "json":
             print(json.dumps({"value": str(value)}))
         else:
@@ -298,9 +287,6 @@ def build_parser() -> argparse.ArgumentParser:
     algebra = sub.add_parser("algebra", help="finite algebra checks, topology, dualization")
     algebra.add_argument("action", choices=["check", "topology", "dualize"])
     algebra.add_argument("file")
-    algebra.add_argument(
-        "--bound", type=int, default=14, metavar="N", help="largest carrier the topology listing enumerates (<= 20)"
-    )
     algebra.add_argument("--format", choices=["text", "json"], default="text")
     algebra.set_defaults(func=cmd_algebra)
 
@@ -331,18 +317,7 @@ def main(argv=None) -> int:
     except TheoremViolation as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return 1
-    except (
-        AlgebraFileError,
-        CarrierTooLarge,
-        DrasticNotResiduated,
-        FormulaSyntaxError,
-        InadmissibleRadius,
-        InvalidRadius,
-        UnboundAtom,
-        ValueError,
-        ZeroDivisionError,
-        OSError,
-    ) as exc:
+    except (ReslatError, ValueError, ZeroDivisionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -18,7 +18,7 @@ class InadmissibleRadius(ReslatError):
 
 
 class CarrierTooLarge(ReslatError):
-    """Carrier exceeds the configured enumeration bound."""
+    """Carrier exceeds the largest size the topology listing accepts."""
 
 
 class AlgebraFileError(ReslatError):

@@ -15,11 +15,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from math import lcm
 
 from .errors import InvalidRadius
 from .laws import D_LAWS, LawContext, check_signature_axioms, run_catalogue
-from .norms import NormFamily, NormKind, NormSide, apply_norm, residuum
+from .norms import NormFamily, NormKind, NormSide, closed_form, residuum
 from .reports import LawReport, Violation
 from .tables import ValueTable, square
 from .unitval import ONE, ZERO, GridSpec, UnitValue
@@ -43,11 +44,15 @@ class SAlgebra:
             return cls(NormFamily.from_name(kind, NormSide.SNORM))
         return cls(NormFamily(kind, NormSide.SNORM))
 
-    def star(self, x: UnitValue, y: UnitValue) -> UnitValue:
-        return apply_norm(self.norm, x, y)
+    @property
+    def star(self):
+        """The s-norm as its plain closed form, ``star(x, y)``."""
+        return closed_form(self.norm)
 
-    def res(self, x: UnitValue, y: UnitValue) -> UnitValue:
-        return residuum(self.norm, x, y)
+    @property
+    def res(self):
+        """The residuum, ``res(x, y)``."""
+        return partial(residuum, self.norm)
 
 
 @dataclass(frozen=True)
@@ -83,11 +88,8 @@ def d_bigstar(alg: SAlgebra, a: PairValue, b: PairValue) -> UnitValue:
 
 def weaker_than_lukasiewicz(alg: SAlgebra, g: GridSpec) -> bool:
     """True if the s-norm is pointwise <= min(1, x+y) on the grid."""
-    luk = NormFamily.s_norm(NormKind.LUKASIEWICZ)
-    return all(
-        alg.star(x, y) <= apply_norm(luk, x, y)
-        for x, y in itertools.product(g.points(), repeat=2)
-    )
+    star, luk = alg.star, closed_form(NormFamily.s_norm(NormKind.LUKASIEWICZ))
+    return all(star(x, y) <= luk(x, y) for x, y in itertools.product(g.points(), repeat=2))
 
 
 def d_star_closed_form_check(alg: SAlgebra, g: GridSpec) -> LawReport:

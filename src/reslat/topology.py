@@ -1,27 +1,29 @@
 """Ball-generated topologies on finite BL/DBL-algebras.
 
-Admissible radii are the strongly-less-than-1 elements (BL side) or the
-positive elements (DBL side).  Balls compare against the radius in the
-strict lattice order (comparable and unequal); incomparable elements never
-qualify.  A subset is open when every one of its points has a ball, for some
-admissible radius, inside the subset.
+Every radius, ball and open-set decision runs on the algebra in the DBL
+form, ``finite.dbl_context``: a DBL-algebra itself, or the order dual of a
+BL-algebra.  There the admissible radii are the positive elements (a meet
+with 0 is 0 only for 0), and the ball of radius r around c holds the points
+whose distance from c lies strictly below r (comparable and unequal).  On a
+BL-algebra these are the strongly-less-than-1 elements and the points whose
+biresiduum lies strictly above r.  A subset is open when every one of its
+points has a ball, for some admissible radius, inside the subset.
 
-Every decision here uses one smallest ball per centre.  In any lattice the
-admissible radii are closed under join (BL) and meet (DBL): if a and a' are
-strongly below 1 and (a | a') | b = 1, then a | (a' | b) = 1, so a' | b = 1
-and b = 1; the DBL case is the order dual.  So the widest radius r*, the
-join (BL) or meet (DBL) of all admissible radii, is admissible, and since the
-strict order is transitive, N(a) = ball(a, r*) lies inside ball(a, r) for
-every admissible r.  A set is therefore open iff it contains N(a) for each
-of its points: the opens are the N-closed sets, an Alexandrov topology.  The
-squared carrier works the same way, with N2(p) at the same r*.
+In any lattice the positive elements are closed under meet: if a and a' are
+positive and (a & a') & b = 0, then a & (a' & b) = 0, so a' & b = 0 and
+b = 0.  So the widest radius r*, the meet of all admissible radii, is
+admissible, and since the strict order is transitive, N(a) = ball(a, r*)
+lies inside ball(a, r) for every admissible r.  A set is therefore open iff
+it contains N(a) for each of its points: the opens are the N-closed sets,
+an Alexandrov topology, and exactly the unions of the smallest opens U(a),
+the closures of {a} under N.  The squared carrier works the same way, with
+N2(p) at the same r*.
 
 A map f from pairs is continuous iff f(q) lies in U(f(p)) for every pair p
-and every q in N2(p), where U(x), the closure of {x} under N, is the
-smallest open containing x.  That is an O(n^4) neighbourhood check.  The
-2^n subset enumeration serves only the listing of the opens, where the
-topology axioms are also verified on the result; count_opens counts the
-opens from the U(a) alone.
+and every q in N2(p): an O(n^4) neighbourhood check.  The listing of the
+opens builds every union of the U(a), so its cost grows with the number of
+opens, and verifies the topology axioms on the result; count_opens counts
+the opens from the U(a) alone.
 
 Subsets are represented internally as bitmasks over the carrier (and over
 the squared carrier, pair (i, j) at bit i * n + j, for product-space work).
@@ -35,113 +37,77 @@ from functools import reduce
 
 from .errors import CarrierTooLarge, InadmissibleRadius, TheoremViolation
 from .finite import FiniteAlgebra, Signature, dbl_context
-from .laws import as_bl
+from .laws import LawContext, as_bl
 from .reports import LawReport, Violation
 
-DEFAULT_ENUMERATION_BOUND = 14
+# Largest carrier the listing of the opens accepts; a discrete topology on
+# it has 2^20 opens.
+MAX_LISTED_CARRIER = 20
 
 
-def _is_positive(alg: FiniteAlgebra, a: int) -> bool:
-    # DBL side: meet(a, b) = 0 forces b = 0.
-    return all(b == alg.bottom for b in alg.elements() if alg.meet(a, b) == alg.bottom)
+def _radii(ctx: LawContext) -> list[int]:
+    """The positive elements of the DBL form, in carrier order."""
+    zero = ctx.zero
+    return [a for a in ctx.elements() if all(b == zero for b in ctx.elements() if ctx.meet(a, b) == zero)]
 
 
-def _is_strongly_less(alg: FiniteAlgebra, a: int) -> bool:
-    # BL side: join(a, b) = 1 forces b = 1.
-    return all(b == alg.top for b in alg.elements() if alg.join(a, b) == alg.top)
+def admissible_radii(alg: FiniteAlgebra) -> tuple[str, ...]:
+    """Positive elements of the DBL form: strongly-less-than-1 elements (BL)
+    or positive elements (DBL), in carrier order."""
+    return tuple(alg.labels[i] for i in _radii(dbl_context(alg)))
 
 
-def _admissible_indices(alg: FiniteAlgebra) -> tuple[int, ...]:
-    test = _is_strongly_less if alg.signature is Signature.BL else _is_positive
-    return tuple(a for a in alg.elements() if test(alg, a))
+def _ball_mask(ctx: LawContext, radius: int, distances) -> int:
+    """The points whose distance, in point order, lies strictly below the radius."""
+    return sum(1 << k for k, d in enumerate(distances) if d != radius and ctx.le(d, radius))
 
 
-@dataclass(frozen=True)
-class RadiusSet:
-    """The admissible ball radii of an algebra, in carrier order."""
-
-    algebra: FiniteAlgebra
-    labels: tuple[str, ...]
-
-    def __contains__(self, label: str) -> bool:
-        return label in self.labels
-
-    def __iter__(self):
-        return iter(self.labels)
-
-    def __len__(self) -> int:
-        return len(self.labels)
+def _widest_balls(alg: FiniteAlgebra, points, distance) -> list[int]:
+    """The ball around every point at the widest radius (never empty: the top
+    of the DBL form is positive)."""
+    ctx = dbl_context(alg)
+    radius = reduce(ctx.meet, _radii(ctx))
+    return [_ball_mask(ctx, radius, (distance(p, q) for q in points)) for p in points]
 
 
-def admissible_radii(alg: FiniteAlgebra) -> RadiusSet:
-    """Strongly-less-than-1 elements (BL) or positive elements (DBL)."""
-    return RadiusSet(alg, tuple(alg.labels[i] for i in _admissible_indices(alg)))
-
-
-def _widest_radius(alg: FiniteAlgebra) -> int:
-    # Never empty: the bottom is strongly less than 1 and the top is positive.
-    combine = alg.join if alg.signature is Signature.BL else alg.meet
-    return reduce(combine, _admissible_indices(alg))
-
-
-def _inside(alg: FiniteAlgebra, radius: int, value: int) -> bool:
-    if alg.signature is Signature.BL:
-        return alg.lt(radius, value)  # biresiduum > r
-    return alg.lt(value, radius)  # distance < r
-
-
-def _ball_mask(alg: FiniteAlgebra, center: int, radius: int) -> int:
-    return sum(1 << b for b in alg.elements() if _inside(alg, radius, alg.bires(center, b)))
-
-
-def _pair_ball_mask(alg: FiniteAlgebra, center: tuple[int, int], radius: int) -> int:
-    n = alg.n
-    return sum(
-        1 << (b1 * n + b2)
-        for b1, b2 in itertools.product(range(n), repeat=2)
-        if _inside(alg, radius, alg.pair_bires(center, (b1, b2)))
-    )
-
-
-def _smallest_balls(alg: FiniteAlgebra) -> list[int]:
-    """N(a) for every centre a, in carrier order."""
-    r = _widest_radius(alg)
-    return [_ball_mask(alg, a, r) for a in alg.elements()]
+def _smallest_opens(alg: FiniteAlgebra) -> list[int]:
+    """U(a) for every a in carrier order: the closure of {a} under the smallest balls."""
+    balls = _widest_balls(alg, alg.elements(), alg.bires)
+    ups = []
+    for a in alg.elements():
+        mask, grown = 0, 1 << a
+        while grown != mask:
+            mask = grown
+            for b, ball in enumerate(balls):
+                if mask >> b & 1:
+                    grown |= ball
+        ups.append(mask)
+    return ups
 
 
 def _smallest_pair_balls(alg: FiniteAlgebra) -> list[int]:
     """N2(p) for every pair p, in pair-index order."""
-    r = _widest_radius(alg)
-    return [_pair_ball_mask(alg, p, r) for p in itertools.product(alg.elements(), repeat=2)]
+    return _widest_balls(alg, list(itertools.product(alg.elements(), repeat=2)), alg.pair_bires)
 
 
-def _mask_is_open(balls: list[int], mask: int) -> bool:
-    """True iff the set contains the smallest ball of each of its points."""
-    return all(ball & ~mask == 0 for a, ball in enumerate(balls) if mask >> a & 1)
+def _mask_is_open(smallest: list[int], mask: int) -> bool:
+    """True iff the set contains, for each of its points a, smallest[a]: its
+    smallest ball or, equivalently, its smallest open."""
+    return all(m & ~mask == 0 for a, m in enumerate(smallest) if mask >> a & 1)
 
 
-def _smallest_open(balls: list[int], a: int) -> int:
-    """U(a): the closure of {a} under the smallest balls."""
-    mask, grown = 0, 1 << a
-    while grown != mask:
-        mask = grown
-        for b, ball in enumerate(balls):
-            if mask >> b & 1:
-                grown |= ball
-    return mask
-
-
-def _check_radius(alg: FiniteAlgebra, radius: int) -> None:
-    if radius not in _admissible_indices(alg):
-        kind = "strongly-less-than-1" if alg.signature is Signature.BL else "positive"
-        raise InadmissibleRadius(f"radius {alg.labels[radius]!r} is not {kind}")
+def _admissible(alg: FiniteAlgebra, radius: str) -> tuple[LawContext, int]:
+    ctx, r = dbl_context(alg), alg.index(radius)
+    if r not in _radii(ctx):
+        raise InadmissibleRadius(f"radius {radius!r} is not admissible (positive in the DBL form)")
+    return ctx, r
 
 
 def ball(alg: FiniteAlgebra, center: str, radius: str) -> frozenset[str]:
     """The ball around ``center`` of admissible radius ``radius``."""
-    c, r = alg.index(center), alg.index(radius)
-    _check_radius(alg, r)
-    return frozenset(_labels_of(alg, _ball_mask(alg, c, r)))
+    ctx, r = _admissible(alg, radius)
+    c = alg.index(center)
+    return frozenset(_labels_of(alg, _ball_mask(ctx, r, (alg.bires(c, b) for b in alg.elements()))))
 
 
 def _mask_of(alg: FiniteAlgebra, subset) -> int:
@@ -162,7 +128,7 @@ def _set_text(alg: FiniteAlgebra, mask: int) -> str:
 def is_open(alg: FiniteAlgebra, subset) -> bool:
     """True iff every point of the subset has a ball inside it (empty set is
     vacuously open)."""
-    return _mask_is_open(_smallest_balls(alg), _mask_of(alg, subset))
+    return _mask_is_open(_smallest_opens(alg), _mask_of(alg, subset))
 
 
 @dataclass(frozen=True)
@@ -203,27 +169,26 @@ def _verify_topology_axioms(alg: FiniteAlgebra, masks: tuple[int, ...]) -> None:
             )
 
 
-def enumerate_topology(alg: FiniteAlgebra, bound: int = DEFAULT_ENUMERATION_BOUND) -> Topology:
-    """Classify all 2^n subsets and verify the topology axioms on the result.
+def enumerate_topology(alg: FiniteAlgebra) -> Topology:
+    """All open sets, as the unions of the smallest opens, with the topology
+    axioms verified on the result.
 
-    Raises TheoremViolation if the family fails an axiom; for valid algebras
-    this cannot happen (the executable form of the topology theorem).
+    Raises CarrierTooLarge above MAX_LISTED_CARRIER elements, and
+    TheoremViolation if the family fails an axiom; for valid algebras this
+    cannot happen (the executable form of the topology theorem).
     """
-    if alg.n > bound:
-        raise CarrierTooLarge(f"carrier size {alg.n} exceeds enumeration bound {bound}")
-    balls = _smallest_balls(alg)
-    masks = tuple(
-        sorted(
-            (m for m in range(1 << alg.n) if _mask_is_open(balls, m)),
-            key=lambda m: (m.bit_count(), tuple(i for i in range(alg.n) if m >> i & 1)),
-        )
-    )
+    if alg.n > MAX_LISTED_CARRIER:
+        raise CarrierTooLarge(f"carrier size {alg.n} exceeds the listing limit {MAX_LISTED_CARRIER}")
+    opens = {0}
+    for up in _smallest_opens(alg):
+        opens |= {m | up for m in opens}
+    masks = tuple(sorted(opens, key=lambda m: (m.bit_count(), tuple(i for i in range(alg.n) if m >> i & 1))))
     _verify_topology_axioms(alg, masks)
     return Topology(alg, masks)
 
 
 def count_opens(alg: FiniteAlgebra) -> int:
-    """The number of open sets, without enumerating subsets.
+    """The number of open sets, without enumerating them.
 
     An open set that holds a point a holds U(a).  Splitting on one undecided
     point a: the opens without a hold no point whose U(.) contains a, and the
@@ -232,8 +197,7 @@ def count_opens(alg: FiniteAlgebra) -> int:
     the U(a) are classes, both branches drop the class of a, and the memo
     makes the count linear in the number of classes.
     """
-    balls = _smallest_balls(alg)
-    ups = [_smallest_open(balls, a) for a in alg.elements()]
+    ups = _smallest_opens(alg)
     downs = [sum(1 << b for b, up in enumerate(ups) if up >> a & 1) for a in alg.elements()]
     memo = {0: 1}
 
@@ -250,15 +214,11 @@ def count_opens(alg: FiniteAlgebra) -> int:
 
 def product_ball(alg: FiniteAlgebra, center: tuple[str, str], radius: str) -> frozenset[tuple[str, str]]:
     """Ball in the squared carrier under the pair operator."""
+    ctx, r = _admissible(alg, radius)
     c = (alg.index(center[0]), alg.index(center[1]))
-    r = alg.index(radius)
-    _check_radius(alg, r)
-    mask = _pair_ball_mask(alg, c, r)
-    return frozenset(
-        (alg.labels[i], alg.labels[j])
-        for i, j in itertools.product(alg.elements(), repeat=2)
-        if mask >> (i * alg.n + j) & 1
-    )
+    pairs = list(itertools.product(alg.elements(), repeat=2))
+    mask = _ball_mask(ctx, r, (alg.pair_bires(c, q) for q in pairs))
+    return frozenset((alg.labels[i], alg.labels[j]) for k, (i, j) in enumerate(pairs) if mask >> k & 1)
 
 
 def product_is_open(alg: FiniteAlgebra, subset) -> bool:
@@ -277,8 +237,7 @@ def verify_operation_continuity(alg: FiniteAlgebra) -> list[LawReport]:
     U(f(p)), whose preimage contains p but not N2(p) and so is not open.
     """
     n = alg.n
-    balls = _smallest_balls(alg)
-    smallest_opens = [_smallest_open(balls, a) for a in alg.elements()]
+    smallest_opens = _smallest_opens(alg)
     pair_balls = _smallest_pair_balls(alg)
     reports = []
     for name, table in (("star-continuity", alg.monoid), ("arrow-continuity", alg.residuum)):
@@ -298,7 +257,7 @@ def verify_operation_continuity(alg: FiniteAlgebra) -> list[LawReport]:
 def check_radius_lemmas(alg: FiniteAlgebra) -> list[LawReport]:
     """G1..G4 exhaustively; on the BL side, L1..L4 are G1..G4 on the order dual."""
     ctx = dbl_context(alg)
-    adm = set(_admissible_indices(alg))
+    adm = set(_radii(ctx))
     fmt = ctx.fmt
     lt = lambda a, b: a != b and ctx.le(a, b)
 

@@ -31,6 +31,7 @@ class UnitValue(Fraction):
         self = super().__new__(cls, numerator, denominator)
         # Normalised: the denominator is positive, so compare the ints directly.
         if self._numerator < 0 or self._numerator > self._denominator:
+            check_digits(self, "value outside [0, 1]")
             raise ValueError(f"value {Fraction(self)} outside [0, 1]")
         return self
 
@@ -48,10 +49,6 @@ class UnitValue(Fraction):
         """1 - self."""
         return UnitValue(1 - self)
 
-    def multiply(self, other) -> "UnitValue":
-        """self * other; products of unit values stay inside [0, 1]."""
-        return UnitValue(self * Fraction(other))
-
     def divide(self, other) -> "UnitValue":
         """self / other; requires other != 0 and a quotient inside [0, 1]."""
         return UnitValue(self / Fraction(other))
@@ -64,19 +61,32 @@ ZERO = UnitValue(0)
 ONE = UnitValue(1)
 
 
-# The largest decimal exponent parse_unit accepts, in magnitude: the
-# interpreter's default int/str digit limit.  Fraction('1e-N') builds 10**N,
-# so an unbounded exponent costs unbounded time and memory before any range
-# check can refuse the value.
-MAX_EXPONENT = 4300
+# The interpreter's default int/str digit limit: a number with more decimal
+# digits can be neither read from text nor printed.  It also bounds decimal
+# exponents in magnitude: Fraction('1e-N') builds 10**N, so an unbounded
+# exponent costs unbounded time and memory before any range check can refuse
+# the value.
+MAX_DIGITS = MAX_EXPONENT = 4300
+_LONG = 10**MAX_DIGITS  # the least number with more than MAX_DIGITS digits
 _EXPONENT = re.compile(r"e[-+]?([0-9_]+)\Z", re.IGNORECASE)
+_DIGIT_RUN = re.compile(r"[0-9_]+")
+
+
+def check_digits(value: Fraction, what: str) -> Fraction:
+    """Refuse with ValueError a value whose numerator or denominator has more
+    than MAX_DIGITS digits, naming it as ``what``."""
+    for part in ("numerator", "denominator"):
+        if abs(getattr(value, part)) >= _LONG:
+            raise ValueError(f"{what} has a {part} of more than {MAX_DIGITS} digits")
+    return value
 
 
 def parse_unit(text: str) -> UnitValue:
     """Parse 'p/q', an integer, or a finite decimal as an exact UnitValue.
 
-    A decimal exponent beyond MAX_EXPONENT in magnitude is refused with
-    ValueError before any digits are expanded.
+    A decimal exponent beyond MAX_EXPONENT in magnitude, and a number written
+    with more than MAX_DIGITS digits, are refused with ValueError before any
+    digits are expanded.
     """
     text = text.strip()
     match = _EXPONENT.search(text)
@@ -84,6 +94,8 @@ def parse_unit(text: str) -> UnitValue:
         digits = match.group(1).replace("_", "").lstrip("0")
         if len(digits) > len(str(MAX_EXPONENT)) or int(digits or "0") > MAX_EXPONENT:
             raise ValueError(f"decimal exponent exceeds {MAX_EXPONENT} in magnitude")
+    if any(len(run.replace("_", "")) > MAX_DIGITS for run in _DIGIT_RUN.findall(text)):
+        raise ValueError(f"input value has a number of more than {MAX_DIGITS} digits")
     return UnitValue(Fraction(text))
 
 

@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import subprocess
@@ -11,6 +12,7 @@ import reslat.cli
 from reslat.cli import main
 from reslat.finite import MAX_CARRIER
 from reslat.fixtures import lukasiewicz_chain
+from reslat.topology import MAX_LISTED_CARRIER
 
 SRC_DIR = Path(__file__).resolve().parents[1] / "src"
 
@@ -153,16 +155,31 @@ class TestAlgebra:
         assert code == 0
         assert "note: topology: 65536 open sets\n" in out
 
-    def test_bound_cap(self, capsys, fixtures_dir):
-        code, _, err = run(capsys, "algebra", "topology", str(fixtures_dir / "l4.alg"), "--bound", "30")
-        assert code == 2
-        assert "bound" in err
+    def test_listing_order_on_a_discrete_chain(self, capsys, tmp_path):
+        doc = lukasiewicz_chain(12)
+        path = tmp_path / "l12.alg"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = run(capsys, "algebra", "topology", str(path))
+        # A chain's topology is discrete: every subset, by size, then by index tuple.
+        subsets = [c for k in range(13) for c in itertools.combinations(range(12), k)]
+        lines = ["{" + ", ".join(doc["carrier"][i] for i in c) + "}" for c in subsets]
+        assert (code, err) == (0, "")
+        assert out == "\n".join(lines) + "\n4096 open sets\n"
 
-    @pytest.mark.parametrize("action", ["check", "dualize"])
-    def test_bound_is_not_read_outside_the_listing(self, capsys, fixtures_dir, action):
-        code, _, err = run(capsys, "algebra", action, str(fixtures_dir / "l4.alg"), "--bound", "30")
+    def test_listing_needs_no_flag_up_to_the_limit(self, capsys, tmp_path):
+        path = tmp_path / "l16.alg"
+        path.write_text(json.dumps(lukasiewicz_chain(16)), encoding="utf-8")
+        code, out, _ = run(capsys, "algebra", "topology", str(path))
+        lines = out.splitlines()
         assert code == 0
-        assert err == ""
+        assert len(lines) == 65537 and lines[-1] == "65536 open sets"
+
+    def test_listing_refuses_carriers_above_the_limit(self, capsys, tmp_path):
+        path = tmp_path / "l21.alg"
+        path.write_text(json.dumps(lukasiewicz_chain(MAX_LISTED_CARRIER + 1)), encoding="utf-8")
+        code, out, err = run(capsys, "algebra", "topology", str(path))
+        assert code == 2 and out == ""
+        assert err == f"error: carrier size {MAX_LISTED_CARRIER + 1} exceeds the listing limit {MAX_LISTED_CARRIER}\n"
 
 
 class TestEval:
@@ -201,6 +218,22 @@ class TestEval:
         assert time.perf_counter() - start < 1.0
         assert code == 2 and out == ""
         assert err == "error: decimal exponent exceeds 4300 in magnitude\n"
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize(
+        "formula, value, message",
+        [
+            ("p", "1e-4300", "result has a denominator of more than 4300 digits"),
+            ("p", "1/" + "9" * 5000, "input value has a number of more than 4300 digits"),
+            ("p & p", "1e-3000", "result has a denominator of more than 4300 digits"),
+            ("p", "1e4300", "value outside [0, 1] has a numerator of more than 4300 digits"),
+        ],
+    )
+    def test_too_many_digits_exit_2(self, capsys, formula, value, message, fmt):
+        code, out, err = run(capsys, "eval", formula, "--t-algebra", "product", "--assign", f"p={value}",
+                             "--format", fmt)
+        assert code == 2 and out == ""
+        assert err == f"error: {message}\n"
 
     def test_syntax_error_position_exit_2(self, capsys):
         code, _, err = run(capsys, "eval", "p -> (", "--t-algebra", "product", "--assign", "p=1")

@@ -23,6 +23,7 @@ from reslat.metric import (
     pair_metric_axioms_check,
     weaker_than_lukasiewicz,
 )
+from reslat.norms import closed_form, residuum
 from reslat.unitval import ONE, ZERO, GridSpec, UnitValue
 
 u = UnitValue
@@ -45,6 +46,13 @@ class TestDistance:
     def test_lukasiewicz_is_euclidean(self):
         for a, b in itertools.product(GridSpec(16).points(), repeat=2):
             assert d_star(LUK, a, b) == abs(a - b)
+
+    @pytest.mark.parametrize("alg", ALL, ids=lambda a: a.norm.kind.value)
+    @given(units, units)
+    def test_operations_are_the_plain_closed_forms(self, alg, x, y):
+        # The grid tables take these callables; they skip apply_norm's cache lookup.
+        assert alg.star is closed_form(alg.norm)
+        assert alg.res(x, y) == residuum(alg.norm, x, y)
 
     @pytest.mark.parametrize("alg", ALL, ids=lambda a: a.norm.kind.value)
     def test_closed_form_agreement(self, alg):

@@ -3,9 +3,11 @@ import itertools
 import pytest
 
 from reslat.errors import CarrierTooLarge, InadmissibleRadius
-from reslat.finite import dualize_algebra
+from reslat.finite import algebra_from_document, dualize_algebra
+from reslat.fixtures import lukasiewicz_chain
 from reslat.reports import all_ok
 from reslat.topology import (
+    MAX_LISTED_CARRIER,
     admissible_radii,
     ball,
     check_radius_lemmas,
@@ -145,9 +147,10 @@ class TestTopologyEnumeration:
         assert lines[1:5] == ["{0}", "{1/3}", "{2/3}", "{1}"]
         assert lines[-1] == "{0, 1/3, 2/3, 1}"
 
-    def test_carrier_bound(self, fixture_algebras):
-        with pytest.raises(CarrierTooLarge):
-            enumerate_topology(fixture_algebras["l4"], bound=2)
+    def test_listing_limit(self):
+        too_large = algebra_from_document(lukasiewicz_chain(MAX_LISTED_CARRIER + 1))
+        with pytest.raises(CarrierTooLarge, match=f"{MAX_LISTED_CARRIER + 1} exceeds the listing limit"):
+            enumerate_topology(too_large)
 
     def test_duals_also_form_topologies(self, fixture_algebras):
         for name, alg in fixture_algebras.items():

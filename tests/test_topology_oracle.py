@@ -1,8 +1,11 @@
 """Differential tests: smallest-ball topology code against a brute-force oracle.
 
-The oracle is written from the definitions alone.  A subset is open iff each
-of its points has a ball, for some admissible radius, inside it; the pair
-space is the same with pair balls.  An operation is continuous iff every open
+The oracle is written from the definitions alone, with its own BL and DBL
+branches, so it stays independent of the code, which works on the DBL form
+(the order dual of a BL-algebra).  It gives the admissible radii and every
+ball at every admissible radius.  A subset is open iff each of its points
+has a ball, for some admissible radius, inside it; the pair space is the
+same with pair balls.  An operation is continuous iff every open
 set has an open preimage.  It enumerates all 2^n subsets and, for
 continuity, every open, so the cases stay at n <= 10.
 """
@@ -15,7 +18,14 @@ import pytest
 
 from reslat.finite import FiniteAlgebra, Signature, algebra_from_document, dualize_algebra, load_algebra
 from reslat.fixtures import goedel_chain, lukasiewicz_chain
-from reslat.topology import count_opens, enumerate_topology, verify_operation_continuity
+from reslat.topology import (
+    admissible_radii,
+    ball,
+    count_opens,
+    enumerate_topology,
+    product_ball,
+    verify_operation_continuity,
+)
 
 from conftest import FIXTURE_NAMES, FIXTURES_DIR
 
@@ -46,11 +56,6 @@ def oracle_is_open(balls, mask):
     return all(any(b & ~mask == 0 for b in balls[p]) for p in range(len(balls)) if mask >> p & 1)
 
 
-def oracle_opens(alg):
-    balls = oracle_balls(alg, list(alg.elements()), alg.bires)
-    return {m for m in range(1 << alg.n) if oracle_is_open(balls, m)}
-
-
 def oracle_preimage(alg, table, open_mask):
     pairs = itertools.product(alg.elements(), repeat=2)
     return sum(1 << k for k, (i, j) in enumerate(pairs) if open_mask >> table[i][j] & 1)
@@ -59,7 +64,8 @@ def oracle_preimage(alg, table, open_mask):
 class Oracle:
     def __init__(self, alg):
         self.alg = alg
-        self.opens = oracle_opens(alg)
+        self.balls = oracle_balls(alg, list(alg.elements()), alg.bires)
+        self.opens = {m for m in range(1 << alg.n) if oracle_is_open(self.balls, m)}
         pairs = list(itertools.product(alg.elements(), repeat=2))
         self.pair_balls = oracle_balls(alg, pairs, alg.pair_bires)
 
@@ -128,6 +134,24 @@ def test_cases_stay_small_and_include_discontinuous_mutants():
     failing = [name for name, alg in CASES.items() if not all(r.ok for r in verify_operation_continuity(alg))]
     assert failing and all("~" in name for name in failing)
     assert any(name.startswith(("L3xG3", "G4xL2")) for name in failing)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_radii_and_balls_match_oracle(name):
+    alg = CASES[name]
+    oracle = oracle_for(name)
+    labels, n = alg.labels, alg.n
+    radii = oracle_radii(alg)
+    assert admissible_radii(alg) == tuple(labels[r] for r in radii)
+    for c in alg.elements():
+        for k, r in enumerate(radii):
+            got = ball(alg, labels[c], labels[r])
+            assert sum(1 << alg.index(b) for b in got) == oracle.balls[c][k], (labels[c], labels[r])
+    for p, (i, j) in enumerate(itertools.product(alg.elements(), repeat=2)):
+        for k, r in enumerate(radii):
+            got = product_ball(alg, (labels[i], labels[j]), labels[r])
+            mask = sum(1 << (alg.index(b1) * n + alg.index(b2)) for b1, b2 in got)
+            assert mask == oracle.pair_balls[p][k], ((labels[i], labels[j]), labels[r])
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
