@@ -145,6 +145,9 @@ def cmd_metric(args) -> int:
             raise ValueError("--ball expects CENTER,RADIUS")
         center, radius = parse_unit(center_text), parse_unit(radius_text)
         ball = interval_ball(alg, center, radius)
+        for piece in ball.pieces:
+            for end in piece.ends():
+                check_digits(end, "ball end")
         agreement = ball.agreement_check()
         extra = {
             "ball": ball.describe(),

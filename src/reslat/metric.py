@@ -13,6 +13,7 @@ pair distance of their inputs (the Lipschitz-style continuity contracts).
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -106,53 +107,61 @@ def d_star_closed_form_check(alg: SAlgebra, g: GridSpec) -> LawReport:
 def _metric_laws(prefix: str, points, dist, table: ValueTable, star, numeric: bool) -> list[LawReport]:
     """Identity, symmetry, star-triangle and (with ``numeric``) the numeric
     triangle of the distance table ``dist`` (ids) on ``points`` (witness
-    labels); point i is row i, and id 0 is the distance 0."""
+    labels); point i is row i, and id 0 is the distance 0.  Each law
+    compares whole rows over its last variable; only a row that fails is
+    swept again, to register its witnesses in tuple order."""
     values, le = table.values, table.le
-    rng = range(len(points))
-    identity, symmetry = LawReport(f"{prefix}-identity"), LawReport(f"{prefix}-symmetry")
-    for a, b in itertools.product(rng, repeat=2):
-        identity.checked += 1
-        if (dist[a][b] == 0) != (a == b):
-            identity.register(Violation(identity.law_id, (points[a], points[b]), values[dist[a][b]], ZERO))
-        symmetry.checked += 1
-        if dist[a][b] != dist[b][a]:
-            symmetry.register(
-                Violation(symmetry.law_id, (points[a], points[b]), values[dist[a][b]], values[dist[b][a]])
-            )
+    m = len(points)
+    rng = range(m)
+    cols = [list(col) for col in zip(*dist)]
+    identity, symmetry = LawReport(f"{prefix}-identity", m**2), LawReport(f"{prefix}-symmetry", m**2)
+    for a in rng:
+        row, col = dist[a], cols[a]
+        if row[a] == 0 and row.count(0) == 1 and row == col:
+            continue
+        for b in rng:
+            if (row[b] == 0) != (a == b):
+                identity.register(Violation(identity.law_id, (points[a], points[b]), values[row[b]], ZERO))
+            if row[b] != col[b]:
+                symmetry.register(Violation(symmetry.law_id, (points[a], points[b]), values[row[b]], values[col[b]]))
 
-    star_triangle = LawReport(f"{prefix}-star-triangle")
-    triangle = LawReport(f"{prefix}-triangle") if numeric else None
+    star_triangle = LawReport(f"{prefix}-star-triangle", m**3)
+    triangle = LawReport(f"{prefix}-triangle", m**3) if numeric else None
     # The numeric triangle in integers: every distance over one common denominator.
     common = lcm(*(values[i].denominator for row in dist for i in row))
     scaled = [[values[i].numerator * (common // values[i].denominator) for i in row] for row in dist]
-    for a, b, c in itertools.product(rng, repeat=3):
-        star_triangle.checked += 1
-        d_ab, bound = dist[a][b], star(dist[a][c], dist[c][b])
-        if not le(d_ab, bound):
-            star_triangle.register(
-                Violation(star_triangle.law_id, (points[a], points[b], points[c]), values[d_ab], values[bound])
-            )
-        if triangle is not None:
-            triangle.checked += 1
-            if scaled[a][b] > scaled[a][c] + scaled[c][b]:
+    scaled_cols = [list(col) for col in zip(*scaled)]
+    for a, b in itertools.product(rng, repeat=2):
+        d_ab, bounds = dist[a][b], star.map(dist[a], cols[b])
+        if table.all_le([d_ab] * m, bounds) and (
+            triangle is None or scaled[a][b] <= min(map(operator.add, scaled[a], scaled_cols[b]))
+        ):
+            continue
+        for c in rng:
+            if not le(d_ab, bounds[c]):
+                star_triangle.register(
+                    Violation(star_triangle.law_id, (points[a], points[b], points[c]), values[d_ab], values[bounds[c]])
+                )
+            if triangle is not None and scaled[a][b] > scaled[a][c] + scaled[c][b]:
                 total = Fraction(values[dist[a][c]]) + Fraction(values[dist[c][b]])
                 triangle.register(Violation(triangle.law_id, (points[a], points[b], points[c]), values[d_ab], total))
     return [identity, symmetry, star_triangle] + ([triangle] if numeric else [])
 
 
 def _distances(alg: SAlgebra, pts):
-    """The grid interned, the s-norm and residuum on ids, and the table of d(a, b) ids."""
+    """The grid interned, the s-norm, residuum and distance on ids, and the
+    table of d(a, b) ids on the grid."""
     table = ValueTable(pts)
     star, res = table.operation(alg.star), table.operation(alg.res)
-    rng = range(len(pts))
-    return table, star, res, [[star(res(a, b), res(b, a)) for b in rng] for a in rng]
+    dist = table.memo(lambda a, b: star(res(a, b), res(b, a)))
+    return table, star, res, dist, square(dist, len(pts))
 
 
 def metric_axioms_check(alg: SAlgebra, g: GridSpec) -> list[LawReport]:
     """Identity of indiscernibles, symmetry, the star-triangle inequality,
     and (when the norm is weaker than Lukasiewicz) the numeric triangle
     inequality, all exhaustively on the grid."""
-    table, star, _, dist = _distances(alg, g.points())
+    table, star, _, _, dist = _distances(alg, g.points())
     return _metric_laws("d", g.points(), dist, table, star, weaker_than_lukasiewicz(alg, g))
 
 
@@ -160,7 +169,7 @@ def pair_metric_axioms_check(alg: SAlgebra, g: GridSpec) -> list[LawReport]:
     """The three pair-distance clauses (plus the numeric triangle when it
     applies) over all pairs of grid points; cubic in the squared grid."""
     pts = g.points()
-    table, star, _, dist = _distances(alg, pts)
+    table, star, _, _, dist = _distances(alg, pts)
     pairs = [(x, y) for x in range(len(pts)) for y in range(len(pts))]
     pair_dist = [[star(dist[a1][b1], dist[a2][b2]) for b1, b2 in pairs] for a1, a2 in pairs]
     labels = [PairValue(pts[x], pts[y]) for x, y in pairs]
@@ -178,27 +187,45 @@ def continuity_inequalities_check(alg: SAlgebra, g: GridSpec) -> list[LawReport]
       z2              (b1->b2)->(a1->a2) <= (a1->b1)*(b2->a2)
       z3              (a1->a2)->(b1->b2) <= (b1->a1)*(a2->b2)
 
-    where D(a, b) = d(a1, b1) * d(a2, b2).
+    where D(a, b) = d(a1, b1) * d(a2, b2).  Each (a1, a2) compares one row
+    per contract over the flattened pairs (b1, b2); only a row that fails is
+    swept again, to register its witnesses in tuple order.
     """
     pts = g.points()
-    table, star, res, dist_g = _distances(alg, pts)
+    n = len(pts)
+    rng = range(n)
+    table, star, res, dist, dist_g = _distances(alg, pts)
     values, le = table.values, table.le
-    res_g, star_g = square(res, len(pts)), square(star, len(pts))
-    dist = lambda i, j: star(res(i, j), res(j, i))
-    reports = [LawReport(law, len(pts) ** 4) for law in ("star-lipschitz", "res-lipschitz", "z1", "z2", "z3")]
-    for a1, a2, b1, b2 in itertools.product(range(len(pts)), repeat=4):
-        r_a, r_b, r_a1b1 = res_g[a1][a2], res_g[b1][b2], res_g[a1][b1]
-        big = star(dist_g[a1][b1], dist_g[a2][b2])
-        sides = (
-            (dist(star_g[a1][a2], star_g[b1][b2]), big),
-            (dist(r_a, r_b), big),
-            (res_g[a1][b2], star(r_a1b1, r_b)),
-            (res(r_b, r_a), star(r_a1b1, res_g[b2][a2])),
-            (res(r_a, r_b), star(res_g[b1][a1], res_g[a2][b2])),
-        )
-        for report, (lhs, rhs) in zip(reports, sides):
-            if not le(lhs, rhs):
-                report.register(Violation(report.law_id, (pts[a1], pts[a2], pts[b1], pts[b2]), values[lhs], values[rhs]))
+    res_g, star_g = square(res, n), square(star, n)
+    res_t = [list(col) for col in zip(*res_g)]
+    pairs = list(itertools.product(rng, repeat=2))
+    # Rows over (b1, b2): a table entry at (b1, b2), at (a, b1) repeated for
+    # each b2, or at (a, b2) tiled for each b1.
+    star_b, res_b = [star_g[b1][b2] for b1, b2 in pairs], [res_g[b1][b2] for b1, b2 in pairs]
+    repeated = lambda tab: [[x for x in row for _ in rng] for row in tab]
+    tiled = lambda tab: [row * n for row in tab]
+    dist_rep, dist_tile = repeated(dist_g), tiled(dist_g)
+    res_rep, res_tile, res_t_rep, res_t_tile = repeated(res_g), tiled(res_g), repeated(res_t), tiled(res_t)
+    reports = [LawReport(law, n**4) for law in ("star-lipschitz", "res-lipschitz", "z1", "z2", "z3")]
+    for a1 in rng:
+        z1 = (res_tile[a1], star.map(res_rep[a1], res_b))
+        for a2 in rng:
+            r_a = res_g[a1][a2]
+            big = star.map(dist_rep[a1], dist_tile[a2])
+            rows = (
+                (dist.row(star_g[a1][a2], star_b), big),
+                (dist.row(r_a, res_b), big),
+                z1,
+                (res.map(res_b, [r_a] * len(pairs)), star.map(res_rep[a1], res_t_tile[a2])),
+                (res.row(r_a, res_b), star.map(res_t_rep[a1], res_tile[a2])),
+            )
+            if all(table.all_le(lhs, rhs) for lhs, rhs in rows):
+                continue
+            for k, (b1, b2) in enumerate(pairs):
+                for report, (lhs, rhs) in zip(reports, rows):
+                    if not le(lhs[k], rhs[k]):
+                        tup = (pts[a1], pts[a2], pts[b1], pts[b2])
+                        report.register(Violation(report.law_id, tup, values[lhs[k]], values[rhs[k]]))
     return reports
 
 

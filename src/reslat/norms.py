@@ -212,18 +212,26 @@ def adjointness_check(f: NormFamily, g: GridSpec) -> LawReport:
     if not f.is_residuated:
         raise DrasticNotResiduated("adjointness is undefined for the drastic family")
     pts = g.points()
+    m = len(pts)
+    rng = range(m)
     law = "DBL3-adjointness" if f.side is NormSide.SNORM else "BL3-adjointness"
-    report = LawReport(law)
+    report = LawReport(law, m**3)
     table = ValueTable(pts)
-    le, snorm_side = table.le, f.side is NormSide.SNORM
-    res = square(table.operation(partial(residuum, f)), len(pts))
-    nrm = square(table.operation(closed_form(f)), len(pts))
-    for a, b, c in itertools.product(range(len(pts)), repeat=3):
-        report.checked += 1
-        r, n = res[b][c], nrm[a][b]
-        left, right = (le(r, a), le(c, n)) if snorm_side else (le(a, r), le(n, c))
+    les, snorm_side = table.les, f.side is NormSide.SNORM
+    res = square(table.operation(partial(residuum, f)), m)
+    nrm = square(table.operation(closed_form(f)), m)
+    # One row per (a, b), over c.
+    for a, b in itertools.product(rng, repeat=2):
+        a_row, n_row = [a] * m, [nrm[a][b]] * m
+        if snorm_side:
+            left, right = les(res[b], a_row), les(rng, n_row)
+        else:
+            left, right = les(a_row, res[b]), les(n_row, rng)
         if left != right:
-            report.register(Violation(law, (pts[a], pts[b], pts[c]), left, right, "biconditional mismatch"))
+            for c in rng:
+                if left[c] != right[c]:
+                    tup = (pts[a], pts[b], pts[c])
+                    report.register(Violation(law, tup, left[c], right[c], "biconditional mismatch"))
     return report
 
 
@@ -247,31 +255,35 @@ def norm_axioms_check(f: NormFamily, g: GridSpec) -> list[LawReport]:
     values, le = table.values, table.le
     norm = table.operation(closed_form(f))
     grid_tab = square(norm, m)
+    cols = [list(col) for col in zip(*grid_tab)]
 
-    assoc = LawReport("associativity")
-    for x, y, z in itertools.product(rng, repeat=3):
-        assoc.checked += 1
-        lhs, rhs = norm(grid_tab[x][y], z), norm(x, grid_tab[y][z])
-        if lhs != rhs:
-            assoc.register(
-                Violation("associativity", (pts[x], pts[y], pts[z]), values[lhs], values[rhs])
-            )
-    comm = LawReport("commutativity")
+    # Each law compares whole rows over its last variable; only a row that
+    # differs is swept again, to register its witnesses in tuple order.
+    assoc = LawReport("associativity", m**3)
     for x, y in itertools.product(rng, repeat=2):
-        comm.checked += 1
-        if grid_tab[x][y] != grid_tab[y][x]:
-            comm.register(
-                Violation("commutativity", (pts[x], pts[y]), values[grid_tab[x][y]], values[grid_tab[y][x]])
-            )
-    mono = LawReport("monotonicity")
+        lhs, rhs = norm.row(grid_tab[x][y], rng), norm.row(x, grid_tab[y])
+        if lhs != rhs:
+            for z in rng:
+                if lhs[z] != rhs[z]:
+                    assoc.register(
+                        Violation("associativity", (pts[x], pts[y], pts[z]), values[lhs[z]], values[rhs[z]])
+                    )
+    comm = LawReport("commutativity", m**2)
+    for x in rng:
+        row, col = grid_tab[x], cols[x]
+        if row != col:
+            for y in rng:
+                if row[y] != col[y]:
+                    comm.register(Violation("commutativity", (pts[x], pts[y]), values[row[y]], values[col[y]]))
+    mono = LawReport("monotonicity", m * m * (m + 1) // 2)
     for x1, x2 in itertools.combinations_with_replacement(rng, 2):
         row_lo, row_hi = grid_tab[x1], grid_tab[x2]
-        for y in rng:
-            mono.checked += 1
-            if not le(row_lo[y], row_hi[y]):
-                mono.register(
-                    Violation("monotonicity", (pts[x1], pts[x2], pts[y]), values[row_lo[y]], values[row_hi[y]])
-                )
+        if not table.all_le(row_lo, row_hi):
+            for y in rng:
+                if not le(row_lo[y], row_hi[y]):
+                    mono.register(
+                        Violation("monotonicity", (pts[x1], pts[x2], pts[y]), values[row_lo[y]], values[row_hi[y]])
+                    )
     unit_idx = m - 1 if f.side is NormSide.TNORM else 0
     boundary = LawReport("boundary")
     for x in rng:
@@ -297,37 +309,45 @@ def ordering_chain_check(side: NormSide, g: GridSpec) -> LawReport:
     table = ValueTable(pts)
     values, le = table.values, table.le
     norms = [table.operation(closed_form(f)) for f in families]
-    report = LawReport("ordering-chain")
-    for x, y in itertools.product(range(len(pts)), repeat=2):
-        ids = [norm(x, y) for norm in norms]
-        for lo, hi, f_lo, f_hi in zip(ids, ids[1:], families, families[1:]):
-            report.checked += 1
-            if not le(lo, hi):
-                report.register(
-                    Violation(
-                        "ordering-chain",
-                        (pts[x], pts[y]),
-                        values[lo],
-                        values[hi],
-                        f"{f_lo.kind.value} > {f_hi.kind.value}",
+    rng = range(len(pts))
+    report = LawReport("ordering-chain", (len(families) - 1) * len(pts) ** 2)
+    for x in rng:
+        rows = [norm.row(x, rng) for norm in norms]
+        if all(table.all_le(lo, hi) for lo, hi in zip(rows, rows[1:])):
+            continue
+        for y in rng:
+            for lo, hi, f_lo, f_hi in zip(rows, rows[1:], families, families[1:]):
+                if not le(lo[y], hi[y]):
+                    report.register(
+                        Violation(
+                            "ordering-chain",
+                            (pts[x], pts[y]),
+                            values[lo[y]],
+                            values[hi[y]],
+                            f"{f_lo.kind.value} > {f_hi.kind.value}",
+                        )
                     )
-                )
     return report
 
 
 def duality_check(kind: NormKind, g: GridSpec) -> LawReport:
     """Duality identity on all grid pairs for one family kind: the grid is
     closed under complement, and grid id k complements to id N - k."""
-    report = LawReport("duality")
     pts = g.points()
     top = len(pts) - 1
+    rng, flipped = range(len(pts)), range(top, -1, -1)
+    report = LawReport("duality", len(pts) ** 2)
     table = ValueTable(pts)
     values = table.values
     s_norm = table.operation(closed_form(NormFamily.s_norm(kind)))
     t_norm = table.operation(closed_form(NormFamily.t_norm(kind)))
-    for x, y in itertools.product(range(len(pts)), repeat=2):
-        report.checked += 1
-        s, t = values[s_norm(x, y)], values[t_norm(top - x, top - y)]
-        if s + t != 1:
-            report.register(Violation("duality", (pts[x], pts[y]), s, t.complement()))
+    # Row 0 of this operation maps the id of y to the id of 1 - y.
+    complement = table.operation(lambda _, y: y.complement())
+    for x in rng:
+        s_row = s_norm.row(x, rng)
+        t_row = complement.row(0, t_norm.row(top - x, flipped))
+        if s_row != t_row:
+            for y in rng:
+                if s_row[y] != t_row[y]:
+                    report.register(Violation("duality", (pts[x], pts[y]), values[s_row[y]], values[t_row[y]]))
     return report

@@ -20,10 +20,11 @@ the closures of {a} under N.  The squared carrier works the same way, with
 N2(p) at the same r*.
 
 A map f from pairs is continuous iff f(q) lies in U(f(p)) for every pair p
-and every q in N2(p): an O(n^4) neighbourhood check.  The listing of the
-opens builds every union of the U(a), so its cost grows with the number of
-opens, and verifies the topology axioms on the result; count_opens counts
-the opens from the U(a) alone.
+and every q in N2(p): an O(n^4) neighbourhood check, on balls N2 built in
+O(n^3) from the distances on the carrier.  The listing of the opens builds
+every union of the U(a), so its cost grows with the number of opens, and
+verifies the topology axioms on the result; count_opens counts the opens
+from the U(a) alone.
 
 Subsets are represented internally as bitmasks over the carrier (and over
 the squared carrier, pair (i, j) at bit i * n + j, for product-space work).
@@ -62,17 +63,19 @@ def _ball_mask(ctx: LawContext, radius: int, distances) -> int:
     return sum(1 << k for k, d in enumerate(distances) if d != radius and ctx.le(d, radius))
 
 
-def _widest_balls(alg: FiniteAlgebra, points, distance) -> list[int]:
-    """The ball around every point at the widest radius (never empty: the top
-    of the DBL form is positive)."""
+def _inside_widest_radius(alg: FiniteAlgebra) -> list[bool]:
+    """For each element, whether it lies strictly below the widest radius,
+    the meet of the admissible radii (there is one: the top of the DBL form
+    is positive)."""
     ctx = dbl_context(alg)
     radius = reduce(ctx.meet, _radii(ctx))
-    return [_ball_mask(ctx, radius, (distance(p, q) for q in points)) for p in points]
+    return [d != radius and ctx.le(d, radius) for d in ctx.elements()]
 
 
 def _smallest_opens(alg: FiniteAlgebra) -> list[int]:
     """U(a) for every a in carrier order: the closure of {a} under the smallest balls."""
-    balls = _widest_balls(alg, alg.elements(), alg.bires)
+    inside = _inside_widest_radius(alg)
+    balls = [sum(1 << b for b in alg.elements() if inside[alg.bires(a, b)]) for a in alg.elements()]
     ups = []
     for a in alg.elements():
         mask, grown = 0, 1 << a
@@ -86,8 +89,26 @@ def _smallest_opens(alg: FiniteAlgebra) -> list[int]:
 
 
 def _smallest_pair_balls(alg: FiniteAlgebra) -> list[int]:
-    """N2(p) for every pair p, in pair-index order."""
-    return _widest_balls(alg, list(itertools.product(alg.elements(), repeat=2)), alg.pair_bires)
+    """N2(p) for every pair p, in pair-index order, in O(n^3).
+
+    The pair distance of (a1, a2) and (b1, b2) is star(d(a1, b1), d(a2, b2)),
+    so N2(a1, a2) is the union over b1 of the strip of b2 with
+    star(d(a1, b1), d(a2, b2)) inside, at bits b1 * n + b2; the strips depend
+    only on the value d(a1, b1) and on a2.
+    """
+    n, inside = alg.n, _inside_widest_radius(alg)
+    dist = [[alg.bires(a, b) for b in alg.elements()] for a in alg.elements()]
+    strips = [
+        [sum(1 << b2 for b2, d in enumerate(dist[a2]) if inside[alg.star(v, d)]) for a2 in alg.elements()]
+        for v in alg.elements()
+    ]
+    balls = []
+    for a1, a2 in itertools.product(alg.elements(), repeat=2):
+        mask = 0
+        for b1, d in enumerate(dist[a1]):
+            mask |= strips[d][a2] << (b1 * n)
+        balls.append(mask)
+    return balls
 
 
 def _mask_is_open(smallest: list[int], mask: int) -> bool:
@@ -151,18 +172,18 @@ class Topology:
         return [_set_text(self.algebra, m) for m in self.masks]
 
 
-def _verify_topology_axioms(alg: FiniteAlgebra, masks: tuple[int, ...]) -> None:
-    full = (1 << alg.n) - 1
+def _verify_topology_axioms(alg: FiniteAlgebra, masks: tuple[int, ...], ups: list[int]) -> None:
+    """The topology axioms on ``masks``, all the unions of the sets ``ups``.
+
+    Closure under union holds by construction.  An intersection of two
+    unions is the union of the pairwise intersections of their parts, so
+    the family is closed under intersection iff it holds every
+    ``ups[a] & ups[b]``.
+    """
     family = set(masks)
-    if 0 not in family or full not in family:
+    if 0 not in family or (1 << alg.n) - 1 not in family:
         raise TheoremViolation("open-set family misses the empty set or the carrier")
-    if len(family) == 1 << alg.n:
-        return  # the discrete powerset is trivially closed
-    for m1, m2 in itertools.combinations_with_replacement(masks, 2):
-        if m1 | m2 not in family:
-            raise TheoremViolation(
-                f"opens not closed under union: {_labels_of(alg, m1)} | {_labels_of(alg, m2)}"
-            )
+    for m1, m2 in itertools.combinations(ups, 2):
         if m1 & m2 not in family:
             raise TheoremViolation(
                 f"opens not closed under intersection: {_labels_of(alg, m1)} & {_labels_of(alg, m2)}"
@@ -179,11 +200,11 @@ def enumerate_topology(alg: FiniteAlgebra) -> Topology:
     """
     if alg.n > MAX_LISTED_CARRIER:
         raise CarrierTooLarge(f"carrier size {alg.n} exceeds the listing limit {MAX_LISTED_CARRIER}")
-    opens = {0}
-    for up in _smallest_opens(alg):
+    opens, ups = {0}, _smallest_opens(alg)
+    for up in ups:
         opens |= {m | up for m in opens}
     masks = tuple(sorted(opens, key=lambda m: (m.bit_count(), tuple(i for i in range(alg.n) if m >> i & 1))))
-    _verify_topology_axioms(alg, masks)
+    _verify_topology_axioms(alg, masks, ups)
     return Topology(alg, masks)
 
 

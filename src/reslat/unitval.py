@@ -11,6 +11,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 
 
 class UnitValue(Fraction):
@@ -26,6 +27,18 @@ class UnitValue(Fraction):
     __slots__ = ()
 
     def __new__(cls, numerator=0, denominator=None):
+        # Two ints with a positive denominator, as the closed forms build
+        # them: one gcd and the range test, without Fraction's type dispatch.
+        # Anything else, and every refusal, takes the general path below.
+        if type(numerator) is int and type(denominator) is int and denominator > 0:
+            g = gcd(numerator, denominator)
+            if g > 1:
+                numerator //= g
+                denominator //= g
+            if 0 <= numerator <= denominator:
+                self = object.__new__(cls)
+                self._numerator, self._denominator = numerator, denominator
+                return self
         if isinstance(numerator, float) or isinstance(denominator, float):
             raise TypeError("UnitValue does not accept floats; use a string or Fraction")
         self = super().__new__(cls, numerator, denominator)

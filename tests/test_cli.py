@@ -94,6 +94,13 @@ class TestMetric:
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1 and "exponent" in err
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_ball_end_too_many_digits_exit_2(self, capsys, fmt):
+        # Both inputs parse, but the upper end c + r(1 - c) has a 6001-digit denominator.
+        code, out, err = run(capsys, "metric", "--family", "product", "--ball", "2e-3000,1e-3000", "--format", fmt)
+        assert code == 2 and out == ""
+        assert err == "error: ball end has a denominator of more than 4300 digits\n"
+
     @pytest.mark.parametrize(
         "laws", [["--laws", "d0..d3"], ["--laws", "d1,d16"], ["--laws", "d1..d3", "--laws-grid", "1"]]
     )

@@ -1,9 +1,10 @@
 import itertools
+from functools import reduce
 
 import pytest
 
-from reslat.errors import CarrierTooLarge, InadmissibleRadius
-from reslat.finite import algebra_from_document, dualize_algebra
+from reslat.errors import CarrierTooLarge, InadmissibleRadius, TheoremViolation
+from reslat.finite import algebra_from_document, dbl_context, dualize_algebra
 from reslat.fixtures import lukasiewicz_chain
 from reslat.reports import all_ok
 from reslat.topology import (
@@ -17,6 +18,9 @@ from reslat.topology import (
     product_is_open,
     verify_operation_continuity,
 )
+from reslat.topology import _ball_mask, _radii, _smallest_pair_balls, _verify_topology_axioms
+
+from test_topology_oracle import CASES
 
 
 class TestAdmissibleRadii:
@@ -206,3 +210,45 @@ class TestRadiusLemmas:
             reports = check_radius_lemmas(dualize_algebra(alg))
             assert [r.law_id for r in reports] == ["G1", "G2", "G3", "G4"]
             assert all_ok(reports), name
+
+
+def pair_balls_by_definition(alg):
+    """N2(p) for every pair p from the pair distance to every pair q: O(n^4)."""
+    ctx = dbl_context(alg)
+    radius = reduce(ctx.meet, _radii(ctx))
+    pairs = list(itertools.product(alg.elements(), repeat=2))
+    return [_ball_mask(ctx, radius, (alg.pair_bires(p, q) for q in pairs)) for p in pairs]
+
+
+CHAINS = {f"L{n}": algebra_from_document(lukasiewicz_chain(n)) for n in (16, 24)}
+
+
+@pytest.mark.parametrize("name", sorted(CASES) + sorted(CHAINS))
+def test_smallest_pair_balls_match_the_definition(name):
+    alg = CASES.get(name) or CHAINS[name]
+    assert _smallest_pair_balls(alg) == pair_balls_by_definition(alg)
+
+
+class TestListingAxioms:
+    @staticmethod
+    def unions(ups):
+        masks = {0}
+        for up in ups:
+            masks |= {m | up for m in masks}
+        return tuple(sorted(masks))
+
+    def test_a_missing_intersection_is_refused(self, fixture_algebras):
+        alg = fixture_algebras["l4"]
+        ups = [0b0011, 0b0110, 0b1111]  # 0b0011 & 0b0110 = 0b0010 is no union of them
+        with pytest.raises(TheoremViolation, match="intersection"):
+            _verify_topology_axioms(alg, self.unions(ups), ups)
+
+    def test_a_family_closed_under_intersection_passes(self, fixture_algebras):
+        alg = fixture_algebras["l4"]
+        ups = [0b0011, 0b0110, 0b0010, 0b1111]
+        _verify_topology_axioms(alg, self.unions(ups), ups)
+
+    def test_the_carrier_is_required(self, fixture_algebras):
+        ups = [0b0011, 0b0110, 0b0010]
+        with pytest.raises(TheoremViolation, match="carrier"):
+            _verify_topology_axioms(fixture_algebras["l4"], self.unions(ups), ups)

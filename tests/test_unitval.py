@@ -62,3 +62,35 @@ def test_grid_points():
     assert GridSpec().denominator == 64
     with pytest.raises(ValueError):
         GridSpec(1)
+
+
+def construction(make):
+    """What a constructor call gives: the value with its type, normalised
+    parts and hash, or the exception type and message."""
+    try:
+        v = make()
+    except Exception as exc:
+        return type(exc), str(exc)
+    return v, type(v), (v.numerator, v.denominator), hash(v)
+
+
+small = st.integers(-40, 40)
+
+
+@given(small | st.integers(), small | st.integers())
+def test_int_pair_construction_matches_the_general_path(n, d):
+    # UnitValue(Fraction(...)) never takes the int-pair branch.
+    got = construction(lambda: UnitValue(n, d))
+    assert got == construction(lambda: UnitValue(Fraction(n, d)))
+    if d and 0 <= Fraction(n, d) <= 1:
+        f = Fraction(n, d)
+        assert got == (f, UnitValue, (f.numerator, f.denominator), hash(f))
+
+
+def test_int_pair_refusals():
+    assert construction(lambda: UnitValue(3, 2)) == (ValueError, "value 3/2 outside [0, 1]")
+    assert construction(lambda: UnitValue(-2, 4)) == (ValueError, "value -1/2 outside [0, 1]")
+    assert construction(lambda: UnitValue(1, 0)) == (ZeroDivisionError, "Fraction(1, 0)")
+    too_long = "value outside [0, 1] has a numerator of more than 4300 digits"
+    assert construction(lambda: UnitValue(10**5000, 1)) == (ValueError, too_long)
+    assert construction(lambda: UnitValue(True, 2))[1] is UnitValue  # bool is not an int here
