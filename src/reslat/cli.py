@@ -11,38 +11,49 @@ grid denominator.
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import os
+import re
 import sys
 
 from .errors import DrasticNotResiduated, ReslatError, TheoremViolation
-from .finite import algebra_to_document, check_axioms, check_derived_laws, load_algebra
-from .formulas import atoms, evaluate, parse, parse_valuation, sweep_values
-from .metric import (
-    SAlgebra,
-    continuity_inequalities_check,
-    d_star_closed_form_check,
-    dbl_axioms_check,
-    dbl_laws_check,
-    interval_ball,
-    metric_axioms_check,
-)
-from .norms import (
-    NormFamily,
-    NormKind,
-    NormSide,
-    adjointness_check,
-    duality_check,
-    norm_axioms_check,
-    oracle_agreement_check,
-    ordering_chain_check,
-)
-from .reports import all_ok
-from .topology import check_radius_lemmas, count_opens, enumerate_topology, verify_operation_continuity
-from .unitval import GridSpec, check_digits, format_unit, parse_unit
 
-FAMILY_NAMES = [k.value for k in NormKind]
-RESIDUATED_NAMES = [k.value for k in NormKind if k is not NormKind.DRASTIC]
+
+def _lazy(name: str):
+    """``reslat.<name>``, registered in ``sys.modules`` now but executed only
+    on its first attribute access (the ``importlib.util.LazyLoader`` recipe)."""
+    fullname = f"{__package__}.{name}"
+    if fullname in sys.modules:
+        return sys.modules[fullname]
+    spec = importlib.util.find_spec(fullname)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[fullname] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+# Every layer is registered here, so tools that patch layer functions in
+# ``sys.modules`` (perfbench/tracer.py) find them all after ``import
+# reslat.cli``; a command executes only the layers it calls into.
+finite = _lazy("finite")
+formulas = _lazy("formulas")
+laws = _lazy("laws")
+metric = _lazy("metric")
+norms = _lazy("norms")
+reports = _lazy("reports")
+topology = _lazy("topology")
+unitval = _lazy("unitval")
+
+FAMILY_NAMES = ["lukasiewicz", "goedel", "product", "drastic"]
+RESIDUATED_NAMES = ["lukasiewicz", "goedel", "product"]
+
+# The most valuations (and grid points) one ``eval --sweep`` evaluates.  A
+# two-atom sweep runs at 20k-35k valuations/s on a shared 2-core x86 host, so
+# one at the limit ends within seconds; the largest sweep the tests and the
+# benchmark run (33^2) is 120 times smaller.
+MAX_SWEEP = 1 << 17
 
 
 def _default_grid() -> int:
@@ -56,13 +67,13 @@ def _default_grid() -> int:
 
 
 def _emit(args, sections, notes=(), extra=None) -> int:
-    ok = all(all_ok(reports) for _, reports in sections)
+    ok = all(reports.all_ok(section) for _, section in sections)
     if args.format == "json":
         doc = {
             "ok": ok,
             "sections": [
-                {"title": title, "reports": [r.to_dict() for r in reports]}
-                for title, reports in sections
+                {"title": title, "reports": [r.to_dict() for r in section]}
+                for title, section in sections
             ],
         }
         if notes:
@@ -71,9 +82,9 @@ def _emit(args, sections, notes=(), extra=None) -> int:
             doc.update(extra)
         print(json.dumps(doc, indent=2))
     else:
-        for title, reports in sections:
+        for title, section in sections:
             print(f"== {title}")
-            for report in reports:
+            for report in section:
                 for line in report.lines():
                     print(line)
         for note in notes:
@@ -87,14 +98,19 @@ def _emit(args, sections, notes=(), extra=None) -> int:
 
 def _parse_law_selector(selector: str, prefix: str, count: int) -> list[str]:
     selector = selector.strip().lower()
+    number = rf"\s*{prefix.lower()}?([0-9]+)\s*"
     if ".." in selector:
-        lo_text, hi_text = selector.split("..", 1)
-        lo = int(lo_text.lstrip(prefix.lower()))
-        hi = int(hi_text.lstrip(prefix.lower()))
+        match = re.fullmatch(rf"{number}\.\.{number}", selector)
+        if match is None:
+            raise ValueError(f"bad law selector {selector!r}")
+        lo, hi = map(int, match.groups())
         if not (1 <= lo <= hi <= count):
             raise ValueError(f"bad law range {selector!r}")
         return [f"{prefix}{i}" for i in range(lo, hi + 1)]
-    ids = [int(part.strip().lstrip(prefix.lower())) for part in selector.split(",")]
+    matches = [re.fullmatch(number, part) for part in selector.split(",")]
+    if not all(matches):
+        raise ValueError(f"bad law selector {selector!r}")
+    ids = [int(match.group(1)) for match in matches]
     bad = [i for i in ids if not 1 <= i <= count]
     if bad:
         raise ValueError(f"law numbers out of range: {bad}")
@@ -102,7 +118,8 @@ def _parse_law_selector(selector: str, prefix: str, count: int) -> list[str]:
 
 
 def cmd_norms(args) -> int:
-    grid = GridSpec(args.grid)
+    grid = unitval.GridSpec(args.grid)
+    NormKind, NormSide = norms.NormKind, norms.NormSide
     if args.all:
         kinds = list(NormKind)
     else:
@@ -113,15 +130,15 @@ def cmd_norms(args) -> int:
         if args.residuum and kind is NormKind.DRASTIC:
             raise DrasticNotResiduated("the drastic family has no residuum")
         for side in (NormSide.TNORM, NormSide.SNORM):
-            family = NormFamily(kind, side)
-            sections.append((f"{family.describe()}: axioms", norm_axioms_check(family, grid)))
-        sections.append((f"{kind.value}: duality", [duality_check(kind, grid)]))
+            family = norms.NormFamily(kind, side)
+            sections.append((f"{family.describe()}: axioms", norms.norm_axioms_check(family, grid)))
+        sections.append((f"{kind.value}: duality", [norms.duality_check(kind, grid)]))
         if kind is not NormKind.DRASTIC:
-            family = NormFamily.s_norm(kind)
-            sections.append((f"{kind.value}: adjointness", [adjointness_check(family, grid)]))
-            oracle_grid = GridSpec(min(args.grid, 16))
+            family = norms.NormFamily.s_norm(kind)
+            sections.append((f"{kind.value}: adjointness", [norms.adjointness_check(family, grid)]))
+            oracle_grid = unitval.GridSpec(min(args.grid, 16))
             sections.append(
-                (f"{kind.value}: residuum vs oracle", [oracle_agreement_check(family, oracle_grid)])
+                (f"{kind.value}: residuum vs oracle", [norms.oracle_agreement_check(family, oracle_grid)])
             )
             if oracle_grid.denominator != args.grid:
                 notes.append(
@@ -132,58 +149,56 @@ def cmd_norms(args) -> int:
                 "drastic s-norm uses the standard definition: value 1 when both arguments are nonzero"
             )
     sections.append(
-        ("ordering chains", [ordering_chain_check(side, grid) for side in (NormSide.TNORM, NormSide.SNORM)])
+        ("ordering chains", [norms.ordering_chain_check(side, grid) for side in (NormSide.TNORM, NormSide.SNORM)])
     )
     return _emit(args, sections, notes)
 
 
 def cmd_metric(args) -> int:
-    alg = SAlgebra.of(args.family)
+    alg = metric.SAlgebra.of(args.family)
     if args.ball:
         center_text, _, radius_text = args.ball.partition(",")
         if not radius_text:
             raise ValueError("--ball expects CENTER,RADIUS")
-        center, radius = parse_unit(center_text), parse_unit(radius_text)
-        ball = interval_ball(alg, center, radius)
+        center, radius = unitval.parse_unit(center_text), unitval.parse_unit(radius_text)
+        ball = metric.interval_ball(alg, center, radius)
         for piece in ball.pieces:
             for end in piece.ends():
-                check_digits(end, "ball end")
+                unitval.check_digits(end, "ball end")
         agreement = ball.agreement_check()
         extra = {
             "ball": ball.describe(),
-            "center": format_unit(center, args.approx),
-            "radius": format_unit(radius, args.approx),
+            "center": unitval.format_unit(center, args.approx),
+            "radius": unitval.format_unit(radius, args.approx),
         }
         return _emit(args, [("ball closed form vs predicate", [agreement])], extra=extra)
 
     if args.laws:
         # Refuse a bad selector or laws grid before any sweep runs.
         ids = _parse_law_selector(args.laws, "D", 15)
-        laws_grid = GridSpec(args.laws_grid)
-    grid = GridSpec(args.grid)
-    grid4 = GridSpec(args.grid4)
+        laws_grid = unitval.GridSpec(args.laws_grid)
+    grid = unitval.GridSpec(args.grid)
+    grid4 = unitval.GridSpec(args.grid4)
     sections = [
-        ("induced distance: closed form", [d_star_closed_form_check(alg, grid)]),
-        ("induced distance: metric axioms", metric_axioms_check(alg, grid)),
-        ("signature axioms on the grid", dbl_axioms_check(alg, GridSpec(min(args.grid, 16)))),
-        ("continuity contracts", continuity_inequalities_check(alg, grid4)),
+        ("induced distance: closed form", [metric.d_star_closed_form_check(alg, grid)]),
+        ("induced distance: metric axioms", metric.metric_axioms_check(alg, grid)),
+        ("signature axioms on the grid", metric.dbl_axioms_check(alg, unitval.GridSpec(min(args.grid, 16)))),
+        ("continuity contracts", metric.continuity_inequalities_check(alg, grid4)),
     ]
     notes = []
     if args.laws:
-        sections.append((f"derived laws {ids[0]}..{ids[-1]}", dbl_laws_check(alg, laws_grid, ids)))
+        sections.append((f"derived laws {ids[0]}..{ids[-1]}", metric.dbl_laws_check(alg, laws_grid, ids)))
         notes.append(f"derived-law sweep at denominator {args.laws_grid}")
     return _emit(args, sections, notes)
 
 
 def cmd_algebra(args) -> int:
-    alg = load_algebra(args.file)
+    alg = finite.load_algebra(args.file)
     if args.action == "dualize":
-        from .finite import dualize_algebra
-
-        print(json.dumps(algebra_to_document(dualize_algebra(alg)), indent=2))
+        print(json.dumps(finite.algebra_to_document(finite.dualize_algebra(alg)), indent=2))
         return 0
     if args.action == "topology":
-        topo = enumerate_topology(alg)
+        topo = topology.enumerate_topology(alg)
         if args.format == "json":
             print(json.dumps({"open_sets": topo.export_lines(), "count": len(topo)}, indent=2))
         else:
@@ -192,37 +207,39 @@ def cmd_algebra(args) -> int:
             print(f"{len(topo)} open sets")
         return 0
 
-    sections = [("signature axioms", check_axioms(alg))]
+    sections = [("signature axioms", finite.check_axioms(alg))]
     notes = []
-    axioms_ok = all_ok(sections[0][1])
+    axioms_ok = reports.all_ok(sections[0][1])
     if axioms_ok:
-        sections.append(("derived laws", check_derived_laws(alg)))
-        sections.append(("radius lemmas", check_radius_lemmas(alg)))
-        notes.append(f"topology: {count_opens(alg)} open sets")
-        sections.append(("operation continuity", verify_operation_continuity(alg)))
+        sections.append(("derived laws", finite.check_derived_laws(alg)))
+        sections.append(("radius lemmas", topology.check_radius_lemmas(alg)))
+        notes.append(f"topology: {topology.count_opens(alg)} open sets")
+        sections.append(("operation continuity", topology.verify_operation_continuity(alg)))
     else:
         notes.append("axioms failed; skipping derived laws, topology, and continuity")
     return _emit(args, sections, notes)
 
 
 def cmd_eval(args) -> int:
-    formula = parse(args.formula)
-    finite = args.algebra is not None
-    if finite:
-        algebra = load_algebra(args.algebra)
+    on_carrier = args.algebra is not None
+    if on_carrier and args.sweep:
+        raise ValueError("--sweep N sets a grid for --t-algebra; --algebra sweeps its carrier")
+    formula = formulas.parse(args.formula)
+    if on_carrier:
+        algebra = finite.load_algebra(args.algebra)
     else:
-        algebra = NormFamily.from_name(args.t_algebra, NormSide.TNORM)
+        algebra = norms.NormFamily.from_name(args.t_algebra, norms.NormSide.TNORM)
 
-    names = atoms(formula)
+    names = formulas.atoms(formula)
     direct = args.assign is not None or args.assign_file is not None or (not names and args.sweep is None)
     if direct:
         text = args.assign or ""
         if args.assign_file is not None:
             with open(args.assign_file, encoding="utf-8") as handle:
                 text = handle.read()
-        valuation = parse_valuation(text, finite=finite)
-        value = evaluate(formula, algebra, valuation)
-        rendered = value if finite else format_unit(check_digits(value, "result"), args.approx)
+        valuation = formulas.parse_valuation(text, finite=on_carrier)
+        value = formulas.evaluate(formula, algebra, valuation)
+        rendered = value if on_carrier else unitval.format_unit(unitval.check_digits(value, "result"), args.approx)
         if args.format == "json":
             print(json.dumps({"value": str(value)}))
         else:
@@ -230,13 +247,19 @@ def cmd_eval(args) -> int:
         return 0
 
     if args.sweep is not None:
-        if finite:
+        if on_carrier:
             domain = algebra.labels
         else:
-            denominator = args.sweep if args.sweep else _default_grid()
-            domain = GridSpec(denominator).points()
-        results = sweep_values(formula, algebra, domain)
-        order = algebra.index if finite else None
+            denominator = args.sweep or _default_grid()
+            if denominator > MAX_SWEEP:
+                raise ValueError(f"sweep grid denominator {denominator} is over the limit of {MAX_SWEEP}")
+            domain = unitval.GridSpec(denominator).points()
+        # Past MAX_SWEEP.bit_length() atoms, any domain of two or more values is over the limit.
+        size, k = len(domain), len(names)
+        if size ** min(k, MAX_SWEEP.bit_length()) > MAX_SWEEP:
+            raise ValueError(f"a sweep of {size}^{k} valuations is over the limit of {MAX_SWEEP}")
+        results = formulas.sweep_values(formula, algebra, domain)
+        order = algebra.index if on_carrier else None
         values = sorted(set(results.values()), key=order)
         if args.format == "json":
             doc = {
@@ -266,32 +289,32 @@ def build_parser() -> argparse.ArgumentParser:
 
     default_grid = _default_grid()
 
-    norms = sub.add_parser("norms", help="norm family checks: axioms, duality, ordering, residuation")
-    group = norms.add_mutually_exclusive_group(required=True)
+    norms_cmd = sub.add_parser("norms", help="norm family checks: axioms, duality, ordering, residuation")
+    group = norms_cmd.add_mutually_exclusive_group(required=True)
     group.add_argument("--family", choices=FAMILY_NAMES)
     group.add_argument("--all", action="store_true")
-    norms.add_argument("--grid", type=int, default=default_grid, metavar="N")
-    norms.add_argument("--residuum", action="store_true", help="require residuum checks (errors for drastic)")
-    norms.add_argument("--format", choices=["text", "json"], default="text")
-    norms.add_argument("--approx", action="store_true")
-    norms.set_defaults(func=cmd_norms)
+    norms_cmd.add_argument("--grid", type=int, default=default_grid, metavar="N")
+    norms_cmd.add_argument("--residuum", action="store_true", help="require residuum checks (errors for drastic)")
+    norms_cmd.add_argument("--format", choices=["text", "json"], default="text")
+    norms_cmd.add_argument("--approx", action="store_true")
+    norms_cmd.set_defaults(func=cmd_norms)
 
-    metric = sub.add_parser("metric", help="induced metric checks and interval balls")
-    metric.add_argument("--family", choices=RESIDUATED_NAMES, required=True)
-    metric.add_argument("--grid", type=int, default=min(default_grid, 32), metavar="N")
-    metric.add_argument("--grid4", type=int, default=16, metavar="N", help="denominator for 4-tuple sweeps")
-    metric.add_argument("--laws", metavar="SPEC", help="derived-law selector, e.g. d1..d15 or d3,d10")
-    metric.add_argument("--laws-grid", type=int, default=8, metavar="N")
-    metric.add_argument("--ball", metavar="CENTER,RADIUS", help="print the ball closed form")
-    metric.add_argument("--format", choices=["text", "json"], default="text")
-    metric.add_argument("--approx", action="store_true")
-    metric.set_defaults(func=cmd_metric)
+    metric_cmd = sub.add_parser("metric", help="induced metric checks and interval balls")
+    metric_cmd.add_argument("--family", choices=RESIDUATED_NAMES, required=True)
+    metric_cmd.add_argument("--grid", type=int, default=min(default_grid, 32), metavar="N")
+    metric_cmd.add_argument("--grid4", type=int, default=16, metavar="N", help="denominator for 4-tuple sweeps")
+    metric_cmd.add_argument("--laws", metavar="SPEC", help="derived-law selector, e.g. d1..d15 or d3,d10")
+    metric_cmd.add_argument("--laws-grid", type=int, default=8, metavar="N")
+    metric_cmd.add_argument("--ball", metavar="CENTER,RADIUS", help="print the ball closed form")
+    metric_cmd.add_argument("--format", choices=["text", "json"], default="text")
+    metric_cmd.add_argument("--approx", action="store_true")
+    metric_cmd.set_defaults(func=cmd_metric)
 
-    algebra = sub.add_parser("algebra", help="finite algebra checks, topology, dualization")
-    algebra.add_argument("action", choices=["check", "topology", "dualize"])
-    algebra.add_argument("file")
-    algebra.add_argument("--format", choices=["text", "json"], default="text")
-    algebra.set_defaults(func=cmd_algebra)
+    algebra_cmd = sub.add_parser("algebra", help="finite algebra checks, topology, dualization")
+    algebra_cmd.add_argument("action", choices=["check", "topology", "dualize"])
+    algebra_cmd.add_argument("file")
+    algebra_cmd.add_argument("--format", choices=["text", "json"], default="text")
+    algebra_cmd.set_defaults(func=cmd_algebra)
 
     evaluate_cmd = sub.add_parser("eval", help="evaluate a formula over an algebra")
     evaluate_cmd.add_argument("formula")

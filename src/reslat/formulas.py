@@ -37,7 +37,6 @@ from .errors import (
     UnboundAtom,
     UnknownToken,
 )
-from .finite import FiniteAlgebra
 from .norms import NormFamily, NormSide, apply_norm, residuum
 from .reports import LawReport, Violation
 from .unitval import ONE, ZERO, GridSpec, UnitValue, parse_unit
@@ -350,9 +349,19 @@ def evaluate(f: Formula, algebra, valuation):
     return _evaluator(algebra)(desugar(f), valuation)
 
 
+def _is_finite(algebra) -> bool:
+    """Whether ``algebra`` is a FiniteAlgebra.  A NormFamily is ruled out
+    first, so evaluating over [0,1] never imports the finite layer."""
+    if isinstance(algebra, NormFamily):
+        return False
+    from .finite import FiniteAlgebra
+
+    return isinstance(algebra, FiniteAlgebra)
+
+
 def _evaluator(algebra):
     """The evaluator of core formulas over ``algebra``: (core, valuation) -> value."""
-    if isinstance(algebra, FiniteAlgebra):
+    if _is_finite(algebra):
         return lambda core, valuation: algebra.labels[
             _evaluate_core(core, lambda name: algebra.index(valuation[name]), algebra.bottom, algebra.star, algebra.arrow)
         ]
@@ -406,7 +415,8 @@ def parse_valuation(text: str, finite: bool = False) -> dict:
     """Valuation text: comma- or newline-separated ``atom = value`` entries.
 
     Values are rationals (``p/q`` or finite decimals) for unit-interval
-    evaluation, or carrier labels when ``finite`` is set.
+    evaluation, or carrier labels when ``finite`` is set.  An atom given
+    twice is refused with ValueError.
     """
     assignment: dict = {}
     entries = [e for chunk in text.splitlines() for e in chunk.split(",")]
@@ -418,6 +428,8 @@ def parse_valuation(text: str, finite: bool = False) -> dict:
             raise ValueError(f"valuation entry {entry!r} is not 'atom = value'")
         name, _, value = entry.partition("=")
         name, value = name.strip(), value.strip()
+        if name in assignment:
+            raise ValueError(f"atom {name!r} is assigned more than once")
         assignment[name] = value if finite else parse_unit(value)
     return assignment
 
@@ -435,7 +447,7 @@ def check_prelinearity_tautology(algebra, g: GridSpec | None = None) -> LawRepor
     valuation: grid valuations for t-norm families, carrier valuations for
     finite algebras."""
     formula = parse("(p -> q) | (q -> p)")
-    if isinstance(algebra, FiniteAlgebra):
+    if _is_finite(algebra):
         domain = algebra.labels
         top = algebra.labels[algebra.top]
     else:

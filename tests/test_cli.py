@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import reslat.cli
+import reslat.metric
 from reslat.cli import main
 from reslat.finite import MAX_CARRIER
 from reslat.fixtures import lukasiewicz_chain
@@ -107,11 +109,32 @@ class TestMetric:
     def test_bad_laws_refused_before_any_sweep(self, capsys, monkeypatch, laws):
         sweeps = []
         for name in ("d_star_closed_form_check", "metric_axioms_check", "continuity_inequalities_check"):
-            monkeypatch.setattr(reslat.cli, name, lambda *args, name=name: sweeps.append(name) or [])
+            monkeypatch.setattr(reslat.metric, name, lambda *args, name=name: sweeps.append(name) or [])
         code, out, err = run(capsys, "metric", "--family", "product", *laws)
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert sweeps == []
+
+
+    @pytest.mark.parametrize("laws", ["d3,", "d1..", "dx", "..d3", "d1..d3..d5", ",", "d1,,d2", "d1 d2"])
+    def test_malformed_law_selector_exit_2(self, capsys, laws):
+        code, out, err = run(capsys, "metric", "--family", "product", "--laws", laws)
+        assert code == 2 and out == ""
+        assert err == f"error: bad law selector {laws.strip().lower()!r}\n"
+
+    @pytest.mark.parametrize(
+        "selector, ids",
+        [
+            ("d1..d15", [f"D{i}" for i in range(1, 16)]),
+            ("D3..d5", ["D3", "D4", "D5"]),
+            (" d2 .. 4 ", ["D2", "D3", "D4"]),
+            ("d3,d10", ["D3", "D10"]),
+            ("D3, 10 ,d1", ["D3", "D10", "D1"]),
+            ("7", ["D7"]),
+        ],
+    )
+    def test_law_selector_forms(self, selector, ids):
+        assert reslat.cli._parse_law_selector(selector, "D", 15) == ids
 
 
 class TestAlgebra:
@@ -257,6 +280,50 @@ class TestEval:
         code, _, err = run(capsys, "eval", "p & q", "--t-algebra", "product")
         assert code == 2
         assert "assign" in err
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("backend", [["--t-algebra", "product"], ["--algebra", "g3.alg"]])
+    @pytest.mark.parametrize("source", ["--assign", "--assign-file"])
+    def test_atom_assigned_twice_exit_2(self, capsys, tmp_path, fixtures_dir, backend, source, fmt):
+        if backend[0] == "--algebra":
+            backend = ["--algebra", str(fixtures_dir / "g3.alg")]
+        text = "p=1,p=0"
+        if source == "--assign-file":
+            path = tmp_path / "valuation.txt"
+            path.write_text("p = 1\nq = 0\np = 0\n", encoding="utf-8")
+            text = str(path)
+        code, out, err = run(capsys, "eval", "p & q", *backend, source, text, "--format", fmt)
+        assert code == 2 and out == ""
+        assert err == "error: atom 'p' is assigned more than once\n"
+
+    def test_sweep_too_large_refused_before_it_starts(self, capsys):
+        chain = " & ".join(f"p{i}" for i in range(24))
+        start = time.perf_counter()
+        code, out, err = run(capsys, "eval", chain, "--t-algebra", "goedel", "--sweep", "2")
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == ""
+        assert err == f"error: a sweep of 3^24 valuations is over the limit of {reslat.cli.MAX_SWEEP}\n"
+
+    def test_sweep_grid_too_fine_refused_before_it_starts(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "eval", "1", "--t-algebra", "goedel", "--sweep", str(10**9))
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == ""
+        assert err == f"error: sweep grid denominator {10**9} is over the limit of {reslat.cli.MAX_SWEEP}\n"
+
+    def test_sweep_limit_is_far_above_every_tested_sweep(self, capsys):
+        # The largest sweep a test or benchmark op runs is 33^2 valuations.
+        assert reslat.cli.MAX_SWEEP >= 100 * 33**2
+        points = math.isqrt(reslat.cli.MAX_SWEEP) + 1  # the smallest grid whose square is over the limit
+        code, out, err = run(capsys, "eval", "p & q", "--t-algebra", "goedel", "--sweep", str(points - 1))
+        assert code == 2 and out == ""
+        assert f"a sweep of {points}^2 valuations" in err
+
+    @pytest.mark.parametrize("sweep", ["3", "2"])
+    def test_finite_sweep_takes_no_grid(self, capsys, fixtures_dir, sweep):
+        code, out, err = run(capsys, "eval", "p", "--algebra", str(fixtures_dir / "g3.alg"), "--sweep", sweep)
+        assert code == 2 and out == ""
+        assert err == "error: --sweep N sets a grid for --t-algebra; --algebra sweeps its carrier\n"
 
     def test_approx_flag(self, capsys):
         code, out, _ = run(capsys, "eval", "q -> p", "--t-algebra", "lukasiewicz",

@@ -362,6 +362,12 @@ class TestValuations:
         with pytest.raises(ValueError):
             parse_valuation("p 1/2")
 
+    @pytest.mark.parametrize("finite", [False, True])
+    @pytest.mark.parametrize("text", ["p=1,p=0", "p=1, q=0\n p = 1", "q=0\np=1/2\n# again\np=1/2"])
+    def test_atom_given_twice_is_refused(self, text, finite):
+        with pytest.raises(ValueError, match="^atom 'p' is assigned more than once$"):
+            parse_valuation(text, finite=finite)
+
     def test_atoms_helper(self):
         assert atoms(parse("(p -> q) | (q -> p)")) == ("p", "q")
         assert atoms(parse("0 -> 0")) == ()
