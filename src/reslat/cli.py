@@ -5,7 +5,8 @@ input and output is exact rational (``p/q`` or finite decimals on input);
 decimal renderings appear only under ``--approx``.  Exit codes: 0 when all
 executed checks pass, 1 when a check fails, 2 for usage and precondition
 errors.  The environment variable ``RESLAT_GRID`` overrides the default
-grid denominator.
+grid denominator of the commands that sweep a grid: ``norms``, ``metric``
+and ``eval --t-algebra ... --sweep``.
 """
 
 from __future__ import annotations
@@ -56,14 +57,35 @@ RESIDUATED_NAMES = ["lukasiewicz", "goedel", "product"]
 MAX_SWEEP = 1 << 17
 
 
+# The most tuples one ``norms`` or ``metric`` command checks: the sum of the
+# ``checked`` counts of its reports, computed before any sweep starts.  On a
+# shared 2-core x86 host the row sweeps (norm axioms, adjointness, the
+# continuity contracts) check about 2.2M tuples/s, so a command of them at
+# the limit ends in about 20 s; the product metric axioms and D-law sweeps
+# check about 0.55M/s, about 80 s at the limit.  The largest command the
+# tests and the benchmark run, ``norms --all --grid 64`` with 4,213,712
+# tuples, is 10.7 times below it.
+MAX_TUPLES = 45_000_000
+
+
 def _default_grid() -> int:
+    """The grid denominator from ``RESLAT_GRID``, or 64; read only by the
+    commands that sweep a grid."""
     raw = os.environ.get("RESLAT_GRID")
     if raw is None:
         return 64
-    denominator = int(raw)
+    try:
+        denominator = int(raw)
+    except ValueError:
+        raise ValueError(f"RESLAT_GRID must be an integer, got {raw!r}") from None
     if denominator < 2:
         raise ValueError(f"RESLAT_GRID must be >= 2, got {raw}")
     return denominator
+
+
+def _refuse_over_budget(tuples: int) -> None:
+    if tuples > MAX_TUPLES:
+        raise ValueError(f"a sweep of {tuples} tuples is over the limit of {MAX_TUPLES}")
 
 
 def _emit(args, sections, notes=(), extra=None) -> int:
@@ -118,12 +140,15 @@ def _parse_law_selector(selector: str, prefix: str, count: int) -> list[str]:
 
 
 def cmd_norms(args) -> int:
+    if args.grid is None:
+        args.grid = _default_grid()
     grid = unitval.GridSpec(args.grid)
     NormKind, NormSide = norms.NormKind, norms.NormSide
     if args.all:
         kinds = list(NormKind)
     else:
         kinds = [NormKind(args.family)]
+    _refuse_over_budget(norms.tuples_checked(kinds, args.grid))
     sections = []
     notes = []
     for kind in kinds:
@@ -173,12 +198,16 @@ def cmd_metric(args) -> int:
         }
         return _emit(args, [("ball closed form vs predicate", [agreement])], extra=extra)
 
+    if args.grid is None:
+        args.grid = min(_default_grid(), 32)
+    ids = ()
     if args.laws:
         # Refuse a bad selector or laws grid before any sweep runs.
         ids = _parse_law_selector(args.laws, "D", 15)
         laws_grid = unitval.GridSpec(args.laws_grid)
     grid = unitval.GridSpec(args.grid)
     grid4 = unitval.GridSpec(args.grid4)
+    _refuse_over_budget(metric.tuples_checked(args.grid, args.grid4, args.laws_grid, ids))
     sections = [
         ("induced distance: closed form", [metric.d_star_closed_form_check(alg, grid)]),
         ("induced distance: metric axioms", metric.metric_axioms_check(alg, grid)),
@@ -222,6 +251,8 @@ def cmd_algebra(args) -> int:
 
 def cmd_eval(args) -> int:
     on_carrier = args.algebra is not None
+    if args.sweep is not None and (args.assign is not None or args.assign_file is not None):
+        raise ValueError("--sweep evaluates every valuation; it cannot be given with --assign or --assign-file")
     if on_carrier and args.sweep:
         raise ValueError("--sweep N sets a grid for --t-algebra; --algebra sweeps its carrier")
     formula = formulas.parse(args.formula)
@@ -287,13 +318,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    default_grid = _default_grid()
-
     norms_cmd = sub.add_parser("norms", help="norm family checks: axioms, duality, ordering, residuation")
     group = norms_cmd.add_mutually_exclusive_group(required=True)
     group.add_argument("--family", choices=FAMILY_NAMES)
     group.add_argument("--all", action="store_true")
-    norms_cmd.add_argument("--grid", type=int, default=default_grid, metavar="N")
+    norms_cmd.add_argument("--grid", type=int, metavar="N")
     norms_cmd.add_argument("--residuum", action="store_true", help="require residuum checks (errors for drastic)")
     norms_cmd.add_argument("--format", choices=["text", "json"], default="text")
     norms_cmd.add_argument("--approx", action="store_true")
@@ -301,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     metric_cmd = sub.add_parser("metric", help="induced metric checks and interval balls")
     metric_cmd.add_argument("--family", choices=RESIDUATED_NAMES, required=True)
-    metric_cmd.add_argument("--grid", type=int, default=min(default_grid, 32), metavar="N")
+    metric_cmd.add_argument("--grid", type=int, metavar="N")
     metric_cmd.add_argument("--grid4", type=int, default=16, metavar="N", help="denominator for 4-tuple sweeps")
     metric_cmd.add_argument("--laws", metavar="SPEC", help="derived-law selector, e.g. d1..d15 or d3,d10")
     metric_cmd.add_argument("--laws-grid", type=int, default=8, metavar="N")
@@ -332,12 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    try:
-        parser = build_parser()
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except TheoremViolation as exc:

@@ -37,7 +37,7 @@ from .errors import (
     UnboundAtom,
     UnknownToken,
 )
-from .norms import NormFamily, NormSide, apply_norm, residuum
+from .norms import NormFamily, NormSide, apply_norm, residuum_form
 from .reports import LawReport, Violation
 from .unitval import ONE, ZERO, GridSpec, UnitValue, parse_unit
 
@@ -376,7 +376,7 @@ def _evaluator(algebra):
         value = valuation[name]
         return value if isinstance(value, UnitValue) else UnitValue(Fraction(value))
 
-    star, arrow = partial(apply_norm, algebra), partial(residuum, algebra)
+    star, arrow = partial(apply_norm, algebra), residuum_form(algebra)
     return lambda core, valuation: _evaluate_core(core, partial(atom, valuation), ZERO, star, arrow)
 
 

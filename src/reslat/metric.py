@@ -16,12 +16,11 @@ import itertools
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from math import lcm
 
 from .errors import InvalidRadius
 from .laws import D_LAWS, LawContext, check_signature_axioms, run_catalogue
-from .norms import NormFamily, NormKind, NormSide, closed_form, residuum
+from .norms import NormFamily, NormKind, NormSide, closed_form, residuum_form
 from .reports import LawReport, Violation
 from .tables import ValueTable, square
 from .unitval import ONE, ZERO, GridSpec, UnitValue
@@ -52,8 +51,8 @@ class SAlgebra:
 
     @property
     def res(self):
-        """The residuum, ``res(x, y)``."""
-        return partial(residuum, self.norm)
+        """The residuum as its plain closed form, ``res(x, y)``."""
+        return residuum_form(self.norm)
 
 
 @dataclass(frozen=True)
@@ -227,6 +226,17 @@ def continuity_inequalities_check(alg: SAlgebra, g: GridSpec) -> list[LawReport]
                         tup = (pts[a1], pts[a2], pts[b1], pts[b2])
                         report.register(Violation(report.law_id, tup, values[lhs[k]], values[rhs[k]]))
     return reports
+
+
+def tuples_checked(grid: int, grid4: int, laws_grid: int, ids=()) -> int:
+    """The sum of the ``checked`` counts of the reports ``reslat metric``
+    makes: the closed form and the metric axioms at ``grid`` (with the
+    numeric triangle: every s-norm here is below Lukasiewicz's), the
+    signature axioms at most at 16, the continuity contracts at ``grid4``
+    and the D-laws ``ids`` at ``laws_grid``."""
+    m, s, n, k = grid + 1, min(grid, 16) + 1, grid4 + 1, laws_grid + 1
+    arity = {law_id: arity for law_id, arity, _ in D_LAWS}
+    return 3 * m**2 + 2 * m**3 + (2 * s**3 + 4 * s**2 + s) + 5 * n**4 + sum(k ** arity[i] for i in ids)
 
 
 def _grid_context(alg: SAlgebra, g: GridSpec) -> LawContext:

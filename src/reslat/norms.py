@@ -20,11 +20,14 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache, partial
 from math import lcm
+from operator import le
 
 from .errors import DrasticNotResiduated
 from .reports import LawReport, Violation
-from .tables import ValueTable, square
-from .unitval import ONE, ZERO, GridSpec, UnitValue
+from .unitval import GridSpec, UnitValue
+
+# The grid checkers import reslat.tables when they run: evaluating formulas
+# needs only the scalar forms, so an ``eval`` process never loads it.
 
 
 class NormKind(Enum):
@@ -71,53 +74,58 @@ class NormFamily:
 CONTINUOUS_KINDS = (NormKind.LUKASIEWICZ, NormKind.GOEDEL, NormKind.PRODUCT)
 
 
-# The arithmetic closed forms and residua work on the arguments' numerators
-# and denominators as ints, x = a/b and y = c/d, and build one normalised
-# UnitValue at the end: one gcd per value and no intermediate Fractions.
-def _luk_t(x: UnitValue, y: UnitValue) -> UnitValue:
-    """max(0, x + y - 1)."""
-    a, b, c, d = x.numerator, x.denominator, y.numerator, y.denominator
-    n = a * d + c * b - b * d
-    return UnitValue(n, b * d) if n > 0 else ZERO
+# Every closed form and residuum is written once, as an integer kernel on
+# the arguments' numerators and denominators, x = a/b and y = c/d with b, d > 0:
+# ``kernel(a, b, c, d)`` returns the result as a (numerator, denominator)
+# pair, not necessarily reduced.  Comparisons cross-multiply: x <= y iff
+# a*d <= c*b.
+_NORM_KERNELS = {
+    (NormKind.LUKASIEWICZ, NormSide.TNORM): lambda a, b, c, d: (  # max(0, x + y - 1)
+        (a * d + c * b - b * d, b * d) if a * d + c * b > b * d else (0, 1)
+    ),
+    (NormKind.LUKASIEWICZ, NormSide.SNORM): lambda a, b, c, d: (  # min(1, x + y)
+        (a * d + c * b, b * d) if a * d + c * b < b * d else (1, 1)
+    ),
+    (NormKind.GOEDEL, NormSide.TNORM): lambda a, b, c, d: (a, b) if a * d <= c * b else (c, d),  # min
+    (NormKind.GOEDEL, NormSide.SNORM): lambda a, b, c, d: (c, d) if a * d <= c * b else (a, b),  # max
+    (NormKind.PRODUCT, NormSide.TNORM): lambda a, b, c, d: (a * c, b * d),  # xy
+    (NormKind.PRODUCT, NormSide.SNORM): lambda a, b, c, d: (a * d + c * b - a * c, b * d),  # x + y - xy
+    # min(x, y) if max(x, y) == 1 else 0
+    (NormKind.DRASTIC, NormSide.TNORM): lambda a, b, c, d: (c, d) if a == b else (a, b) if c == d else (0, 1),
+    # max(x, y) if min(x, y) == 0 else 1
+    (NormKind.DRASTIC, NormSide.SNORM): lambda a, b, c, d: (c, d) if a == 0 else (a, b) if c == 0 else (1, 1),
+}
+
+_RESIDUUM_KERNELS = {
+    # s-norm side: 0 where x >= y, else y - x, y, (y - x) / (1 - x).
+    (NormKind.LUKASIEWICZ, NormSide.SNORM): lambda a, b, c, d: (c * b - a * d, b * d) if a * d < c * b else (0, 1),
+    (NormKind.GOEDEL, NormSide.SNORM): lambda a, b, c, d: (c, d) if a * d < c * b else (0, 1),
+    (NormKind.PRODUCT, NormSide.SNORM): lambda a, b, c, d: (c * b - a * d, d * (b - a)) if a * d < c * b else (0, 1),
+    # t-norm side: 1 where x <= y, else 1 - x + y, y, y / x.
+    (NormKind.LUKASIEWICZ, NormSide.TNORM): lambda a, b, c, d: (
+        (b * d - a * d + c * b, b * d) if a * d > c * b else (1, 1)
+    ),
+    (NormKind.GOEDEL, NormSide.TNORM): lambda a, b, c, d: (c, d) if a * d > c * b else (1, 1),
+    (NormKind.PRODUCT, NormSide.TNORM): lambda a, b, c, d: (c * b, d * a) if a * d > c * b else (1, 1),
+}
 
 
-def _luk_s(x: UnitValue, y: UnitValue) -> UnitValue:
-    """min(1, x + y)."""
-    a, b, c, d = x.numerator, x.denominator, y.numerator, y.denominator
-    n = a * d + c * b
-    return UnitValue(n, b * d) if n < b * d else ONE
+def _on_values(kernel):
+    """``kernel`` as a function on values, with the kernel attached as its
+    ``kernel`` attribute for the tables (reslat.tables) to call directly."""
 
+    def form(x, y):
+        return UnitValue(*kernel(x.numerator, x.denominator, y.numerator, y.denominator))
 
-def _product_t(x: UnitValue, y: UnitValue) -> UnitValue:
-    """xy."""
-    return UnitValue(x.numerator * y.numerator, x.denominator * y.denominator)
-
-
-def _product_s(x: UnitValue, y: UnitValue) -> UnitValue:
-    """x + y - xy."""
-    a, b, c, d = x.numerator, x.denominator, y.numerator, y.denominator
-    return UnitValue(a * d + c * b - a * c, b * d)
+    form.kernel = kernel
+    return form
 
 
 @lru_cache(maxsize=None)
 def closed_form(f: NormFamily):
-    """The norm as a plain uncached callable, for hot exhaustive sweeps."""
-    k = f.kind
-    if f.side is NormSide.TNORM:
-        if k is NormKind.LUKASIEWICZ:
-            return _luk_t
-        if k is NormKind.GOEDEL:
-            return min
-        if k is NormKind.PRODUCT:
-            return _product_t
-        return lambda x, y: min(x, y) if max(x, y) == 1 else ZERO
-    if k is NormKind.LUKASIEWICZ:
-        return _luk_s
-    if k is NormKind.GOEDEL:
-        return max
-    if k is NormKind.PRODUCT:
-        return _product_s
-    return lambda x, y: max(x, y) if min(x, y) == 0 else ONE
+    """The norm as a plain uncached callable, for hot exhaustive sweeps; its
+    integer kernel is its ``kernel`` attribute."""
+    return _on_values(_NORM_KERNELS[f.kind, f.side])
 
 
 def apply_norm(f: NormFamily, x: UnitValue, y: UnitValue) -> UnitValue:
@@ -138,32 +146,28 @@ def dual_check(f: NormFamily, x: UnitValue, y: UnitValue) -> bool:
     return apply_norm(s, x, y) == apply_norm(t, x.complement(), y.complement()).complement()
 
 
+@lru_cache(maxsize=None)
+def residuum_form(f: NormFamily):
+    """The residuum of ``f`` as a plain callable ``(x, y) -> value`` (see
+    :func:`residuum`)."""
+    if not f.is_residuated:
+        raise DrasticNotResiduated("the drastic norms are not continuous; no residuum exists")
+    return _on_values(_RESIDUUM_KERNELS[f.kind, f.side])
+
+
 def residuum(f: NormFamily, x: UnitValue, y: UnitValue) -> UnitValue:
     """Residuum closed form.
 
     s-norm side: R(x, y) = min{c : S(c, x) >= y}; t-norm side the adjoint
     R(x, y) = max{c : T(c, x) <= y}.
     """
-    if not f.is_residuated:
-        raise DrasticNotResiduated("the drastic norms are not continuous; no residuum exists")
-    # x >= y iff a*d >= c*b (the denominators are positive).
-    k = f.kind
-    a, b, c, d = x.numerator, x.denominator, y.numerator, y.denominator
-    if f.side is NormSide.SNORM:
-        if a * d >= c * b:
-            return ZERO
-        if k is NormKind.LUKASIEWICZ:
-            return UnitValue(c * b - a * d, b * d)  # y - x
-        if k is NormKind.GOEDEL:
-            return y
-        return UnitValue(c * b - a * d, d * (b - a))  # (y - x) / (1 - x)
-    if a * d <= c * b:
-        return ONE
-    if k is NormKind.LUKASIEWICZ:
-        return UnitValue(b * d - a * d + c * b, b * d)  # 1 - x + y
-    if k is NormKind.GOEDEL:
-        return y
-    return UnitValue(c * b, d * a)  # y / x
+    return residuum_form(f)(x, y)
+
+
+# The checkers reach the residuum through the module name ``residuum``, so
+# that a replacement of it is what they check; only this function carries
+# the per-family forms, and with them the kernels.
+residuum.form = residuum_form
 
 
 def _oracle_denominator(f: NormFamily, x: UnitValue, y: UnitValue, g: GridSpec) -> int:
@@ -209,6 +213,8 @@ def adjointness_check(f: NormFamily, g: GridSpec) -> LawReport:
     s-norm side: a >= R(b, c)  iff  S(a, b) >= c.
     t-norm side: a <= R(b, c)  iff  T(a, b) <= c.
     """
+    from .tables import ValueTable, square
+
     if not f.is_residuated:
         raise DrasticNotResiduated("adjointness is undefined for the drastic family")
     pts = g.points()
@@ -217,16 +223,20 @@ def adjointness_check(f: NormFamily, g: GridSpec) -> LawReport:
     law = "DBL3-adjointness" if f.side is NormSide.SNORM else "BL3-adjointness"
     report = LawReport(law, m**3)
     table = ValueTable(pts)
-    les, snorm_side = table.les, f.side is NormSide.SNORM
-    res = square(table.operation(partial(residuum, f)), m)
+    form = getattr(residuum, "form", None)
+    res = square(table.operation(form(f) if form else partial(residuum, f)), m)
     nrm = square(table.operation(closed_form(f)), m)
+    # Nothing is interned past the two squares: compare order ranks.
+    ranks = table.ranked(res + nrm + [rng])
+    res_r, nrm_r, grid_r = ranks[:m], ranks[m:-1], ranks[-1]
+    snorm_side = f.side is NormSide.SNORM
     # One row per (a, b), over c.
     for a, b in itertools.product(rng, repeat=2):
-        a_row, n_row = [a] * m, [nrm[a][b]] * m
+        a_row, n_row = [grid_r[a]] * m, [nrm_r[a][b]] * m
         if snorm_side:
-            left, right = les(res[b], a_row), les(rng, n_row)
+            left, right = list(map(le, res_r[b], a_row)), list(map(le, grid_r, n_row))
         else:
-            left, right = les(a_row, res[b]), les(n_row, rng)
+            left, right = list(map(le, a_row, res_r[b])), list(map(le, n_row, grid_r))
         if left != right:
             for c in rng:
                 if left[c] != right[c]:
@@ -248,11 +258,13 @@ def oracle_agreement_check(f: NormFamily, g: GridSpec) -> LawReport:
 
 def norm_axioms_check(f: NormFamily, g: GridSpec) -> list[LawReport]:
     """Associativity, commutativity, monotonicity, and the boundary condition."""
+    from .tables import ValueTable, square
+
     pts = g.points()
     m = len(pts)
     rng = range(m)
     table = ValueTable(pts)
-    values, le = table.values, table.le
+    values = table.values
     norm = table.operation(closed_form(f))
     grid_tab = square(norm, m)
     cols = [list(col) for col in zip(*grid_tab)]
@@ -276,11 +288,12 @@ def norm_axioms_check(f: NormFamily, g: GridSpec) -> list[LawReport]:
                 if row[y] != col[y]:
                     comm.register(Violation("commutativity", (pts[x], pts[y]), values[row[y]], values[col[y]]))
     mono = LawReport("monotonicity", m * m * (m + 1) // 2)
+    ranks = table.ranked(grid_tab)
     for x1, x2 in itertools.combinations_with_replacement(rng, 2):
-        row_lo, row_hi = grid_tab[x1], grid_tab[x2]
-        if not table.all_le(row_lo, row_hi):
+        if not all(map(le, ranks[x1], ranks[x2])):
+            row_lo, row_hi = grid_tab[x1], grid_tab[x2]
             for y in rng:
-                if not le(row_lo[y], row_hi[y]):
+                if not le(ranks[x1][y], ranks[x2][y]):
                     mono.register(
                         Violation("monotonicity", (pts[x1], pts[x2], pts[y]), values[row_lo[y]], values[row_hi[y]])
                     )
@@ -294,36 +307,52 @@ def norm_axioms_check(f: NormFamily, g: GridSpec) -> list[LawReport]:
     return [assoc, comm, mono, boundary]
 
 
+def tuples_checked(kinds, grid: int) -> int:
+    """The sum of the ``checked`` counts of the reports ``reslat norms``
+    makes for ``kinds`` at denominator ``grid``: the norm axioms and duality
+    of each kind, adjointness and the oracle (at most at 16) of each
+    residuated kind, and the two ordering chains."""
+    m, oracle = grid + 1, min(grid, 16) + 1
+    axioms = m**3 + m**2 + m * m * (m + 1) // 2 + m
+    residuated = sum(kind is not NormKind.DRASTIC for kind in kinds)
+    return len(kinds) * (2 * axioms + m**2) + residuated * (m**3 + oracle**2) + 2 * 3 * m**2
+
+
 def ordering_chain_check(side: NormSide, g: GridSpec) -> LawReport:
     """Pointwise ordering of the four families on all grid pairs.
 
     t-norms: drastic <= lukasiewicz <= product <= goedel;
     s-norms the reverse chain: goedel <= product <= lukasiewicz <= drastic.
     """
+    from .tables import ValueTable, square
+
     if side is NormSide.TNORM:
         chain = [NormKind.DRASTIC, NormKind.LUKASIEWICZ, NormKind.PRODUCT, NormKind.GOEDEL]
     else:
         chain = [NormKind.GOEDEL, NormKind.PRODUCT, NormKind.LUKASIEWICZ, NormKind.DRASTIC]
     families = [NormFamily(k, side) for k in chain]
     pts = g.points()
+    m = len(pts)
     table = ValueTable(pts)
-    values, le = table.values, table.le
-    norms = [table.operation(closed_form(f)) for f in families]
-    rng = range(len(pts))
-    report = LawReport("ordering-chain", (len(families) - 1) * len(pts) ** 2)
+    values = table.values
+    tabs = [square(table.operation(closed_form(f)), m) for f in families]
+    ranks = table.ranked([row for tab in tabs for row in tab])
+    rank_tabs = [ranks[k : k + m] for k in range(0, len(ranks), m)]
+    rng = range(m)
+    report = LawReport("ordering-chain", (len(families) - 1) * m**2)
     for x in rng:
-        rows = [norm.row(x, rng) for norm in norms]
-        if all(table.all_le(lo, hi) for lo, hi in zip(rows, rows[1:])):
+        rows = [rank_tab[x] for rank_tab in rank_tabs]
+        if all(all(map(le, lo, hi)) for lo, hi in zip(rows, rows[1:])):
             continue
         for y in rng:
-            for lo, hi, f_lo, f_hi in zip(rows, rows[1:], families, families[1:]):
-                if not le(lo[y], hi[y]):
+            for lo, hi, f_lo, f_hi in zip(tabs, tabs[1:], families, families[1:]):
+                if not table.le(lo[x][y], hi[x][y]):
                     report.register(
                         Violation(
                             "ordering-chain",
                             (pts[x], pts[y]),
-                            values[lo[y]],
-                            values[hi[y]],
+                            values[lo[x][y]],
+                            values[hi[x][y]],
                             f"{f_lo.kind.value} > {f_hi.kind.value}",
                         )
                     )
@@ -333,6 +362,8 @@ def ordering_chain_check(side: NormSide, g: GridSpec) -> LawReport:
 def duality_check(kind: NormKind, g: GridSpec) -> LawReport:
     """Duality identity on all grid pairs for one family kind: the grid is
     closed under complement, and grid id k complements to id N - k."""
+    from .tables import ValueTable, square
+
     pts = g.points()
     top = len(pts) - 1
     rng, flipped = range(len(pts)), range(top, -1, -1)

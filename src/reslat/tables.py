@@ -10,17 +10,27 @@ operations (Lukasiewicz, Goedel, drastic) no id is ever added, so every
 operation is an ``(N+1)^2`` table of grid ids; otherwise (product) the
 values the operations produce off the grid get the next ids as they appear.
 
+The closed forms and residua of reslat.norms carry an integer kernel on
+numerators and denominators; an operation on such a function runs the
+kernel on the table's own numerator and denominator lists and builds a
+UnitValue only for a value new to the table.  Any other function (a
+wrapper, a test's broken operation, a complement) runs on values.
+
 The sweeps work on whole rows of ids: an operation hands out a row
 ``op.row(i, js)`` or an elementwise list ``op.map(is_, js)``, read from its
 memo rows in C, and ``all_le`` tests a whole row of order pairs, by plain
-id order while the ids still increase with their values.
+id order while the ids still increase with their values.  Where a law
+interns nothing more, :meth:`ValueTable.ranked` maps the rows it compares
+to order ranks once, so that ``operator.le`` compares them in C.
 """
 
 from __future__ import annotations
 
 import operator
-from itertools import repeat
+from math import gcd
 from typing import Callable, Iterable
+
+from .unitval import UnitValue
 
 
 class ValueTable:
@@ -64,9 +74,42 @@ class ValueTable:
 
     def operation(self, fn: Callable) -> Callable[[int, int], int]:
         """``fn`` on values as a binary operation on ids, computed once per
-        distinct pair (see :meth:`memo`)."""
-        values, intern = self.values, self.intern
-        return self.memo(lambda i, j: intern(fn(values[i], values[j])))
+        distinct pair (see :meth:`memo`).
+
+        When ``fn`` carries an integer kernel as ``fn.kernel`` (the closed
+        forms and residua of reslat.norms do), the kernel runs on the ids'
+        numerators and denominators, and its result ``(n, d)`` is reduced
+        and looked up; a UnitValue, with its range check, is built only for
+        a value that is new to the table.  Any other ``fn`` runs on values.
+        """
+        kernel = getattr(fn, "kernel", None)
+        if kernel is None:
+            values, intern = self.values, self.intern
+            return self.memo(lambda i, j: intern(fn(values[i], values[j])))
+        num, den, ids, intern = self._num, self._den, self._ids, self.intern
+
+        def compute(i: int, j: int) -> int:
+            n, d = kernel(num[i], den[i], num[j], den[j])
+            g = gcd(n, d)
+            k = ids.get((n // g, d // g) if g > 1 else (n, d))
+            # A value new to the table, or no value at all: UnitValue decides.
+            return intern(UnitValue(n, d)) if k is None else k
+
+        return self.memo(compute)
+
+    def ranked(self, rows: list) -> list[list[int]]:
+        """``rows`` of ids with each id replaced by its rank among the ids
+        the rows hold, so that ``operator.le`` on ranks is :meth:`le` on the
+        ids.  Ranks compare only with ranks from the same call: rank together
+        every row a law compares, once nothing more is interned for it."""
+        if self.ids_ordered:
+            return rows
+        num, den, values = self._num, self._den, self.values
+        # The float of n/d is correctly rounded, so it orders the values up
+        # to ties; the exact value breaks them.
+        order = sorted(set().union(*rows), key=lambda i: (num[i] / den[i], values[i]))
+        rank = dict(zip(order, range(len(order))))
+        return [list(map(rank.__getitem__, row)) for row in rows]
 
     def memo(self, compute: Callable[[int, int], int]) -> Callable[[int, int], int]:
         """``compute`` on ids, called once per distinct pair.
@@ -113,10 +156,19 @@ class ValueTable:
 
         def row(i: int, js) -> list[int]:
             try:
-                out = list(map(rows[i].__getitem__, js))
+                memo_row = rows[i]
+                out = list(map(memo_row.__getitem__, js))
             except IndexError:
-                out = list(map(grow(i, max(js, default=0)).__getitem__, js))
-            return fill(out, repeat(i), js) if None in out else out
+                memo_row = grow(i, max(js, default=0))
+                out = list(map(memo_row.__getitem__, js))
+            if None in out:
+                for k, j in enumerate(js):
+                    if out[k] is None:
+                        v = memo_row[j]
+                        if v is None:
+                            v = memo_row[j] = compute(i, j)
+                        out[k] = v
+            return out
 
         def map_(is_, js) -> list[int]:
             try:

@@ -11,6 +11,8 @@ import pytest
 
 import reslat.cli
 import reslat.metric
+import reslat.norms
+import reslat.reports
 from reslat.cli import main
 from reslat.finite import MAX_CARRIER
 from reslat.fixtures import lukasiewicz_chain
@@ -325,6 +327,23 @@ class TestEval:
         assert code == 2 and out == ""
         assert err == "error: --sweep N sets a grid for --t-algebra; --algebra sweeps its carrier\n"
 
+    # --algebra F --sweep N is refused for its grid whatever else is given.
+    @pytest.mark.parametrize("source", ["--assign", "--assign-file"])
+    @pytest.mark.parametrize("backend, sweep", [("t-algebra", []), ("t-algebra", ["4"]), ("algebra", [])])
+    def test_sweep_with_a_valuation_refused(self, capsys, fixtures_dir, tmp_path, backend, sweep, source):
+        if backend == "algebra":
+            backend_args = ["--algebra", str(fixtures_dir / "g3.alg")]
+        else:
+            backend_args = ["--t-algebra", "goedel"]
+        text = "p=1/2"
+        if source == "--assign-file":
+            path = tmp_path / "valuation.txt"
+            path.write_text("p = 1/2\n", encoding="utf-8")
+            text = str(path)
+        code, out, err = run(capsys, "eval", "p", *backend_args, source, text, "--sweep", *sweep)
+        assert code == 2 and out == ""
+        assert err == "error: --sweep evaluates every valuation; it cannot be given with --assign or --assign-file\n"
+
     def test_approx_flag(self, capsys):
         code, out, _ = run(capsys, "eval", "q -> p", "--t-algebra", "lukasiewicz",
                            "--assign", "p=3/10,q=4/5", "--approx")
@@ -363,6 +382,113 @@ class TestEnvironment:
         code, _, err = run(capsys, "norms", "--family", "goedel")
         assert code == 2
         assert "RESLAT_GRID" in err
+
+    @pytest.mark.parametrize("value", ["1", "abc"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["norms", "--family", "goedel"],
+            ["metric", "--family", "goedel"],
+            ["eval", "p", "--t-algebra", "goedel", "--sweep"],
+        ],
+        ids=["norms", "metric", "eval-sweep"],
+    )
+    def test_bad_env_value_refused_by_every_grid_sweep(self, capsys, monkeypatch, argv, value):
+        monkeypatch.setenv("RESLAT_GRID", value)
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: RESLAT_GRID must be") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("value", ["1", "abc"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["algebra", "check", "l4.alg"],
+            ["algebra", "dualize", "l4.alg"],
+            ["algebra", "topology", "l4.alg"],
+            ["eval", "p -> q", "--t-algebra", "goedel", "--assign", "p=1/2,q=1/3"],
+            ["eval", "p", "--algebra", "g3.alg", "--sweep"],
+            ["eval", "p", "--t-algebra", "product", "--sweep", "4"],
+            ["metric", "--family", "product", "--ball", "1/2,1/4"],
+            ["norms", "--family", "goedel", "--grid", "4"],
+            ["metric", "--family", "goedel", "--grid", "4", "--grid4", "2"],
+        ],
+        ids=lambda argv: " ".join(argv[:2]) + (" " + argv[-2] if argv[0] != "algebra" else ""),
+    )
+    def test_commands_without_a_default_grid_ignore_the_env(self, capsys, monkeypatch, fixtures_dir, argv, value):
+        argv = [str(fixtures_dir / a) if a.endswith(".alg") else a for a in argv]
+        monkeypatch.delenv("RESLAT_GRID", raising=False)
+        expected = run(capsys, *argv)
+        monkeypatch.setenv("RESLAT_GRID", value)
+        assert run(capsys, *argv) == expected
+        assert expected[0] == 0
+
+
+class TestSweepBudget:
+    """``norms`` and ``metric`` count their tuples before any sweep starts."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["norms", "--all", "--grid", "8"],
+            ["norms", "--family", "drastic", "--grid", "5"],
+            ["norms", "--family", "product", "--grid", "20"],
+            ["metric", "--family", "product", "--grid", "5", "--grid4", "3", "--laws", "d1..d15", "--laws-grid", "3"],
+            ["metric", "--family", "lukasiewicz", "--grid", "20", "--grid4", "2", "--laws", "d2,d15", "--laws-grid", "4"],
+            ["metric", "--family", "goedel", "--grid", "3", "--grid4", "4"],
+        ],
+        ids=" ".join,
+    )
+    def test_count_is_the_sum_of_the_checked_counts(self, capsys, monkeypatch, argv):
+        counts = []
+        budget = reslat.cli._refuse_over_budget
+        monkeypatch.setattr(reslat.cli, "_refuse_over_budget", lambda tuples: counts.append(tuples) or budget(tuples))
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        assert code == 0
+        doc = json.loads(out)
+        assert counts == [sum(r["checked"] for section in doc["sections"] for r in section["reports"])]
+
+    def test_budget_is_far_above_every_tested_command(self):
+        # norms --all --grid 64 is the largest command a test or benchmark op runs.
+        largest = reslat.norms.tuples_checked(list(reslat.norms.NormKind), 64)
+        assert largest == 4_213_712
+        assert reslat.cli.MAX_TUPLES >= 10 * largest
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["norms", "--family", "lukasiewicz", "--grid", "100000"],
+            ["norms", "--all", "--grid", str(10**30)],
+            ["metric", "--family", "product", "--grid", "1000"],
+            ["metric", "--family", "goedel", "--grid4", "100"],
+            ["metric", "--family", "lukasiewicz", "--laws", "d15", "--laws-grid", "100"],
+        ],
+        ids=" ".join,
+    )
+    def test_over_the_budget_refused_before_it_starts(self, capsys, argv):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 0.5
+        assert code == 2 and out == ""
+        assert err.startswith("error: a sweep of ") and err.endswith(f" tuples is over the limit of {reslat.cli.MAX_TUPLES}\n")
+
+    def test_env_grid_over_the_budget_refused(self, capsys, monkeypatch):
+        monkeypatch.setenv("RESLAT_GRID", "5000")
+        code, out, err = run(capsys, "norms", "--family", "goedel")
+        tuples = reslat.norms.tuples_checked([reslat.norms.NormKind.GOEDEL], 5000)
+        assert code == 2 and out == ""
+        assert err == f"error: a sweep of {tuples} tuples is over the limit of {reslat.cli.MAX_TUPLES}\n"
+
+    def test_just_under_the_budget_is_accepted(self, capsys, monkeypatch):
+        grid = 2
+        while reslat.norms.tuples_checked([reslat.norms.NormKind.GOEDEL], grid + 1) <= reslat.cli.MAX_TUPLES:
+            grid += 1
+        monkeypatch.setattr(reslat.norms, "norm_axioms_check", lambda *args: [])
+        monkeypatch.setattr(reslat.norms, "duality_check", lambda *args: reslat.reports.LawReport("duality"))
+        monkeypatch.setattr(reslat.norms, "adjointness_check", lambda *args: reslat.reports.LawReport("adjointness"))
+        monkeypatch.setattr(reslat.norms, "ordering_chain_check", lambda *args: reslat.reports.LawReport("ordering"))
+        assert run(capsys, "norms", "--family", "goedel", "--grid", str(grid))[0] == 0
+        assert run(capsys, "norms", "--family", "goedel", "--grid", str(grid + 1))[0] == 2
 
 
 def test_module_entry_point(fixtures_dir):

@@ -1,0 +1,194 @@
+"""The integer kernels of the closed forms, and the order ranks of the tables.
+
+``ValueTable.operation`` runs a function's ``kernel`` attribute on the ids'
+numerators and denominators when it has one, and the function itself on
+values otherwise.  Both paths must intern the same values under the same
+ids, and a kernel whose result is not a value in [0, 1] must be refused as
+``UnitValue`` refuses it.  ``ValueTable.ranked`` must order ids as ``le``
+does.
+"""
+
+import itertools
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from reslat.norms import NormFamily, NormKind, NormSide, closed_form, residuum, residuum_form
+from reslat.tables import ValueTable, square
+from reslat.unitval import GridSpec, UnitValue
+
+FAMILIES = [NormFamily(kind, side) for kind in NormKind for side in NormSide]
+FORMS = [pytest.param(closed_form(f), id=f.describe()) for f in FAMILIES] + [
+    pytest.param(residuum_form(f), id=f"{f.describe()} residuum") for f in FAMILIES if f.is_residuated
+]
+PRODUCT_NORMS = [closed_form(NormFamily(NormKind.PRODUCT, side)) for side in NormSide]
+
+
+def plain(fn):
+    """The same scalar function, without a kernel: the tables' value path."""
+    return lambda x, y: fn(x, y)
+
+
+def assert_same_tables(kernel_table, value_table):
+    assert kernel_table.values == value_table.values
+    assert all(type(v) is UnitValue for v in kernel_table.values)
+    pairs = [(v.numerator, v.denominator) for v in kernel_table.values]
+    assert pairs == [(v.numerator, v.denominator) for v in value_table.values]
+    assert (kernel_table._num, kernel_table._den) == (value_table._num, value_table._den)
+    assert kernel_table.ids_ordered == value_table.ids_ordered
+
+
+def test_every_form_carries_its_kernel():
+    for param in FORMS:
+        form = param.values[0]
+        assert callable(form.kernel)
+        assert getattr(plain(form), "kernel", None) is None
+    # The scalar residuum reaches the same forms.
+    assert all(residuum.form(f) is residuum_form(f) for f in FAMILIES if f.is_residuated)
+
+
+@pytest.mark.parametrize("form", FORMS)
+@pytest.mark.parametrize("n", (4, 7, 16))
+def test_kernel_path_equals_value_path_on_the_grid(n, form):
+    pts = GridSpec(n).points()
+    kernel_table, value_table = ValueTable(pts), ValueTable(pts)
+    by_kernel, by_value = kernel_table.operation(form), value_table.operation(plain(form))
+    assert square(by_kernel, len(pts)) == square(by_value, len(pts))
+    assert_same_tables(kernel_table, value_table)
+
+
+def associativity_ids(table, op, m):
+    """The ids the associativity sweep of ``op`` visits on the grid ``0..m-1``, in order."""
+    rng = range(m)
+    grid_tab = square(op, m)
+    out = []
+    for x, y in itertools.product(rng, repeat=2):
+        out += op.row(grid_tab[x][y], rng) + op.row(x, grid_tab[y])
+    return out
+
+
+@pytest.mark.parametrize("form", FORMS)
+@pytest.mark.parametrize("norm", PRODUCT_NORMS, ids=("product-t", "product-s"))
+@pytest.mark.parametrize("n", (4, 7, 16))
+def test_kernel_path_equals_value_path_off_the_grid(n, norm, form):
+    """The product associativity sweep, on both paths, and then every form on
+    pairs drawn from the off-grid ids it created."""
+    pts = GridSpec(n).points()
+    m = len(pts)
+    kernel_table, value_table = ValueTable(pts), ValueTable(pts)
+    swept = associativity_ids(kernel_table, kernel_table.operation(norm), m)
+    assert swept == associativity_ids(value_table, value_table.operation(plain(norm)), m)
+    assert len(kernel_table.values) > m
+    assert_same_tables(kernel_table, value_table)
+
+    rng = random.Random(n)
+    ids = range(len(kernel_table.values))
+    is_, js = rng.choices(ids, k=2000), rng.choices(ids, k=2000)
+    by_kernel, by_value = kernel_table.operation(form), value_table.operation(plain(form))
+    assert by_kernel.map(is_, js) == by_value.map(is_, js)
+    assert [by_kernel(i, j) for i, j in zip(js, is_)] == [by_value(i, j) for i, j in zip(js, is_)]
+    assert_same_tables(kernel_table, value_table)
+
+
+# -- kernels that break the contract -----------------------------------------------
+
+
+def with_kernel(kernel):
+    """A scalar function built on ``kernel``, as reslat.norms builds its forms."""
+
+    def form(x, y):
+        return UnitValue(*kernel(x.numerator, x.denominator, y.numerator, y.denominator))
+
+    form.kernel = kernel
+    return form
+
+
+def refusal(call):
+    try:
+        call()
+    except Exception as exc:  # noqa: BLE001 - the refusal itself is compared
+        return type(exc), str(exc)
+    return None
+
+
+@pytest.mark.parametrize(
+    "pair",
+    [(3, 2), (-1, 2), (1, -2), (2, -4), (5, 0), (0, 0), (10**5000 + 1, 10**5000), (-(10**5000), 3)],
+    ids=["3/2", "-1/2", "1/-2", "2/-4", "5/0", "0/0", "long-above-1", "long-negative"],
+)
+def test_a_result_outside_the_unit_interval_is_refused_as_unitvalue_refuses_it(pair):
+    expected = refusal(lambda: UnitValue(*pair))
+    assert expected is not None
+    table = ValueTable(GridSpec(4).points())
+    op = table.operation(with_kernel(lambda a, b, c, d: pair))
+    assert refusal(lambda: op(1, 2)) == expected
+    assert refusal(lambda: op.row(3, [0, 1])) == expected
+    assert len(table.values) == 5
+
+
+@pytest.mark.parametrize(
+    "pair, value",
+    [
+        ((2, 4), Fraction(1, 2)),
+        ((-1, -2), Fraction(1, 2)),
+        ((-3, -12), Fraction(1, 4)),
+        ((0, 7), Fraction(0)),
+        ((0, -7), Fraction(0)),
+        ((9, 9), Fraction(1)),
+        ((2, 6), Fraction(1, 3)),
+        ((-5, -15), Fraction(1, 3)),
+    ],
+    ids=str,
+)
+def test_an_unreduced_or_negative_pair_is_interned_under_its_canonical_id(pair, value):
+    table = ValueTable(GridSpec(4).points())
+    op = table.operation(with_kernel(lambda a, b, c, d: pair))
+    expected = table.intern(UnitValue(value))
+    assert op(1, 2) == expected and op.row(0, [3]) == [expected]
+    assert table.values[expected] == value
+    assert (table._num[expected], table._den[expected]) == (value.numerator, value.denominator)
+    assert len(table.values) == (5 if value.denominator in (1, 2, 4) else 6)
+
+
+# -- order ranks -------------------------------------------------------------------
+
+
+def assert_ranks_order_like_le(table, rows):
+    ranks = table.ranked(rows)
+    assert [len(r) for r in ranks] == [len(r) for r in rows]
+    flat = [i for row in rows for i in row]
+    flat_ranks = [r for row in ranks for r in row]
+    for (i, ri), (j, rj) in itertools.product(zip(flat, flat_ranks), repeat=2):
+        assert (ri <= rj) == table.le(i, j) == (table.values[i] <= table.values[j])
+
+
+@given(
+    st.lists(st.fractions(min_value=0, max_value=1, max_denominator=30), min_size=1, max_size=14),
+    st.integers(0, 2**32),
+)
+def test_ranks_order_like_le(points, seed):
+    table = ValueTable(UnitValue(p) for p in points)
+    rng = random.Random(seed)
+    ids = range(len(table.values))
+    rows = [rng.choices(ids, k=rng.randint(0, 6)) for _ in range(rng.randint(1, 4))]
+    assert_ranks_order_like_le(table, rows)
+
+
+def test_ranks_break_float_ties_exactly():
+    # Distinct values with one float: the float orders them only up to ties.
+    big = 10**30
+    close = [Fraction(big + 1, 3 * big), Fraction(1, 3), Fraction(big - 1, 3 * big), Fraction(1, 2)]
+    assert len({float(v) for v in close[:3]}) == 1
+    table = ValueTable(UnitValue(v) for v in close)
+    assert not table.ids_ordered
+    assert_ranks_order_like_le(table, [[0, 1, 2, 3], [3, 2, 1, 0]])
+    assert table.ranked([[0, 1, 2, 3]]) == [[2, 1, 0, 3]]
+
+
+def test_ranks_of_ordered_ids_are_the_ids():
+    table = ValueTable(GridSpec(5).points())
+    rows = [[0, 5, 2], [1, 1]]
+    assert table.ids_ordered and table.ranked(rows) == rows

@@ -177,12 +177,18 @@ TEXTBOOK_NORMS = {
     S[NormKind.LUKASIEWICZ]: lambda x, y: min(Fraction(1), x + y),
     T[NormKind.PRODUCT]: lambda x, y: x * y,
     S[NormKind.PRODUCT]: lambda x, y: x + y - x * y,
+    T[NormKind.GOEDEL]: min,
+    S[NormKind.GOEDEL]: max,
+    T[NormKind.DRASTIC]: lambda x, y: min(x, y) if max(x, y) == 1 else Fraction(0),
+    S[NormKind.DRASTIC]: lambda x, y: max(x, y) if min(x, y) == 0 else Fraction(1),
 }
 TEXTBOOK_RESIDUA = {
     S[NormKind.LUKASIEWICZ]: lambda x, y: Fraction(0) if x >= y else y - x,
     T[NormKind.LUKASIEWICZ]: lambda x, y: Fraction(1) if x <= y else 1 - x + y,
     S[NormKind.PRODUCT]: lambda x, y: Fraction(0) if x >= y else (y - x) / (1 - x),
     T[NormKind.PRODUCT]: lambda x, y: Fraction(1) if x <= y else y / x,
+    S[NormKind.GOEDEL]: lambda x, y: Fraction(0) if x >= y else y,
+    T[NormKind.GOEDEL]: lambda x, y: Fraction(1) if x <= y else y,
 }
 
 # Each argument draws its own denominator; the endpoints and equal
