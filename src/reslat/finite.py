@@ -184,7 +184,7 @@ def algebra_from_document(doc) -> FiniteAlgebra:
         raise ParseError(f"signature must be 'BL' or 'DBL', got {doc['signature']!r}") from None
 
     def known(label, where):
-        if label not in index:
+        if not isinstance(label, str) or label not in index:
             raise ParseError(f"unknown label {label!r} in {where}")
         return index[label]
 
@@ -210,7 +210,7 @@ def algebra_from_document(doc) -> FiniteAlgebra:
         for row in raw:
             idx_row = []
             for entry in row:
-                if entry not in index:
+                if not isinstance(entry, str) or entry not in index:
                     raise TableOutOfRange(f"unknown label {entry!r} in {field} table")
                 idx_row.append(index[entry])
             out.append(idx_row)
@@ -246,10 +246,6 @@ def loads_algebra(text: str) -> FiniteAlgebra:
 
 def load_algebra(path) -> FiniteAlgebra:
     return loads_algebra(Path(path).read_text(encoding="utf-8"))
-
-
-def dump_algebra(alg: FiniteAlgebra, path) -> None:
-    Path(path).write_text(json.dumps(algebra_to_document(alg), indent=2) + "\n", encoding="utf-8")
 
 
 # -- axiom and law checking ---------------------------------------------------

@@ -14,7 +14,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .errors import TheoremViolation
-from .finite import FiniteAlgebra, algebra_from_document, check_axioms, check_derived_laws
+from .finite import algebra_from_document, check_axioms, check_derived_laws
 from .reports import all_ok
 
 
@@ -116,10 +116,6 @@ def build_all() -> dict[str, dict]:
         "bool4": _validated(boolean_algebra(2)),
         "l4-corrupt": corrupt_lukasiewicz_4(),
     }
-
-
-def fixture_algebra(name: str) -> FiniteAlgebra:
-    return algebra_from_document(build_all()[name])
 
 
 def write_fixture_files(directory) -> list[Path]:

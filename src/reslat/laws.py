@@ -9,14 +9,23 @@ sides.  So a BL-algebra is checked by running the DBL form on its order dual
 and renaming the reports with :func:`as_bl` (B1..B15, BL1..BL5), which also
 rewords the notes that name the order or a constant.
 
-Laws are written against a :class:`LawContext`, so the same definitions run
-over unit-interval grids and over finite table-driven algebras.
+Laws are data, written against a :class:`LawContext`, so the same
+definitions run over unit-interval grids and over finite table-driven
+algebras.  A term is a variable (``a``..``d``, indices into the tuple),
+``ZERO`` or ``ONE``, or ``(op, term, term)`` with ``op`` one of the
+context's operations or ``"eq"``.  A clause ``(lhs, rel, rhs, note)`` holds
+at a tuple where ``lhs == rhs`` (rel ``"="``) or ``le(rhs, lhs)`` (rel
+``">="``); where it fails, the tuple, both sides and the note are a witness.
+DBL2..DBL5 and D1..D15 are clause lists, all checked by :func:`_sweep`;
+only the lattice axiom DBL1 is written out by hand.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, replace
+from itertools import repeat
 from typing import Any, Callable, Iterable
 
 from .reports import LawReport, Violation
@@ -46,142 +55,131 @@ class LawContext:
     fmt: Callable[[Any], str]
 
 
-# Each checker returns a list of (lhs, rhs, note) triples for failed clauses.
+# -- terms and clauses --------------------------------------------------------
 
+a, b, c, d = range(4)
+ZERO, ONE = "zero", "one"
+S, R, M, J, LE, EQ = ((lambda x, y, op=op: (op, x, y)) for op in ("star", "res", "meet", "join", "le", "eq"))
 
-def _d1(ctx, a, b, c):
-    out = []
-    ab, ba = ctx.star(a, b), ctx.star(b, a)
-    if ab != ba:
-        out.append((ab, ba, "star not commutative"))
-    lhs, rhs = ctx.star(ab, c), ctx.star(a, ctx.star(b, c))
-    if lhs != rhs:
-        out.append((lhs, rhs, "star not associative"))
-    return out
-
-
-def _d2(ctx, a):
-    lhs = ctx.star(a, ctx.one)
-    return [] if lhs == ctx.one else [(lhs, ctx.one, "a*1 != 1")]
-
-
-def _d3(ctx, a, b):
-    out = []
-    lhs = ctx.star(a, ctx.res(a, b))
-    if not ctx.le(b, lhs):
-        out.append((lhs, b, "a*(a->b) < b"))
-    rhs = ctx.res(b, ctx.star(a, b))
-    if not ctx.le(rhs, a):
-        out.append((a, rhs, "a < b->(a*b)"))
-    return out
-
-
-def _d4(ctx, a, b):
-    left, right = ctx.le(b, a), ctx.res(a, b) == ctx.zero
-    return [] if left == right else [(left, right, "a>=b iff a->b=0")]
-
-
-def _d5(ctx, a, b, c):
-    if not ctx.le(b, a):
-        return []
-    out = []
-    if not ctx.le(ctx.star(b, c), ctx.star(a, c)):
-        out.append((ctx.star(a, c), ctx.star(b, c), "star not monotone"))
-    if not ctx.le(ctx.res(c, b), ctx.res(c, a)):
-        out.append((ctx.res(c, a), ctx.res(c, b), "res not monotone in 2nd arg"))
-    if not ctx.le(ctx.res(a, c), ctx.res(b, c)):
-        out.append((ctx.res(b, c), ctx.res(a, c), "res not antitone in 1st arg"))
-    return out
-
-
-def _d6(ctx, a, b, c):
-    lhs = ctx.star(ctx.meet(a, b), c)
-    rhs = ctx.meet(ctx.star(a, c), ctx.star(b, c))
-    return [] if lhs == rhs else [(lhs, rhs, "star does not distribute over inf")]
-
-
-def _d7(ctx, a, b):
-    out = []
-    if not ctx.le(a, ctx.star(a, b)):
-        out.append((ctx.star(a, b), a, "a*b < a"))
-    if not ctx.le(ctx.res(b, a), a):
-        out.append((a, ctx.res(b, a), "a < b->a"))
-    return out
-
-
-def _d8(ctx, a, b):
-    lhs = ctx.meet(a, b)
-    rhs = ctx.join(ctx.res(ctx.res(a, b), b), ctx.res(ctx.res(b, a), a))
-    return [] if lhs == rhs else [(lhs, rhs, "inf identity fails")]
-
-
-def _d9(ctx, a, b, c):
-    lhs, rhs = ctx.res(a, b), ctx.res(ctx.res(b, c), ctx.res(a, c))
-    return [] if ctx.le(rhs, lhs) else [(lhs, rhs, "(a->b) < ((b->c)->(a->c))")]
-
-
-def _d10(ctx, a, b, c):
-    lhs, rhs = ctx.star(ctx.res(a, b), ctx.res(b, c)), ctx.res(a, c)
-    return [] if ctx.le(rhs, lhs) else [(lhs, rhs, "(a->b)*(b->c) < (a->c)")]
-
-
-def _d11(ctx, a, b, c):
-    lhs = ctx.res(a, ctx.res(b, c))
-    rhs = ctx.res(ctx.star(a, b), c)
-    return [] if lhs == rhs else [(lhs, rhs, "exchange fails")]
-
-
-def _d12(ctx, a, b, c):
-    lhs = ctx.res(a, ctx.res(b, c))
-    rhs = ctx.res(b, ctx.res(a, c))
-    return [] if lhs == rhs else [(lhs, rhs, "permutation fails")]
-
-
-def _d13(ctx, a):
-    lhs = ctx.res(a, a)
-    return [] if lhs == ctx.zero else [(lhs, ctx.zero, "a->a != 0")]
-
-
-def _d14(ctx, a, b, c):
-    lhs, rhs = ctx.res(a, b), ctx.res(ctx.star(a, c), ctx.star(b, c))
-    return [] if ctx.le(rhs, lhs) else [(lhs, rhs, "(a->b) < (a*c)->(b*c)")]
-
-
-def _d15(ctx, a, b, c, d):
-    lhs = ctx.star(ctx.res(a, b), ctx.res(c, d))
-    rhs = ctx.res(ctx.star(a, c), ctx.star(b, d))
-    return [] if ctx.le(rhs, lhs) else [(lhs, rhs, "(a->b)*(c->d) < (a*c)->(b*d)")]
-
-
-D_LAWS: list[tuple[str, int, Callable]] = [
-    ("D1", 3, _d1),
-    ("D2", 1, _d2),
-    ("D3", 2, _d3),
-    ("D4", 2, _d4),
-    ("D5", 3, _d5),
-    ("D6", 3, _d6),
-    ("D7", 2, _d7),
-    ("D8", 2, _d8),
-    ("D9", 3, _d9),
-    ("D10", 3, _d10),
-    ("D11", 3, _d11),
-    ("D12", 3, _d12),
-    ("D13", 1, _d13),
-    ("D14", 3, _d14),
-    ("D15", 4, _d15),
+# (law id, arity, guard, clauses): the law holds at a tuple where the guard
+# term is false or every clause holds.
+D_LAWS: list[tuple[str, int, Any, tuple]] = [
+    ("D1", 3, None, (
+        (S(a, b), "=", S(b, a), "star not commutative"),
+        (S(S(a, b), c), "=", S(a, S(b, c)), "star not associative"),
+    )),
+    ("D2", 1, None, ((S(a, ONE), "=", ONE, "a*1 != 1"),)),
+    ("D3", 2, None, (
+        (S(a, R(a, b)), ">=", b, "a*(a->b) < b"),
+        (a, ">=", R(b, S(a, b)), "a < b->(a*b)"),
+    )),
+    ("D4", 2, None, ((LE(b, a), "=", EQ(R(a, b), ZERO), "a>=b iff a->b=0"),)),
+    ("D5", 3, LE(b, a), (
+        (S(a, c), ">=", S(b, c), "star not monotone"),
+        (R(c, a), ">=", R(c, b), "res not monotone in 2nd arg"),
+        (R(b, c), ">=", R(a, c), "res not antitone in 1st arg"),
+    )),
+    ("D6", 3, None, ((S(M(a, b), c), "=", M(S(a, c), S(b, c)), "star does not distribute over inf"),)),
+    ("D7", 2, None, (
+        (S(a, b), ">=", a, "a*b < a"),
+        (a, ">=", R(b, a), "a < b->a"),
+    )),
+    ("D8", 2, None, ((M(a, b), "=", J(R(R(a, b), b), R(R(b, a), a)), "inf identity fails"),)),
+    ("D9", 3, None, ((R(a, b), ">=", R(R(b, c), R(a, c)), "(a->b) < ((b->c)->(a->c))"),)),
+    ("D10", 3, None, ((S(R(a, b), R(b, c)), ">=", R(a, c), "(a->b)*(b->c) < (a->c)"),)),
+    ("D11", 3, None, ((R(a, R(b, c)), "=", R(S(a, b), c), "exchange fails"),)),
+    ("D12", 3, None, ((R(a, R(b, c)), "=", R(b, R(a, c)), "permutation fails"),)),
+    ("D13", 1, None, ((R(a, a), "=", ZERO, "a->a != 0"),)),
+    ("D14", 3, None, ((R(a, b), ">=", R(S(a, c), S(b, c)), "(a->b) < (a*c)->(b*c)"),)),
+    ("D15", 4, None, ((S(R(a, b), R(c, d)), ">=", R(S(a, c), S(b, d)), "(a->b)*(c->d) < (a*c)->(b*d)"),)),
 ]
 
 
-def run_law(ctx, law_id: str, arity: int, check: Callable) -> LawReport:
-    """Exhaustive sweep of one law over all element tuples of its arity."""
-    report = LawReport(law_id)
+def _axioms(x, y, z):
+    """DBL2..DBL5 in the D_LAWS form, with the adjunction at (x, y, z).  The
+    monoid axiom is three entries, unit, commutativity and associativity,
+    that fill one report."""
+    return [
+        ("DBL2", 1, None, ((S(a, ZERO), "=", a, "unit fails"),)),
+        ("DBL2", 2, None, ((S(a, b), "=", S(b, a), "not commutative"),)),
+        ("DBL2", 3, None, ((S(S(a, b), c), "=", S(a, S(b, c)), "not associative"),)),
+        ("DBL3", 3, None, ((LE(R(y, z), x), "=", LE(z, S(x, y)), "residuation biconditional fails"),)),
+        ("DBL4", 2, None, ((J(a, b), "=", S(a, R(a, b)), ""),)),
+        ("DBL5", 2, None, ((M(R(a, b), R(b, a)), "=", ZERO, ""),)),
+    ]
+
+
+# Keyed by ``bl``: BL3 at (a, b, c) is DBL3 at (c, a, b).
+_AXIOMS = {False: _axioms(a, b, c), True: _axioms(c, a, b)}
+
+
+# -- the sweep ------------------------------------------------------------------
+
+
+def _compile(ctx, term, last: int, elements: tuple):
+    """``(fn, is_row)``: ``fn(prefix)`` is the term's value at the values of
+    the variables before ``last``, or, where the term reads ``last``, an
+    iterator of its values along ``elements``."""
+    if isinstance(term, int):
+        return ((lambda prefix: elements), True) if term == last else (operator.itemgetter(term), False)
+    if isinstance(term, str):
+        value = getattr(ctx, term)
+        return (lambda prefix: value), False
+    op, x, y = term
+    f, n = operator.eq if op == "eq" else getattr(ctx, op), len(elements)
+    (fx, x_row), (fy, y_row) = _compile(ctx, x, last, elements), _compile(ctx, y, last, elements)
+    if x_row and y_row:
+        return (lambda p: map(f, fx(p), fy(p))), True
+    if x_row:
+        return (lambda p: map(f, fx(p), repeat(fy(p), n))), True
+    if y_row:
+        return (lambda p: map(f, repeat(fx(p), n), fy(p))), True
+    return (lambda p: f(fx(p), fy(p))), False
+
+
+def _row(ctx, term, last: int, elements: tuple):
+    """The term along the row, a scalar repeated once per element."""
+    fn, is_row = _compile(ctx, term, last, elements)
+    n = len(elements)
+    return fn if is_row else (lambda p: repeat(fn(p), n))
+
+
+def _sweep(ctx, report: LawReport, arity: int, guard, clauses) -> LawReport:
+    """Check ``clauses`` at every ``arity``-tuple of elements, where ``guard``
+    holds, into ``report``.
+
+    For each prefix of all variables but the last, in itertools.product
+    order, every clause is evaluated along the whole row of the last
+    variable.  A prefix where some clause fails is walked again a tuple at a
+    time, clause by clause, so the witnesses come in the order of a
+    tuple-at-a-time sweep.
+    """
     elements = tuple(ctx.elements())
-    for args in itertools.product(elements, repeat=arity):
-        report.checked += 1
-        for lhs, rhs, note in check(ctx, *args):
-            report.register(
-                Violation(law_id, tuple(ctx.fmt(a) for a in args), ctx.fmt(lhs), ctx.fmt(rhs), note)
-            )
+    last, fmt = arity - 1, ctx.fmt
+    report.checked += len(elements) ** arity
+    # holds(rhs, lhs): "=" is symmetric, and ">=" is le(rhs, lhs).
+    compiled = [
+        (_row(ctx, lhs, last, elements), operator.eq if rel == "=" else ctx.le, _row(ctx, rhs, last, elements), note)
+        for lhs, rel, rhs, note in clauses
+    ]
+    if guard is not None:
+        guard, guard_row = _compile(ctx, guard, last, elements)
+        if guard_row:
+            raise ValueError("a guard may read only the variables before the last")
+    for prefix in itertools.product(elements, repeat=last):
+        if guard is not None and not guard(prefix):
+            continue
+        for lhs, holds, rhs, _ in compiled:
+            if not all(map(holds, rhs(prefix), lhs(prefix))):
+                break
+        else:
+            continue
+        rows = [(list(lhs(prefix)), holds, list(rhs(prefix)), note) for lhs, holds, rhs, note in compiled]
+        for k, x in enumerate(elements):
+            for lhs, holds, rhs, note in rows:
+                if not holds(rhs[k], lhs[k]):
+                    args = tuple(map(fmt, prefix + (x,)))
+                    report.register(Violation(report.law_id, args, fmt(lhs[k]), fmt(rhs[k]), note))
     return report
 
 
@@ -189,8 +187,8 @@ def run_catalogue(ctx, laws, ids=None) -> list[LawReport]:
     """Run a law catalogue, optionally restricted to a set of law ids."""
     wanted = None if ids is None else {i.upper() for i in ids}
     return [
-        run_law(ctx, law_id, arity, check)
-        for law_id, arity, check in laws
+        _sweep(ctx, LawReport(law_id), arity, guard, clauses)
+        for law_id, arity, guard, clauses in laws
         if wanted is None or law_id in wanted
     ]
 
@@ -203,59 +201,19 @@ def check_signature_axioms(ctx: LawContext, bl: bool = False) -> list[LawReport]
     swept in BL argument order: BL3 at (a, b, c) is DBL3 at (c, a, b).  The
     reports keep the DBL ids either way.
     """
-    elements = tuple(ctx.elements())
-    star, res, le, fmt, zero = ctx.star, ctx.res, ctx.le, ctx.fmt, ctx.zero
-    pairs = tuple(itertools.product(elements, repeat=2))
-
+    le, fmt, zero, one = ctx.le, ctx.fmt, ctx.zero, ctx.one
     lattice = LawReport("DBL1")
-    for a, b in pairs:
+    for x, y in itertools.product(ctx.elements(), repeat=2):
         lattice.checked += 1
-        m, j = ctx.meet(a, b), ctx.join(a, b)
-        if not (le(m, a) and le(m, b) and le(a, j) and le(b, j)):
-            lattice.register(Violation("DBL1", (fmt(a), fmt(b)), fmt(m), fmt(j), "bounds fail"))
-        if not (le(zero, a) and le(a, ctx.one)):
-            lattice.register(Violation("DBL1", (fmt(a),), fmt(zero), fmt(ctx.one), "0/1 not extreme"))
-
-    monoid = LawReport("DBL2")
-    for a in elements:
-        monoid.checked += 1
-        if star(a, zero) != a:
-            monoid.register(Violation("DBL2", (fmt(a),), fmt(star(a, zero)), fmt(a), "unit fails"))
-    for a, b in pairs:
-        monoid.checked += 1
-        if star(a, b) != star(b, a):
-            monoid.register(Violation("DBL2", (fmt(a), fmt(b)), fmt(star(a, b)), fmt(star(b, a)), "not commutative"))
-    for a, b, c in itertools.product(elements, repeat=3):
-        monoid.checked += 1
-        lhs, rhs = star(star(a, b), c), star(a, star(b, c))
-        if lhs != rhs:
-            monoid.register(Violation("DBL2", (fmt(a), fmt(b), fmt(c)), fmt(lhs), fmt(rhs), "not associative"))
-
-    adjunction = LawReport("DBL3")
-    for a, b, c in itertools.product(elements, repeat=3):
-        adjunction.checked += 1
-        x, y, z = (c, a, b) if bl else (a, b, c)
-        left, right = le(res(y, z), x), le(z, star(x, y))
-        if left != right:
-            adjunction.register(
-                Violation("DBL3", (fmt(a), fmt(b), fmt(c)), left, right, "residuation biconditional fails")
-            )
-
-    divisibility = LawReport("DBL4")
-    for a, b in pairs:
-        divisibility.checked += 1
-        lhs, rhs = ctx.join(a, b), star(a, res(a, b))
-        if lhs != rhs:
-            divisibility.register(Violation("DBL4", (fmt(a), fmt(b)), fmt(lhs), fmt(rhs)))
-
-    prelinearity = LawReport("DBL5")
-    for a, b in pairs:
-        prelinearity.checked += 1
-        got = ctx.meet(res(a, b), res(b, a))
-        if got != zero:
-            prelinearity.register(Violation("DBL5", (fmt(a), fmt(b)), fmt(got), fmt(zero)))
-
-    return [lattice, monoid, adjunction, divisibility, prelinearity]
+        m, j = ctx.meet(x, y), ctx.join(x, y)
+        if not (le(m, x) and le(m, y) and le(x, j) and le(y, j)):
+            lattice.register(Violation("DBL1", (fmt(x), fmt(y)), fmt(m), fmt(j), "bounds fail"))
+        if not (le(zero, x) and le(x, one)):
+            lattice.register(Violation("DBL1", (fmt(x),), fmt(zero), fmt(one), "0/1 not extreme"))
+    reports = {"DBL1": lattice}
+    for law_id, arity, guard, clauses in _AXIOMS[bl]:
+        _sweep(ctx, reports.setdefault(law_id, LawReport(law_id)), arity, guard, clauses)
+    return list(reports.values())
 
 
 # Report ids and notes of the DBL form -> the BL wording of the same check.

@@ -235,7 +235,7 @@ def tuples_checked(grid: int, grid4: int, laws_grid: int, ids=()) -> int:
     signature axioms at most at 16, the continuity contracts at ``grid4``
     and the D-laws ``ids`` at ``laws_grid``."""
     m, s, n, k = grid + 1, min(grid, 16) + 1, grid4 + 1, laws_grid + 1
-    arity = {law_id: arity for law_id, arity, _ in D_LAWS}
+    arity = {law_id: arity for law_id, arity, _, _ in D_LAWS}
     return 3 * m**2 + 2 * m**3 + (2 * s**3 + 4 * s**2 + s) + 5 * n**4 + sum(k ** arity[i] for i in ids)
 
 

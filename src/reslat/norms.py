@@ -71,9 +71,6 @@ class NormFamily:
         return f"{self.kind.value} {'t-norm' if self.side is NormSide.TNORM else 's-norm'}"
 
 
-CONTINUOUS_KINDS = (NormKind.LUKASIEWICZ, NormKind.GOEDEL, NormKind.PRODUCT)
-
-
 # Every closed form and residuum is written once, as an integer kernel on
 # the arguments' numerators and denominators, x = a/b and y = c/d with b, d > 0:
 # ``kernel(a, b, c, d)`` returns the result as a (numerator, denominator)

@@ -46,7 +46,6 @@ class LawReport:
     checked: int = 0
     failures: int = 0
     witnesses: list[Violation] = field(default_factory=list)
-    note: str = ""
 
     @property
     def ok(self) -> bool:
@@ -62,24 +61,19 @@ class LawReport:
             self.witnesses.append(violation)
 
     def to_dict(self) -> dict:
-        d = {
+        return {
             "law": self.law_id,
             "status": self.status,
             "checked": self.checked,
             "failures": self.failures,
             "witnesses": [w.to_dict() for w in self.witnesses],
         }
-        if self.note:
-            d["note"] = self.note
-        return d
 
     def lines(self) -> list[str]:
         head = f"{self.law_id}: {self.status} ({self.checked} checked"
         if self.failures:
             head += f", {self.failures} failures"
         head += ")"
-        if self.note:
-            head += f" [{self.note}]"
         return [head] + ["  " + w.format_line() for w in self.witnesses]
 
 

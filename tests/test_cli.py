@@ -213,6 +213,34 @@ class TestAlgebra:
         assert code == 2 and out == ""
         assert err == f"error: carrier size {MAX_LISTED_CARRIER + 1} exceeds the listing limit {MAX_LISTED_CARRIER}\n"
 
+    @pytest.mark.parametrize(
+        "command", [["algebra", "check"], ["algebra", "dualize"], ["eval", "p -> p", "--sweep", "--algebra"]]
+    )
+    @pytest.mark.parametrize(
+        "field, label, where",
+        [
+            ("bottom", ["0"], "bottom"),
+            ("top", {"a": 1}, "top"),
+            ("leq", [["0"], "1"], "leq"),
+            ("star", ["0"], "star table"),
+            ("arrow", {"0": "1"}, "arrow table"),
+        ],
+    )
+    def test_non_string_label_exit_2(self, capsys, tmp_path, fixtures_dir, command, field, label, where):
+        doc = json.loads((fixtures_dir / "l4.alg").read_text(encoding="utf-8"))
+        if field == "leq":
+            doc["leq"][0] = label
+            label = label[0]
+        elif field in ("star", "arrow"):
+            doc[field][1][2] = label
+        else:
+            doc[field] = label
+        path = tmp_path / "bad.alg"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = run(capsys, *command, str(path))
+        assert code == 2 and out == ""
+        assert err == f"error: unknown label {label!r} in {where}\n"
+
 
 class TestEval:
     def test_assign(self, capsys):
