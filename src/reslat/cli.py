@@ -253,7 +253,7 @@ def cmd_eval(args) -> int:
     on_carrier = args.algebra is not None
     if args.sweep is not None and (args.assign is not None or args.assign_file is not None):
         raise ValueError("--sweep evaluates every valuation; it cannot be given with --assign or --assign-file")
-    if on_carrier and args.sweep:
+    if on_carrier and args.sweep is not None and args.sweep is not True:
         raise ValueError("--sweep N sets a grid for --t-algebra; --algebra sweeps its carrier")
     formula = formulas.parse(args.formula)
     if on_carrier:
@@ -281,7 +281,7 @@ def cmd_eval(args) -> int:
         if on_carrier:
             domain = algebra.labels
         else:
-            denominator = args.sweep or _default_grid()
+            denominator = _default_grid() if args.sweep is True else args.sweep
             if denominator > MAX_SWEEP:
                 raise ValueError(f"sweep grid denominator {denominator} is over the limit of {MAX_SWEEP}")
             domain = unitval.GridSpec(denominator).points()
@@ -352,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     backend.add_argument("--algebra", metavar="FILE")
     evaluate_cmd.add_argument("--assign", metavar="A=V,...")
     evaluate_cmd.add_argument("--assign-file", metavar="FILE")
-    evaluate_cmd.add_argument("--sweep", type=int, nargs="?", const=0, metavar="N")
+    evaluate_cmd.add_argument("--sweep", type=int, nargs="?", const=True, metavar="N")  # bare: True, never an N
     evaluate_cmd.add_argument("--format", choices=["text", "json"], default="text")
     evaluate_cmd.add_argument("--approx", action="store_true")
     evaluate_cmd.set_defaults(func=cmd_eval)

@@ -26,9 +26,9 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
+from operator import itemgetter
 
 from .errors import (
     DrasticNotResiduated,
@@ -42,58 +42,70 @@ from .reports import LawReport, Violation
 from .unitval import ONE, ZERO, GridSpec, UnitValue, parse_unit
 
 
-class Formula:
+class Formula(tuple):
+    """An immutable formula node: the tagged tuple (type, *fields), fields named
+    by ``__match_args__``; so nodes compare and hash by type and fields."""
+
+    __slots__ = ()
+    __match_args__: tuple[str, ...] = ()
+
+    def __new__(cls, *fields):
+        if len(fields) != len(cls.__match_args__):
+            raise TypeError(f"{cls.__name__} takes {len(cls.__match_args__)} fields, got {len(fields)}")
+        return tuple.__new__(cls, (cls, *fields))
+
+    def __getnewargs__(self):  # copy and pickle call __new__ with the fields
+        return self[1:]
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__match_args__, self[1:]))
+        return f"{type(self).__name__}({fields})"
+
+
+class Atom(Formula):
+    __slots__ = ()
+    __match_args__ = ("name",)
+    name = property(itemgetter(1))
+
+
+class Bottom(Formula):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Atom(Formula):
-    name: str
-
-
-@dataclass(frozen=True)
-class Bottom(Formula):
-    pass
-
-
-@dataclass(frozen=True)
 class Top(Formula):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Conj(Formula):
-    lhs: Formula
-    rhs: Formula
-
-
-@dataclass(frozen=True)
-class Impl(Formula):
-    lhs: Formula
-    rhs: Formula
-
-
-@dataclass(frozen=True)
 class Neg(Formula):
-    arg: Formula
+    __slots__ = ()
+    __match_args__ = ("arg",)
+    arg = property(itemgetter(1))
 
 
-@dataclass(frozen=True)
-class Meet(Formula):
-    lhs: Formula
-    rhs: Formula
+class _Binary(Formula):
+    __slots__ = ()
+    __match_args__ = ("lhs", "rhs")
+    lhs, rhs = property(itemgetter(1)), property(itemgetter(2))
 
 
-@dataclass(frozen=True)
-class Join(Formula):
-    lhs: Formula
-    rhs: Formula
+class Conj(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Iff(Formula):
-    lhs: Formula
-    rhs: Formula
+class Impl(_Binary):
+    __slots__ = ()
+
+
+class Meet(_Binary):
+    __slots__ = ()
+
+
+class Join(_Binary):
+    __slots__ = ()
+
+
+class Iff(_Binary):
+    __slots__ = ()
 
 
 def desugar(f: Formula) -> Formula:
@@ -130,11 +142,9 @@ def atoms(f: Formula) -> tuple[str, ...]:
         match node:
             case Atom(name):
                 seen.setdefault(name, None)
-            case Bottom() | Top():
-                pass
             case Neg(arg):
                 walk(arg)
-            case Conj(l, r) | Impl(l, r) | Meet(l, r) | Join(l, r) | Iff(l, r):
+            case _Binary(l, r):
                 walk(l)
                 walk(r)
 
@@ -151,12 +161,11 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
 class _Token:
-    kind: str
-    text: str
-    line: int
-    column: int
+    __slots__ = ("kind", "text", "line", "column")
+
+    def __init__(self, kind: str, text: str, line: int, column: int):
+        self.kind, self.text, self.line, self.column = kind, text, line, column
 
 
 def _tokenize(text: str) -> list[_Token]:
@@ -384,7 +393,7 @@ def _evaluate_core(f: Formula, atom, bottom, star, arrow):
     """Evaluate a core formula once per node object.  ``desugar`` shares
     subterms, so the core is a DAG that a tree walk would visit exponentially
     often on join chains; the memo is keyed by node identity because
-    hashing a frozen dataclass node walks its whole subtree."""
+    hashing a node walks its whole subtree."""
     memo: dict[int, object] = {}
 
     def run(node):

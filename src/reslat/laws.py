@@ -24,14 +24,11 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass, replace
 from itertools import repeat
-from typing import Any, Callable, Iterable
 
 from .reports import LawReport, Violation
 
 
-@dataclass(frozen=True, slots=True)
 class LawContext:
     """A structure in the DBL form, as the structure's own callables.
 
@@ -44,15 +41,11 @@ class LawContext:
     fmt(v)       element rendering for witnesses
     """
 
-    elements: Callable[[], Iterable]
-    star: Callable[[Any, Any], Any]
-    res: Callable[[Any, Any], Any]
-    meet: Callable[[Any, Any], Any]
-    join: Callable[[Any, Any], Any]
-    le: Callable[[Any, Any], bool]
-    zero: Any
-    one: Any
-    fmt: Callable[[Any], str]
+    __slots__ = ("elements", "star", "res", "meet", "join", "le", "zero", "one", "fmt")
+
+    def __init__(self, elements, star, res, meet, join, le, zero, one, fmt):
+        self.elements, self.star, self.res, self.meet, self.join = elements, star, res, meet, join
+        self.le, self.zero, self.one, self.fmt = le, zero, one, fmt
 
 
 # -- terms and clauses --------------------------------------------------------
@@ -63,7 +56,7 @@ S, R, M, J, LE, EQ = ((lambda x, y, op=op: (op, x, y)) for op in ("star", "res",
 
 # (law id, arity, guard, clauses): the law holds at a tuple where the guard
 # term is false or every clause holds.
-D_LAWS: list[tuple[str, int, Any, tuple]] = [
+D_LAWS: list[tuple[str, int, object, tuple]] = [
     ("D1", 3, None, (
         (S(a, b), "=", S(b, a), "star not commutative"),
         (S(S(a, b), c), "=", S(a, S(b, c)), "star not associative"),
@@ -242,6 +235,6 @@ def as_bl(reports: list[LawReport]) -> list[LawReport]:
         head = report.law_id.rstrip("0123456789")
         report.law_id = _BL_IDS[head] + report.law_id[len(head):]
         report.witnesses = [
-            replace(w, law_id=report.law_id, note=_BL_NOTES.get(w.note, w.note)) for w in report.witnesses
+            Violation(report.law_id, w.args, w.lhs, w.rhs, _BL_NOTES.get(w.note, w.note)) for w in report.witnesses
         ]
     return reports

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
@@ -26,17 +25,17 @@ from .tables import ValueTable, square
 from .unitval import ONE, ZERO, GridSpec, UnitValue
 
 
-@dataclass(frozen=True)
 class SAlgebra:
     """[0,1] with max/min, a continuous s-norm, and its residuum."""
 
-    norm: NormFamily
+    __slots__ = ("norm",)
 
-    def __post_init__(self):
-        if self.norm.side is not NormSide.SNORM:
+    def __init__(self, norm: NormFamily):
+        if norm.side is not NormSide.SNORM:
             raise ValueError("SAlgebra requires the s-norm side of a family")
-        if not self.norm.is_residuated:
+        if not norm.is_residuated:
             raise ValueError("SAlgebra requires a continuous (residuated) s-norm")
+        self.norm = norm
 
     @classmethod
     def of(cls, kind: NormKind | str) -> "SAlgebra":
@@ -55,10 +54,11 @@ class SAlgebra:
         return residuum_form(self.norm)
 
 
-@dataclass(frozen=True)
 class PairValue:
-    first: UnitValue
-    second: UnitValue
+    __slots__ = ("first", "second")
+
+    def __init__(self, first: UnitValue, second: UnitValue):
+        self.first, self.second = first, second
 
     def __str__(self) -> str:
         return f"({self.first}, {self.second})"
@@ -266,12 +266,11 @@ def dbl_axioms_check(alg: SAlgebra, g: GridSpec) -> list[LawReport]:
     return check_signature_axioms(_grid_context(alg, g))
 
 
-@dataclass(frozen=True)
 class Interval:
-    lo: UnitValue
-    lo_closed: bool
-    hi: UnitValue
-    hi_closed: bool
+    __slots__ = ("lo", "lo_closed", "hi", "hi_closed")
+
+    def __init__(self, lo: UnitValue, lo_closed: bool, hi: UnitValue, hi_closed: bool):
+        self.lo, self.lo_closed, self.hi, self.hi_closed = lo, lo_closed, hi, hi_closed
 
     def contains(self, v: UnitValue) -> bool:
         if v < self.lo or (v == self.lo and not self.lo_closed):
@@ -289,9 +288,11 @@ class Interval:
         return f"{left}{self.lo}, {self.hi}{right}"
 
 
-@dataclass(frozen=True)
 class Point:
-    value: UnitValue
+    __slots__ = ("value",)
+
+    def __init__(self, value: UnitValue):
+        self.value = value
 
     def contains(self, v: UnitValue) -> bool:
         return v == self.value
@@ -303,7 +304,6 @@ class Point:
         return f"{{{self.value}}}"
 
 
-@dataclass(frozen=True)
 class IntervalBall:
     """Open ball {b : d(center, b) < radius} with a closed-form description.
 
@@ -312,10 +312,10 @@ class IntervalBall:
     agree at every point of [0, 1] (decided by :meth:`agreement_check`).
     """
 
-    algebra: SAlgebra
-    center: UnitValue
-    radius: UnitValue
-    pieces: tuple
+    __slots__ = ("algebra", "center", "radius", "pieces")
+
+    def __init__(self, algebra: SAlgebra, center: UnitValue, radius: UnitValue, pieces: tuple):
+        self.algebra, self.center, self.radius, self.pieces = algebra, center, radius, pieces
 
     def contains(self, b: UnitValue) -> bool:
         return d_star(self.algebra, self.center, b) < self.radius

@@ -16,11 +16,10 @@ associativity and the duality identity, and is treated here as a typo).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache, partial
 from math import lcm
-from operator import le
+from operator import itemgetter, le
 
 from .errors import DrasticNotResiduated
 from .reports import LawReport, Violation
@@ -42,10 +41,18 @@ class NormSide(Enum):
     SNORM = "s"
 
 
-@dataclass(frozen=True)
-class NormFamily:
-    kind: NormKind
-    side: NormSide
+class NormFamily(tuple):
+    """A norm family on one side, as the pair (kind, side): a cache key."""
+
+    __slots__ = ()
+
+    def __new__(cls, kind: NormKind, side: NormSide):
+        return tuple.__new__(cls, (kind, side))
+
+    def __getnewargs__(self):  # copy and pickle call __new__ with the fields
+        return tuple(self)
+
+    kind, side = property(itemgetter(0)), property(itemgetter(1))
 
     @classmethod
     def t_norm(cls, kind: NormKind) -> "NormFamily":

@@ -8,18 +8,14 @@ in lexicographic order, so the first witness is deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 MAX_WITNESSES = 20
 
 
-@dataclass(frozen=True)
 class Violation:
-    law_id: str
-    args: tuple
-    lhs: object
-    rhs: object
-    note: str = ""
+    __slots__ = ("law_id", "args", "lhs", "rhs", "note")
+
+    def __init__(self, law_id: str, args: tuple, lhs, rhs, note: str = ""):
+        self.law_id, self.args, self.lhs, self.rhs, self.note = law_id, args, lhs, rhs, note
 
     def to_dict(self) -> dict:
         d = {
@@ -40,12 +36,11 @@ class Violation:
         return line
 
 
-@dataclass
 class LawReport:
-    law_id: str
-    checked: int = 0
-    failures: int = 0
-    witnesses: list[Violation] = field(default_factory=list)
+    __slots__ = ("law_id", "checked", "failures", "witnesses")
+
+    def __init__(self, law_id: str, checked: int = 0):
+        self.law_id, self.checked, self.failures, self.witnesses = law_id, checked, 0, []
 
     @property
     def ok(self) -> bool:

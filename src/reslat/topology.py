@@ -33,7 +33,6 @@ the squared carrier, pair (i, j) at bit i * n + j, for product-space work).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import reduce
 
 from .errors import CarrierTooLarge, InadmissibleRadius, TheoremViolation
@@ -152,10 +151,11 @@ def is_open(alg: FiniteAlgebra, subset) -> bool:
     return _mask_is_open(_smallest_opens(alg), _mask_of(alg, subset))
 
 
-@dataclass(frozen=True)
 class Topology:
-    algebra: FiniteAlgebra
-    masks: tuple[int, ...]
+    __slots__ = ("algebra", "masks")
+
+    def __init__(self, algebra: FiniteAlgebra, masks: tuple[int, ...]):
+        self.algebra, self.masks = algebra, masks
 
     @property
     def opens(self) -> tuple[frozenset[str], ...]:

@@ -8,7 +8,6 @@ equality/inequality tests.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
@@ -125,15 +124,21 @@ def _grid_points(denominator: int) -> tuple[UnitValue, ...]:
     return tuple(UnitValue(k, denominator) for k in range(denominator + 1))
 
 
-@dataclass(frozen=True)
 class GridSpec:
     """Uniform sampling grid {k/denominator : 0 <= k <= denominator}."""
 
-    denominator: int = 64
+    __slots__ = ("denominator",)
 
-    def __post_init__(self):
-        if self.denominator < 2:
+    def __init__(self, denominator: int = 64):
+        if denominator < 2:
             raise ValueError("grid denominator must be >= 2")
+        self.denominator = denominator
+
+    def __eq__(self, other) -> bool:
+        return type(other) is GridSpec and other.denominator == self.denominator
+
+    def __hash__(self) -> int:
+        return hash(self.denominator)
 
     def points(self) -> tuple[UnitValue, ...]:
         return _grid_points(self.denominator)

@@ -349,11 +349,24 @@ class TestEval:
         assert code == 2 and out == ""
         assert f"a sweep of {points}^2 valuations" in err
 
-    @pytest.mark.parametrize("sweep", ["3", "2"])
+    @pytest.mark.parametrize("sweep", ["3", "2", "0", "1", "-2"])
     def test_finite_sweep_takes_no_grid(self, capsys, fixtures_dir, sweep):
         code, out, err = run(capsys, "eval", "p", "--algebra", str(fixtures_dir / "g3.alg"), "--sweep", sweep)
         assert code == 2 and out == ""
         assert err == "error: --sweep N sets a grid for --t-algebra; --algebra sweeps its carrier\n"
+
+    # A typed 0 is a grid like any other N, not the bare --sweep.
+    @pytest.mark.parametrize("sweep", ["0", "1", "-2"])
+    def test_sweep_grid_below_two_refused(self, capsys, sweep):
+        code, out, err = run(capsys, "eval", "p | q", "--t-algebra", "goedel", "--sweep", sweep)
+        assert code == 2 and out == ""
+        assert err == "error: grid denominator must be >= 2\n"
+
+    def test_bare_sweep_takes_the_default_grid(self, capsys, monkeypatch):
+        monkeypatch.delenv("RESLAT_GRID", raising=False)
+        code, out, _ = run(capsys, "eval", "p", "--t-algebra", "goedel", "--sweep")
+        assert code == 0
+        assert out.splitlines()[0] == "65 distinct values over 65 valuations:"
 
     # --algebra F --sweep N is refused for its grid whatever else is given.
     @pytest.mark.parametrize("source", ["--assign", "--assign-file"])

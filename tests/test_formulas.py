@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -167,6 +169,56 @@ class TestPrinting:
     @given(formulas)
     def test_round_trip_random(self, ast):
         assert parse(to_text(ast)) == ast
+
+
+BINARY = [Conj, Impl, Meet, Join, Iff]
+
+
+class TestNodes:
+    """Nodes are immutable values: equal by type and fields, hashable, and
+    matched by positional class patterns."""
+
+    @pytest.mark.parametrize("a, b", [*itertools.permutations(BINARY, 2), (Bottom, Top), (Top, Bottom)])
+    def test_same_fields_different_type_unequal(self, a, b):
+        fields = () if a in (Bottom, Top) else (Atom("p"), Atom("q"))
+        assert a(*fields) != b(*fields)
+        assert not a(*fields) == b(*fields)
+
+    def test_equal_nodes_hash_equal_and_dedupe(self):
+        def make():
+            return Join(Conj(Atom("p"), Neg(Atom("q"))), Top())
+
+        assert make() == make() and make() is not make()
+        assert hash(make()) == hash(make())
+        assert len({make(), make(), desugar(make()), desugar(make())}) == 2
+        assert Atom("p") != ("p",) and Bottom() != ()
+
+    def test_fields_cannot_be_assigned(self):
+        node = Impl(Atom("p"), Bottom())
+        with pytest.raises(AttributeError):
+            node.lhs = Atom("q")
+        with pytest.raises(AttributeError):
+            node.extra = 1
+        with pytest.raises(AttributeError):
+            Atom("p").name = "q"
+        assert node == Impl(Atom("p"), Bottom())
+
+    def test_positional_class_patterns_match(self):
+        match parse("!p -> (q & 0)"):
+            case Impl(Neg(Atom(name)), Conj(rhs, Bottom())):
+                assert (name, rhs) == ("p", Atom("q"))
+            case _:
+                pytest.fail("class patterns did not match")
+
+    def test_arity_repr_and_copies(self):
+        with pytest.raises(TypeError):
+            Conj(Atom("p"))
+        with pytest.raises(TypeError):
+            Bottom(Atom("p"))
+        node = Conj(Atom("p"), Neg(Bottom()))
+        assert repr(node) == "Conj(lhs=Atom(name='p'), rhs=Neg(arg=Bottom()))"
+        assert copy.copy(node) == node and copy.deepcopy(node) == node
+        assert pickle.loads(pickle.dumps(node)) == node
 
 
 class TestDesugaring:

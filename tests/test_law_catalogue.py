@@ -142,6 +142,15 @@ def test_every_bl_wording_names_a_catalogue_clause():
     assert set(laws._BL_NOTES) <= notes
 
 
+def test_reports_own_their_witnesses_and_as_bl_renames_in_place():
+    first, second = LawReport("D13"), LawReport("D13")
+    first.register(Violation("D13", ("a",), "x", "y", "a->a != 0"))
+    assert second.witnesses == [] and second.ok
+    assert laws.as_bl([first]) == [first]
+    assert first.law_id == "B13"
+    assert first.witnesses[0].to_dict() == {"law": "B13", "args": ["a"], "lhs": "x", "rhs": "y", "note": "a->a != 1"}
+
+
 def test_a_guard_reading_the_row_is_refused():
     ctx = dbl_context(ALGEBRAS["l4"])
     with pytest.raises(ValueError):

@@ -27,7 +27,8 @@ FIXTURES = ROOT / "fixtures"
 
 # Prints, as JSON, the reslat modules whose bodies ran while it imported
 # reslat (or reslat.cli) or ran ``python -m reslat ARGV``, and which
-# reslat modules and whether ``fractions`` are in sys.modules afterwards.
+# reslat modules, and which of ``fractions``, ``dataclasses`` and
+# ``inspect``, are in sys.modules afterwards.
 PROBE = """
 import json, runpy, sys
 executed = set()
@@ -49,6 +50,8 @@ with open(out, "w", encoding="utf-8") as handle:
         "executed": sorted(executed),
         "registered": sorted(m for m in sys.modules if m == "reslat" or m.startswith("reslat.")),
         "fractions": "fractions" in sys.modules,
+        "dataclasses": "dataclasses" in sys.modules,
+        "inspect": "inspect" in sys.modules,
     }, handle)
 """
 
@@ -91,6 +94,8 @@ def test_command_executes_only_its_layers(tmp_path, argv, never):
     doc = probe(tmp_path, "run", *argv)
     assert "cli" in doc["executed"]  # the command ran
     assert not doc["executed"] & never
+    # Records are plain classes: no command loads the dataclass machinery.
+    assert not doc["dataclasses"] and not doc["inspect"]
 
 
 def test_algebra_check_runs_no_fraction_arithmetic(tmp_path):
@@ -115,6 +120,7 @@ def test_import_cli_registers_every_traced_module(tmp_path):
     assert traced <= set(doc["registered"])
     # Registered, not run: only the package, the CLI and its exception types.
     assert doc["executed"] == {"__init__", "cli", "errors"}
+    assert not doc["dataclasses"] and not doc["inspect"]
 
 
 # The package's exports, by module, as they were when the package imported

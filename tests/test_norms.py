@@ -1,3 +1,4 @@
+import copy
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from reslat.norms import (
     NormSide,
     adjointness_check,
     apply_norm,
+    closed_form,
     dual_check,
     duality_check,
     dualize,
@@ -18,6 +20,7 @@ from reslat.norms import (
     oracle_agreement_check,
     ordering_chain_check,
     residuum,
+    residuum_form,
     residuum_oracle,
 )
 from reslat.unitval import ONE, ZERO, GridSpec, UnitValue
@@ -61,6 +64,10 @@ class TestDuality:
         f = S[NormKind.PRODUCT]
         assert dualize(f).side is NormSide.TNORM
         assert dualize(dualize(f)) == f
+        # An equal family built afresh is the same key of the form caches.
+        rebuilt = dualize(dualize(f))
+        assert rebuilt is not f and hash(rebuilt) == hash(f) and copy.copy(f) == f
+        assert closed_form(rebuilt) is closed_form(f) and residuum_form(rebuilt) is residuum_form(f)
 
     @pytest.mark.parametrize("kind", list(NormKind))
     def test_exhaustive_on_grid(self, kind):

@@ -60,8 +60,10 @@ def test_grid_points():
     assert g.points() == tuple(UnitValue(k, 4) for k in range(5))
     assert len(g) == 5
     assert GridSpec().denominator == 64
-    with pytest.raises(ValueError):
-        GridSpec(1)
+    assert GridSpec(4) == g and hash(GridSpec(4)) == hash(g) and GridSpec(5) != g
+    for refused in (1, 0, -2):
+        with pytest.raises(ValueError, match="grid denominator must be >= 2"):
+            GridSpec(refused)
 
 
 def construction(make):
