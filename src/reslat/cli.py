@@ -2,11 +2,10 @@
 
 Subcommands: ``norms``, ``metric``, ``algebra``, ``eval``.  All numeric
 input and output is exact rational (``p/q`` or finite decimals on input);
-decimal renderings appear only under ``--approx``.  Exit codes: 0 when all
-executed checks pass, 1 when a check fails, 2 for usage and precondition
-errors.  The environment variable ``RESLAT_GRID`` overrides the default
-grid denominator of the commands that sweep a grid: ``norms``, ``metric``
-and ``eval --t-algebra ... --sweep``.
+decimal renderings appear only under ``--approx`` (``metric --ball`` and
+``eval``).  Exit codes: 0 when all executed checks pass, 1 when a check
+fails, 2 for usage and precondition errors.  A command's output depends
+only on its arguments and input files; ``--help`` prints each grid default.
 """
 
 from __future__ import annotations
@@ -14,11 +13,10 @@ from __future__ import annotations
 import argparse
 import importlib.util
 import json
-import os
 import re
 import sys
 
-from .errors import DrasticNotResiduated, ReslatError, TheoremViolation
+from .errors import ReslatError, TheoremViolation
 
 
 def _lazy(name: str):
@@ -56,6 +54,9 @@ RESIDUATED_NAMES = ["lukasiewicz", "goedel", "product"]
 # benchmark run (33^2) is 120 times smaller.
 MAX_SWEEP = 1 << 17
 
+# The grid denominator of a bare ``eval --t-algebra ... --sweep``.
+SWEEP_GRID = 64
+
 
 # The most tuples one ``norms`` or ``metric`` command checks: the sum of the
 # ``checked`` counts of its reports, computed before any sweep starts.  On a
@@ -66,21 +67,6 @@ MAX_SWEEP = 1 << 17
 # tests and the benchmark run, ``norms --all --grid 64`` with 4,213,712
 # tuples, is 10.7 times below it.
 MAX_TUPLES = 45_000_000
-
-
-def _default_grid() -> int:
-    """The grid denominator from ``RESLAT_GRID``, or 64; read only by the
-    commands that sweep a grid."""
-    raw = os.environ.get("RESLAT_GRID")
-    if raw is None:
-        return 64
-    try:
-        denominator = int(raw)
-    except ValueError:
-        raise ValueError(f"RESLAT_GRID must be an integer, got {raw!r}") from None
-    if denominator < 2:
-        raise ValueError(f"RESLAT_GRID must be >= 2, got {raw}")
-    return denominator
 
 
 def _refuse_over_budget(tuples: int) -> None:
@@ -140,8 +126,6 @@ def _parse_law_selector(selector: str, prefix: str, count: int) -> list[str]:
 
 
 def cmd_norms(args) -> int:
-    if args.grid is None:
-        args.grid = _default_grid()
     grid = unitval.GridSpec(args.grid)
     NormKind, NormSide = norms.NormKind, norms.NormSide
     if args.all:
@@ -152,8 +136,6 @@ def cmd_norms(args) -> int:
     sections = []
     notes = []
     for kind in kinds:
-        if args.residuum and kind is NormKind.DRASTIC:
-            raise DrasticNotResiduated("the drastic family has no residuum")
         for side in (NormSide.TNORM, NormSide.SNORM):
             family = norms.NormFamily(kind, side)
             sections.append((f"{family.describe()}: axioms", norms.norm_axioms_check(family, grid)))
@@ -161,7 +143,7 @@ def cmd_norms(args) -> int:
         if kind is not NormKind.DRASTIC:
             family = norms.NormFamily.s_norm(kind)
             sections.append((f"{kind.value}: adjointness", [norms.adjointness_check(family, grid)]))
-            oracle_grid = unitval.GridSpec(min(args.grid, 16))
+            oracle_grid = unitval.GridSpec(min(args.grid, norms.MAX_ORACLE_GRID))
             sections.append(
                 (f"{kind.value}: residuum vs oracle", [norms.oracle_agreement_check(family, oracle_grid)])
             )
@@ -183,7 +165,7 @@ def cmd_metric(args) -> int:
     alg = metric.SAlgebra.of(args.family)
     if args.ball:
         center_text, _, radius_text = args.ball.partition(",")
-        if not radius_text:
+        if not center_text.strip() or not radius_text.strip():
             raise ValueError("--ball expects CENTER,RADIUS")
         center, radius = unitval.parse_unit(center_text), unitval.parse_unit(radius_text)
         ball = metric.interval_ball(alg, center, radius)
@@ -198,8 +180,6 @@ def cmd_metric(args) -> int:
         }
         return _emit(args, [("ball closed form vs predicate", [agreement])], extra=extra)
 
-    if args.grid is None:
-        args.grid = min(_default_grid(), 32)
     ids = ()
     if args.laws:
         # Refuse a bad selector or laws grid before any sweep runs.
@@ -207,11 +187,12 @@ def cmd_metric(args) -> int:
         laws_grid = unitval.GridSpec(args.laws_grid)
     grid = unitval.GridSpec(args.grid)
     grid4 = unitval.GridSpec(args.grid4)
+    axioms_grid = unitval.GridSpec(min(args.grid, metric.MAX_AXIOM_GRID))
     _refuse_over_budget(metric.tuples_checked(args.grid, args.grid4, args.laws_grid, ids))
     sections = [
         ("induced distance: closed form", [metric.d_star_closed_form_check(alg, grid)]),
         ("induced distance: metric axioms", metric.metric_axioms_check(alg, grid)),
-        ("signature axioms on the grid", metric.dbl_axioms_check(alg, unitval.GridSpec(min(args.grid, 16)))),
+        ("signature axioms on the grid", metric.dbl_axioms_check(alg, axioms_grid)),
         ("continuity contracts", metric.continuity_inequalities_check(alg, grid4)),
     ]
     notes = []
@@ -281,7 +262,7 @@ def cmd_eval(args) -> int:
         if on_carrier:
             domain = algebra.labels
         else:
-            denominator = _default_grid() if args.sweep is True else args.sweep
+            denominator = SWEEP_GRID if args.sweep is True else args.sweep
             if denominator > MAX_SWEEP:
                 raise ValueError(f"sweep grid denominator {denominator} is over the limit of {MAX_SWEEP}")
             domain = unitval.GridSpec(denominator).points()
@@ -322,18 +303,16 @@ def build_parser() -> argparse.ArgumentParser:
     group = norms_cmd.add_mutually_exclusive_group(required=True)
     group.add_argument("--family", choices=FAMILY_NAMES)
     group.add_argument("--all", action="store_true")
-    norms_cmd.add_argument("--grid", type=int, metavar="N")
-    norms_cmd.add_argument("--residuum", action="store_true", help="require residuum checks (errors for drastic)")
+    norms_cmd.add_argument("--grid", type=int, default=64, metavar="N", help="grid denominator (default: %(default)s)")
     norms_cmd.add_argument("--format", choices=["text", "json"], default="text")
-    norms_cmd.add_argument("--approx", action="store_true")
     norms_cmd.set_defaults(func=cmd_norms)
 
     metric_cmd = sub.add_parser("metric", help="induced metric checks and interval balls")
     metric_cmd.add_argument("--family", choices=RESIDUATED_NAMES, required=True)
-    metric_cmd.add_argument("--grid", type=int, metavar="N")
-    metric_cmd.add_argument("--grid4", type=int, default=16, metavar="N", help="denominator for 4-tuple sweeps")
+    metric_cmd.add_argument("--grid", type=int, default=32, metavar="N", help="grid denominator (default: %(default)s)")
+    metric_cmd.add_argument("--grid4", type=int, default=16, metavar="N", help="4-tuple grid (default: %(default)s)")
     metric_cmd.add_argument("--laws", metavar="SPEC", help="derived-law selector, e.g. d1..d15 or d3,d10")
-    metric_cmd.add_argument("--laws-grid", type=int, default=8, metavar="N")
+    metric_cmd.add_argument("--laws-grid", type=int, default=8, metavar="N", help="--laws grid (default: %(default)s)")
     metric_cmd.add_argument("--ball", metavar="CENTER,RADIUS", help="print the ball closed form")
     metric_cmd.add_argument("--format", choices=["text", "json"], default="text")
     metric_cmd.add_argument("--approx", action="store_true")
@@ -352,7 +331,8 @@ def build_parser() -> argparse.ArgumentParser:
     backend.add_argument("--algebra", metavar="FILE")
     evaluate_cmd.add_argument("--assign", metavar="A=V,...")
     evaluate_cmd.add_argument("--assign-file", metavar="FILE")
-    evaluate_cmd.add_argument("--sweep", type=int, nargs="?", const=True, metavar="N")  # bare: True, never an N
+    sweep_help = f"evaluate all valuations on the --algebra carrier or the --t-algebra grid of N (bare: {SWEEP_GRID})"
+    evaluate_cmd.add_argument("--sweep", type=int, nargs="?", const=True, metavar="N", help=sweep_help)  # bare: True
     evaluate_cmd.add_argument("--format", choices=["text", "json"], default="text")
     evaluate_cmd.add_argument("--approx", action="store_true")
     evaluate_cmd.set_defaults(func=cmd_eval)

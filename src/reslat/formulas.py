@@ -154,8 +154,9 @@ def atoms(f: Formula) -> tuple[str, ...]:
 
 # -- tokenizer / parser --------------------------------------------------------
 
+_ATOM = re.compile(r"[a-z][a-zA-Z0-9_]*")
 _TOKEN_RE = re.compile(
-    r"(?P<ws>\s+)|(?P<atom>[a-z][a-zA-Z0-9_]*)|(?P<iff><->)|(?P<impl>->)"
+    rf"(?P<ws>\s+)|(?P<atom>{_ATOM.pattern})|(?P<iff><->)|(?P<impl>->)"
     r"|(?P<zero>0)|(?P<one>1)|(?P<lparen>\()|(?P<rparen>\))"
     r"|(?P<neg>!)|(?P<conj>&)|(?P<meet>\^)|(?P<join>\|)"
 )
@@ -424,8 +425,8 @@ def parse_valuation(text: str, finite: bool = False) -> dict:
     """Valuation text: comma- or newline-separated ``atom = value`` entries.
 
     Values are rationals (``p/q`` or finite decimals) for unit-interval
-    evaluation, or carrier labels when ``finite`` is set.  An atom given
-    twice is refused with ValueError.
+    evaluation, or carrier labels when ``finite`` is set.  An entry whose
+    name is not an atom, and an atom given twice, are refused with ValueError.
     """
     assignment: dict = {}
     entries = [e for chunk in text.splitlines() for e in chunk.split(",")]
@@ -437,6 +438,8 @@ def parse_valuation(text: str, finite: bool = False) -> dict:
             raise ValueError(f"valuation entry {entry!r} is not 'atom = value'")
         name, _, value = entry.partition("=")
         name, value = name.strip(), value.strip()
+        if not _ATOM.fullmatch(name):
+            raise ValueError(f"valuation entry {entry!r} does not name an atom")
         if name in assignment:
             raise ValueError(f"atom {name!r} is assigned more than once")
         assignment[name] = value if finite else parse_unit(value)

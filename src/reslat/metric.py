@@ -24,6 +24,9 @@ from .reports import LawReport, Violation
 from .tables import ValueTable, square
 from .unitval import ONE, ZERO, GridSpec, UnitValue
 
+# The largest grid denominator ``reslat metric`` checks the signature axioms on.
+MAX_AXIOM_GRID = 16
+
 
 class SAlgebra:
     """[0,1] with max/min, a continuous s-norm, and its residuum."""
@@ -232,9 +235,9 @@ def tuples_checked(grid: int, grid4: int, laws_grid: int, ids=()) -> int:
     """The sum of the ``checked`` counts of the reports ``reslat metric``
     makes: the closed form and the metric axioms at ``grid`` (with the
     numeric triangle: every s-norm here is below Lukasiewicz's), the
-    signature axioms at most at 16, the continuity contracts at ``grid4``
-    and the D-laws ``ids`` at ``laws_grid``."""
-    m, s, n, k = grid + 1, min(grid, 16) + 1, grid4 + 1, laws_grid + 1
+    signature axioms at most at MAX_AXIOM_GRID, the continuity contracts at
+    ``grid4`` and the D-laws ``ids`` at ``laws_grid``."""
+    m, s, n, k = grid + 1, min(grid, MAX_AXIOM_GRID) + 1, grid4 + 1, laws_grid + 1
     arity = {law_id: arity for law_id, arity, _, _ in D_LAWS}
     return 3 * m**2 + 2 * m**3 + (2 * s**3 + 4 * s**2 + s) + 5 * n**4 + sum(k ** arity[i] for i in ids)
 

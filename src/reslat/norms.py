@@ -25,6 +25,9 @@ from .errors import DrasticNotResiduated
 from .reports import LawReport, Violation
 from .unitval import GridSpec, UnitValue
 
+# The largest grid denominator ``reslat norms`` runs the residuum oracle on.
+MAX_ORACLE_GRID = 16
+
 # The grid checkers import reslat.tables when they run: evaluating formulas
 # needs only the scalar forms, so an ``eval`` process never loads it.
 
@@ -314,9 +317,9 @@ def norm_axioms_check(f: NormFamily, g: GridSpec) -> list[LawReport]:
 def tuples_checked(kinds, grid: int) -> int:
     """The sum of the ``checked`` counts of the reports ``reslat norms``
     makes for ``kinds`` at denominator ``grid``: the norm axioms and duality
-    of each kind, adjointness and the oracle (at most at 16) of each
-    residuated kind, and the two ordering chains."""
-    m, oracle = grid + 1, min(grid, 16) + 1
+    of each kind, adjointness and the oracle (at most at MAX_ORACLE_GRID) of
+    each residuated kind, and the two ordering chains."""
+    m, oracle = grid + 1, min(grid, MAX_ORACLE_GRID) + 1
     axioms = m**3 + m**2 + m * m * (m + 1) // 2 + m
     residuated = sum(kind is not NormKind.DRASTIC for kind in kinds)
     return len(kinds) * (2 * axioms + m**2) + residuated * (m**3 + oracle**2) + 2 * 3 * m**2

@@ -96,9 +96,9 @@ def check_digits(value: Fraction, what: str) -> Fraction:
 def parse_unit(text: str) -> UnitValue:
     """Parse 'p/q', an integer, or a finite decimal as an exact UnitValue.
 
-    A decimal exponent beyond MAX_EXPONENT in magnitude, and a number written
-    with more than MAX_DIGITS digits, are refused with ValueError before any
-    digits are expanded.
+    Other text is refused with ValueError, and so are a decimal exponent
+    beyond MAX_EXPONENT in magnitude and a number written with more than
+    MAX_DIGITS digits, before any digits are expanded.
     """
     text = text.strip()
     match = _EXPONENT.search(text)
@@ -108,7 +108,11 @@ def parse_unit(text: str) -> UnitValue:
             raise ValueError(f"decimal exponent exceeds {MAX_EXPONENT} in magnitude")
     if any(len(run.replace("_", "")) > MAX_DIGITS for run in _DIGIT_RUN.findall(text)):
         raise ValueError(f"input value has a number of more than {MAX_DIGITS} digits")
-    return UnitValue(Fraction(text))
+    try:
+        value = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"{text!r} is not a number") from None
+    return UnitValue(value)
 
 
 def format_unit(value: Fraction, approx: bool = False) -> str:

@@ -44,11 +44,6 @@ class TestNorms:
         assert code == 0
         assert "result: PASS" in out
 
-    def test_drastic_residuum_is_precondition_error(self, capsys):
-        code, _, err = run(capsys, "norms", "--family", "drastic", "--residuum", "--grid", "8")
-        assert code == 2
-        assert "drastic" in err
-
     def test_drastic_without_residuum_passes(self, capsys):
         code, out, _ = run(capsys, "norms", "--family", "drastic", "--grid", "8")
         assert code == 0
@@ -64,6 +59,21 @@ class TestNorms:
         with pytest.raises(SystemExit) as exc:
             main(["norms", "--family", "frank"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("option", ["--residuum", "--approx"])
+    def test_removed_options_are_usage_errors(self, capsys, option):
+        with pytest.raises(SystemExit) as exc:
+            main(["norms", "--family", "drastic", "--grid", "4", option])
+        _, err = capsys.readouterr()
+        assert exc.value.code == 2
+        assert err.startswith("usage: ") and f"unrecognized arguments: {option}" in err
+
+    def test_help_prints_the_grid_default(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["norms", "--help"])
+        out, _ = capsys.readouterr()
+        assert exc.value.code == 0
+        assert "(default: 64)" in out and "--residuum" not in out and "--approx" not in out
 
 
 class TestMetric:
@@ -89,6 +99,22 @@ class TestMetric:
         code, _, err = run(capsys, "metric", "--family", "lukasiewicz", "--ball", "1/2,0")
         assert code == 2
         assert "radius" in err
+
+    @pytest.mark.parametrize(
+        "ball, message",
+        [
+            ("1/0,1/2", "'1/0' is not a number"),
+            ("1/2,1/0", "'1/0' is not a number"),
+            ("x,1/2", "'x' is not a number"),
+            (",1/2", "--ball expects CENTER,RADIUS"),
+            (" ,1/2", "--ball expects CENTER,RADIUS"),
+            ("1/2,", "--ball expects CENTER,RADIUS"),
+            ("1/2", "--ball expects CENTER,RADIUS"),
+        ],
+    )
+    def test_ball_malformed_exit_2(self, capsys, ball, message):
+        code, out, err = run(capsys, "metric", "--family", "product", "--ball", ball)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
     @pytest.mark.parametrize("ball", ["1e-1000000000,1/2", "1/2,1e-1000000000"])
     def test_ball_huge_exponent_fails_fast(self, capsys, ball):
@@ -295,6 +321,25 @@ class TestEval:
         assert code == 2 and out == ""
         assert err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("text", ["", "1/0", "abc", "1/2/3", "0x1"])
+    def test_assign_not_a_number_exit_2(self, capsys, text):
+        code, out, err = run(capsys, "eval", "p", "--t-algebra", "goedel", "--assign", f"p={text}")
+        assert (code, out, err) == (2, "", f"error: {text!r} is not a number\n")
+
+    @pytest.mark.parametrize("backend", [["--t-algebra", "goedel"], ["--algebra", "g3.alg"]])
+    @pytest.mark.parametrize("source", ["--assign", "--assign-file"])
+    @pytest.mark.parametrize("entry", ["=1", "P=1", "1x=1", "p q=1"])
+    def test_assign_to_a_non_atom_exit_2(self, capsys, tmp_path, fixtures_dir, backend, source, entry):
+        if backend[0] == "--algebra":
+            backend = ["--algebra", str(fixtures_dir / "g3.alg")]
+        text = f"p=1,{entry}"
+        if source == "--assign-file":
+            path = tmp_path / "valuation.txt"
+            path.write_text(f"p = 1\n{entry}\n", encoding="utf-8")
+            text = str(path)
+        code, out, err = run(capsys, "eval", "p", *backend, source, text)
+        assert (code, out, err) == (2, "", f"error: valuation entry {entry!r} does not name an atom\n")
+
     def test_syntax_error_position_exit_2(self, capsys):
         code, _, err = run(capsys, "eval", "p -> (", "--t-algebra", "product", "--assign", "p=1")
         assert code == 2
@@ -362,8 +407,7 @@ class TestEval:
         assert code == 2 and out == ""
         assert err == "error: grid denominator must be >= 2\n"
 
-    def test_bare_sweep_takes_the_default_grid(self, capsys, monkeypatch):
-        monkeypatch.delenv("RESLAT_GRID", raising=False)
+    def test_bare_sweep_takes_the_default_grid(self, capsys):
         code, out, _ = run(capsys, "eval", "p", "--t-algebra", "goedel", "--sweep")
         assert code == 0
         assert out.splitlines()[0] == "65 distinct values over 65 valuations:"
@@ -410,37 +454,9 @@ class TestOutputStability:
 
 
 class TestEnvironment:
-    def test_grid_env_override(self, capsys, monkeypatch):
-        monkeypatch.setenv("RESLAT_GRID", "4")
-        code, out, _ = run(capsys, "norms", "--family", "goedel", "--format", "json")
-        assert code == 0
-        doc = json.loads(out)
-        ordering = next(s for s in doc["sections"] if s["title"] == "ordering chains")
-        assert ordering["reports"][0]["checked"] == 3 * 25
+    """A command's output depends only on its arguments and input files."""
 
-    def test_bad_env_value(self, capsys, monkeypatch):
-        monkeypatch.setenv("RESLAT_GRID", "1")
-        code, _, err = run(capsys, "norms", "--family", "goedel")
-        assert code == 2
-        assert "RESLAT_GRID" in err
-
-    @pytest.mark.parametrize("value", ["1", "abc"])
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["norms", "--family", "goedel"],
-            ["metric", "--family", "goedel"],
-            ["eval", "p", "--t-algebra", "goedel", "--sweep"],
-        ],
-        ids=["norms", "metric", "eval-sweep"],
-    )
-    def test_bad_env_value_refused_by_every_grid_sweep(self, capsys, monkeypatch, argv, value):
-        monkeypatch.setenv("RESLAT_GRID", value)
-        code, out, err = run(capsys, *argv)
-        assert code == 2 and out == ""
-        assert err.startswith("error: RESLAT_GRID must be") and err.count("\n") == 1
-
-    @pytest.mark.parametrize("value", ["1", "abc"])
+    @pytest.mark.parametrize("value", ["4", "1", "abc"])
     @pytest.mark.parametrize(
         "argv",
         [
@@ -450,13 +466,16 @@ class TestEnvironment:
             ["eval", "p -> q", "--t-algebra", "goedel", "--assign", "p=1/2,q=1/3"],
             ["eval", "p", "--algebra", "g3.alg", "--sweep"],
             ["eval", "p", "--t-algebra", "product", "--sweep", "4"],
+            ["eval", "p", "--t-algebra", "goedel", "--sweep"],
             ["metric", "--family", "product", "--ball", "1/2,1/4"],
-            ["norms", "--family", "goedel", "--grid", "4"],
+            ["metric", "--family", "goedel", "--grid4", "2"],
             ["metric", "--family", "goedel", "--grid", "4", "--grid4", "2"],
+            ["norms", "--family", "goedel"],
+            ["norms", "--family", "goedel", "--grid", "4"],
         ],
-        ids=lambda argv: " ".join(argv[:2]) + (" " + argv[-2] if argv[0] != "algebra" else ""),
+        ids=" ".join,
     )
-    def test_commands_without_a_default_grid_ignore_the_env(self, capsys, monkeypatch, fixtures_dir, argv, value):
+    def test_grid_env_changes_nothing(self, capsys, monkeypatch, fixtures_dir, argv, value):
         argv = [str(fixtures_dir / a) if a.endswith(".alg") else a for a in argv]
         monkeypatch.delenv("RESLAT_GRID", raising=False)
         expected = run(capsys, *argv)
@@ -512,13 +531,6 @@ class TestSweepBudget:
         assert time.perf_counter() - start < 0.5
         assert code == 2 and out == ""
         assert err.startswith("error: a sweep of ") and err.endswith(f" tuples is over the limit of {reslat.cli.MAX_TUPLES}\n")
-
-    def test_env_grid_over_the_budget_refused(self, capsys, monkeypatch):
-        monkeypatch.setenv("RESLAT_GRID", "5000")
-        code, out, err = run(capsys, "norms", "--family", "goedel")
-        tuples = reslat.norms.tuples_checked([reslat.norms.NormKind.GOEDEL], 5000)
-        assert code == 2 and out == ""
-        assert err == f"error: a sweep of {tuples} tuples is over the limit of {reslat.cli.MAX_TUPLES}\n"
 
     def test_just_under_the_budget_is_accepted(self, capsys, monkeypatch):
         grid = 2

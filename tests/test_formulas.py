@@ -420,6 +420,18 @@ class TestValuations:
         with pytest.raises(ValueError, match="^atom 'p' is assigned more than once$"):
             parse_valuation(text, finite=finite)
 
+    @pytest.mark.parametrize("finite", [False, True])
+    @pytest.mark.parametrize("entry", ["=1/2", "P=1/2", "1x=0", "p q=1", "p-1=0", "_p=1"])
+    def test_name_that_is_not_an_atom_is_refused(self, entry, finite):
+        with pytest.raises(ValueError) as exc:
+            parse_valuation(f"p=1, {entry}", finite=finite)
+        assert str(exc.value) == f"valuation entry {entry!r} does not name an atom"
+
+    @pytest.mark.parametrize("name", ["p", "q1", "xY_2", "a_"])
+    def test_every_atom_name_is_accepted(self, name):
+        assert parse(name) == Atom(name)
+        assert parse_valuation(f"{name}=1") == {name: ONE}
+
     def test_atoms_helper(self):
         assert atoms(parse("(p -> q) | (q -> p)")) == ("p", "q")
         assert atoms(parse("0 -> 0")) == ()

@@ -36,6 +36,20 @@ def test_parse_exponent_limit():
             parse_unit(text)
 
 
+@pytest.mark.parametrize("text", ["", "  ", "1/0", "0/0", "abc", "1/2/3", "nan", "inf", "0x1", "1/-2"])
+def test_parse_refuses_text_that_is_not_a_number(text):
+    with pytest.raises(ValueError) as exc:
+        parse_unit(text)
+    assert str(exc.value) == f"{text.strip()!r} is not a number"
+
+
+def test_parse_keeps_the_range_and_digit_messages():
+    with pytest.raises(ValueError, match=r"^value 3/2 outside \[0, 1\]$"):
+        parse_unit("3/2")
+    with pytest.raises(ValueError, match="^input value has a number of more than 4300 digits$"):
+        parse_unit("1/" + "9" * 5000)
+
+
 @given(units, units)
 def test_clamped_ops_exact(x, y):
     assert x.add_clamped(y) == min(Fraction(1), Fraction(x) + Fraction(y))
