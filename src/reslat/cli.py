@@ -2,17 +2,18 @@
 
 Subcommands: ``norms``, ``metric``, ``algebra``, ``eval``.  All numeric
 input and output is exact rational (``p/q`` or finite decimals on input);
-decimal renderings appear only under ``--approx`` (``metric --ball`` and
-``eval``).  Exit codes: 0 when all executed checks pass, 1 when a check
-fails, 2 for usage and precondition errors.  A command's output depends
-only on its arguments and input files; ``--help`` prints each grid default.
+decimal renderings appear only under ``--approx``, which applies to
+``metric --ball`` and to a single ``eval --t-algebra`` value printed as
+text, and is refused with exit 2 elsewhere.  Exit codes: 0 when all
+executed checks pass, 1 when a check fails, 2 for usage and precondition
+errors.  A command's output depends only on its arguments and input
+files; ``--help`` prints each grid default.
 """
 
 from __future__ import annotations
 
 import argparse
 import importlib.util
-import json
 import re
 import sys
 
@@ -57,6 +58,8 @@ MAX_SWEEP = 1 << 17
 # The grid denominator of a bare ``eval --t-algebra ... --sweep``.
 SWEEP_GRID = 64
 
+_APPROX_ONLY = "--approx applies only to metric --ball and to a single eval --t-algebra value printed as text"
+
 
 # The most tuples one ``norms`` or ``metric`` command checks: the sum of the
 # ``checked`` counts of its reports, computed before any sweep starts.  On a
@@ -74,6 +77,12 @@ def _refuse_over_budget(tuples: int) -> None:
         raise ValueError(f"a sweep of {tuples} tuples is over the limit of {MAX_TUPLES}")
 
 
+def _print_json(doc, indent=2) -> None:
+    import json  # only JSON output loads it
+
+    print(json.dumps(doc, indent=indent))
+
+
 def _emit(args, sections, notes=(), extra=None) -> int:
     ok = all(reports.all_ok(section) for _, section in sections)
     if args.format == "json":
@@ -88,7 +97,7 @@ def _emit(args, sections, notes=(), extra=None) -> int:
             doc["notes"] = list(notes)
         if extra:
             doc.update(extra)
-        print(json.dumps(doc, indent=2))
+        _print_json(doc)
     else:
         for title, section in sections:
             print(f"== {title}")
@@ -162,6 +171,8 @@ def cmd_norms(args) -> int:
 
 
 def cmd_metric(args) -> int:
+    if args.approx and not args.ball:
+        raise ValueError(_APPROX_ONLY)
     alg = metric.SAlgebra.of(args.family)
     if args.ball:
         center_text, _, radius_text = args.ball.partition(",")
@@ -169,9 +180,8 @@ def cmd_metric(args) -> int:
             raise ValueError("--ball expects CENTER,RADIUS")
         center, radius = unitval.parse_unit(center_text), unitval.parse_unit(radius_text)
         ball = metric.interval_ball(alg, center, radius)
-        for piece in ball.pieces:
-            for end in piece.ends():
-                unitval.check_digits(end, "ball end")
+        for end in (ball.piece.lo, ball.piece.hi):
+            unitval.check_digits(end, "ball end")
         agreement = ball.agreement_check()
         extra = {
             "ball": ball.describe(),
@@ -205,12 +215,12 @@ def cmd_metric(args) -> int:
 def cmd_algebra(args) -> int:
     alg = finite.load_algebra(args.file)
     if args.action == "dualize":
-        print(json.dumps(finite.algebra_to_document(finite.dualize_algebra(alg)), indent=2))
+        _print_json(finite.algebra_to_document(finite.dualize_algebra(alg)))
         return 0
     if args.action == "topology":
         topo = topology.enumerate_topology(alg)
         if args.format == "json":
-            print(json.dumps({"open_sets": topo.export_lines(), "count": len(topo)}, indent=2))
+            _print_json({"open_sets": topo.export_lines(), "count": len(topo)})
         else:
             for line in topo.export_lines():
                 print(line)
@@ -236,6 +246,8 @@ def cmd_eval(args) -> int:
         raise ValueError("--sweep evaluates every valuation; it cannot be given with --assign or --assign-file")
     if on_carrier and args.sweep is not None and args.sweep is not True:
         raise ValueError("--sweep N sets a grid for --t-algebra; --algebra sweeps its carrier")
+    if args.approx and (on_carrier or args.sweep is not None or args.format == "json"):
+        raise ValueError(_APPROX_ONLY)
     formula = formulas.parse(args.formula)
     if on_carrier:
         algebra = finite.load_algebra(args.algebra)
@@ -253,7 +265,7 @@ def cmd_eval(args) -> int:
         value = formulas.evaluate(formula, algebra, valuation)
         rendered = value if on_carrier else unitval.format_unit(unitval.check_digits(value, "result"), args.approx)
         if args.format == "json":
-            print(json.dumps({"value": str(value)}))
+            _print_json({"value": str(value)}, indent=None)
         else:
             print(rendered)
         return 0
@@ -280,7 +292,7 @@ def cmd_eval(args) -> int:
                 "values": [str(v) for v in values],
                 "constant": str(values[0]) if len(values) == 1 else None,
             }
-            print(json.dumps(doc, indent=2))
+            _print_json(doc)
         elif len(values) == 1:
             print(f"constant {values[0]} over {len(results)} valuations")
         else:
@@ -337,11 +349,19 @@ def build_parser() -> argparse.ArgumentParser:
     evaluate_cmd.add_argument("--approx", action="store_true")
     evaluate_cmd.set_defaults(func=cmd_eval)
 
+    for command in sub.choices.values():
+        command.set_defaults(parser=command)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser()
+    args, unknown = parser.parse_known_args(argv)
+    if unknown:
+        # Options before the subcommand's name are the top-level parser's; the rest are the subcommand's.
+        owner = parser if set(unknown) & set(argv[: argv.index(args.command)]) else args.parser
+        owner.error(f"unrecognized arguments: {' '.join(unknown)}")
     try:
         return args.func(args)
     except TheoremViolation as exc:

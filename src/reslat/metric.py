@@ -201,6 +201,7 @@ def continuity_inequalities_check(alg: SAlgebra, g: GridSpec) -> list[LawReport]
     res_g, star_g = square(res, n), square(star, n)
     res_t = [list(col) for col in zip(*res_g)]
     pairs = list(itertools.product(rng, repeat=2))
+    pair_pts = [(pts[b1], pts[b2]) for b1, b2 in pairs]
     # Rows over (b1, b2): a table entry at (b1, b2), at (a, b1) repeated for
     # each b2, or at (a, b2) tiled for each b1.
     star_b, res_b = [star_g[b1][b2] for b1, b2 in pairs], [res_g[b1][b2] for b1, b2 in pairs]
@@ -221,13 +222,9 @@ def continuity_inequalities_check(alg: SAlgebra, g: GridSpec) -> list[LawReport]
                 (res.map(res_b, [r_a] * len(pairs)), star.map(res_rep[a1], res_t_tile[a2])),
                 (res.row(r_a, res_b), star.map(res_t_rep[a1], res_tile[a2])),
             )
-            if all(table.all_le(lhs, rhs) for lhs, rhs in rows):
-                continue
-            for k, (b1, b2) in enumerate(pairs):
-                for report, (lhs, rhs) in zip(reports, rows):
-                    if not le(lhs[k], rhs[k]):
-                        tup = (pts[a1], pts[a2], pts[b1], pts[b2])
-                        report.register(Violation(report.law_id, tup, values[lhs[k]], values[rhs[k]]))
+            for report, (lhs, rhs) in zip(reports, rows):
+                if not table.all_le(lhs, rhs):
+                    report.register_row(lhs, rhs, lambda k: (pts[a1], pts[a2], *pair_pts[k]), values.__getitem__, le)
     return reports
 
 
@@ -282,52 +279,36 @@ class Interval:
             return False
         return True
 
-    def ends(self) -> tuple:
-        return (self.lo, self.hi)
-
     def describe(self) -> str:
+        if self.lo == self.hi and self.lo_closed and self.hi_closed:
+            return f"{{{self.lo}}}"
         left = "[" if self.lo_closed else "("
         right = "]" if self.hi_closed else ")"
         return f"{left}{self.lo}, {self.hi}{right}"
 
 
-class Point:
-    __slots__ = ("value",)
-
-    def __init__(self, value: UnitValue):
-        self.value = value
-
-    def contains(self, v: UnitValue) -> bool:
-        return v == self.value
-
-    def ends(self) -> tuple:
-        return (self.value,)
-
-    def describe(self) -> str:
-        return f"{{{self.value}}}"
-
-
 class IntervalBall:
     """Open ball {b : d(center, b) < radius} with a closed-form description.
 
-    The description is a union of at most two intervals/points; membership
-    can always be decided from the raw metric predicate, and the two must
-    agree at every point of [0, 1] (decided by :meth:`agreement_check`).
+    The description is one interval ``piece`` (a point is a closed
+    interval with equal ends); membership can always be decided from the raw
+    metric predicate, and the two must agree at every point of [0, 1]
+    (decided by :meth:`agreement_check`).
     """
 
-    __slots__ = ("algebra", "center", "radius", "pieces")
+    __slots__ = ("algebra", "center", "radius", "piece")
 
-    def __init__(self, algebra: SAlgebra, center: UnitValue, radius: UnitValue, pieces: tuple):
-        self.algebra, self.center, self.radius, self.pieces = algebra, center, radius, pieces
+    def __init__(self, algebra: SAlgebra, center: UnitValue, radius: UnitValue, piece: Interval):
+        self.algebra, self.center, self.radius, self.piece = algebra, center, radius, piece
 
     def contains(self, b: UnitValue) -> bool:
         return d_star(self.algebra, self.center, b) < self.radius
 
     def closed_form_contains(self, b: UnitValue) -> bool:
-        return any(p.contains(b) for p in self.pieces)
+        return self.piece.contains(b)
 
     def describe(self) -> str:
-        return " U ".join(p.describe() for p in self.pieces)
+        return self.piece.describe()
 
     def agreement_check(self) -> LawReport:
         """The closed form against the predicate on all of [0, 1], exactly.
@@ -337,15 +318,12 @@ class IntervalBall:
         For the three families d(c, .) takes the value r at most once on
         each side of c, or (Goedel) on all of [0, c).  So the predicate is
         constant between neighbouring cut points (0, c, 1, R(r, c), S(c, r))
-        and the closed form between neighbouring piece endpoints: checking
-        every cut point, every endpoint, and the midpoint between each
+        and the closed form between its two endpoints: checking every cut
+        point, both endpoints, and the midpoint between each
         neighbouring pair of them decides agreement everywhere.
         """
         alg, c, r = self.algebra, self.center, self.radius
-        cuts = {ZERO, ONE, c, alg.res(r, c), alg.star(c, r)}
-        for piece in self.pieces:
-            cuts.update(piece.ends())
-        cuts = sorted(cuts)
+        cuts = sorted({ZERO, ONE, c, alg.res(r, c), alg.star(c, r), self.piece.lo, self.piece.hi})
         probes = sorted(cuts + [UnitValue((lo + hi) / 2) for lo, hi in zip(cuts, cuts[1:])])
         report = LawReport("ball-closed-form")
         for b in probes:
@@ -374,20 +352,20 @@ def interval_ball(alg: SAlgebra, center: UnitValue, radius: UnitValue) -> Interv
         raise InvalidRadius("ball radius must lie in (0, 1]")
     kind = alg.norm.kind
     if kind is NormKind.LUKASIEWICZ:
-        pieces = (_clamped_open_interval(center - radius, center + radius),)
+        piece = _clamped_open_interval(center - radius, center + radius)
     elif kind is NormKind.GOEDEL:
         if radius <= center:
-            pieces = (Point(center),)
+            piece = Interval(center, True, center, True)
         else:
-            pieces = (Interval(ZERO, True, radius, False),)
+            piece = Interval(ZERO, True, radius, False)
     else:
         # Product: invert |a-b| / (1 - min(a, b)) < r around a.
         if center == ONE:
-            pieces = (Point(ONE),)
+            piece = Interval(ONE, True, ONE, True)
         elif radius == ONE:
-            pieces = (Interval(ZERO, True, ONE, False),)
+            piece = Interval(ZERO, True, ONE, False)
         else:
             lo = (center - radius) / (1 - radius)
             hi = center + radius * (1 - center)
-            pieces = (_clamped_open_interval(lo, hi),)
-    return IntervalBall(alg, center, radius, pieces)
+            piece = _clamped_open_interval(lo, hi)
+    return IntervalBall(alg, center, radius, piece)

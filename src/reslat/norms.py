@@ -245,10 +245,7 @@ def adjointness_check(f: NormFamily, g: GridSpec) -> LawReport:
         else:
             left, right = list(map(le, a_row, res_r[b])), list(map(le, n_row, grid_r))
         if left != right:
-            for c in rng:
-                if left[c] != right[c]:
-                    tup = (pts[a], pts[b], pts[c])
-                    report.register(Violation(law, tup, left[c], right[c], "biconditional mismatch"))
+            report.register_row(left, right, lambda c: (pts[a], pts[b], pts[c]), bool, note="biconditional mismatch")
     return report
 
 
@@ -278,39 +275,24 @@ def norm_axioms_check(f: NormFamily, g: GridSpec) -> list[LawReport]:
 
     # Each law compares whole rows over its last variable; only a row that
     # differs is swept again, to register its witnesses in tuple order.
+    show = values.__getitem__
     assoc = LawReport("associativity", m**3)
     for x, y in itertools.product(rng, repeat=2):
         lhs, rhs = norm.row(grid_tab[x][y], rng), norm.row(x, grid_tab[y])
         if lhs != rhs:
-            for z in rng:
-                if lhs[z] != rhs[z]:
-                    assoc.register(
-                        Violation("associativity", (pts[x], pts[y], pts[z]), values[lhs[z]], values[rhs[z]])
-                    )
+            assoc.register_row(lhs, rhs, lambda z: (pts[x], pts[y], pts[z]), show)
     comm = LawReport("commutativity", m**2)
     for x in rng:
-        row, col = grid_tab[x], cols[x]
-        if row != col:
-            for y in rng:
-                if row[y] != col[y]:
-                    comm.register(Violation("commutativity", (pts[x], pts[y]), values[row[y]], values[col[y]]))
+        if grid_tab[x] != cols[x]:
+            comm.register_row(grid_tab[x], cols[x], lambda y: (pts[x], pts[y]), show)
     mono = LawReport("monotonicity", m * m * (m + 1) // 2)
     ranks = table.ranked(grid_tab)
     for x1, x2 in itertools.combinations_with_replacement(rng, 2):
         if not all(map(le, ranks[x1], ranks[x2])):
-            row_lo, row_hi = grid_tab[x1], grid_tab[x2]
-            for y in rng:
-                if not le(ranks[x1][y], ranks[x2][y]):
-                    mono.register(
-                        Violation("monotonicity", (pts[x1], pts[x2], pts[y]), values[row_lo[y]], values[row_hi[y]])
-                    )
+            mono.register_row(grid_tab[x1], grid_tab[x2], lambda y: (pts[x1], pts[x2], pts[y]), show, table.le)
     unit_idx = m - 1 if f.side is NormSide.TNORM else 0
-    boundary = LawReport("boundary")
-    for x in rng:
-        boundary.checked += 1
-        got = grid_tab[unit_idx][x]
-        if got != x:
-            boundary.register(Violation("boundary", (pts[unit_idx], pts[x]), values[got], pts[x]))
+    boundary = LawReport("boundary", m)
+    boundary.register_row(grid_tab[unit_idx], rng, lambda x: (pts[unit_idx], pts[x]), show)
     return [assoc, comm, mono, boundary]
 
 
@@ -333,11 +315,8 @@ def ordering_chain_check(side: NormSide, g: GridSpec) -> LawReport:
     """
     from .tables import ValueTable, square
 
-    if side is NormSide.TNORM:
-        chain = [NormKind.DRASTIC, NormKind.LUKASIEWICZ, NormKind.PRODUCT, NormKind.GOEDEL]
-    else:
-        chain = [NormKind.GOEDEL, NormKind.PRODUCT, NormKind.LUKASIEWICZ, NormKind.DRASTIC]
-    families = [NormFamily(k, side) for k in chain]
+    chain = [NormKind.DRASTIC, NormKind.LUKASIEWICZ, NormKind.PRODUCT, NormKind.GOEDEL]
+    families = [NormFamily(k, side) for k in (chain if side is NormSide.TNORM else reversed(chain))]
     pts = g.points()
     m = len(pts)
     table = ValueTable(pts)
@@ -385,7 +364,5 @@ def duality_check(kind: NormKind, g: GridSpec) -> LawReport:
         s_row = s_norm.row(x, rng)
         t_row = complement.row(0, t_norm.row(top - x, flipped))
         if s_row != t_row:
-            for y in rng:
-                if s_row[y] != t_row[y]:
-                    report.register(Violation("duality", (pts[x], pts[y]), values[s_row[y]], values[t_row[y]]))
+            report.register_row(s_row, t_row, lambda y: (pts[x], pts[y]), values.__getitem__)
     return report

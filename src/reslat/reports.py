@@ -55,6 +55,14 @@ class LawReport:
         if len(self.witnesses) < MAX_WITNESSES:
             self.witnesses.append(violation)
 
+    def register_row(self, lhs, rhs, args, show, holds=None, note: str = "") -> None:
+        """Register a violation at each position ``k``, in order, where
+        ``holds(lhs[k], rhs[k])`` is false (``==`` when ``holds`` is None):
+        its tuple is ``args(k)`` and its sides the two entries through ``show``."""
+        for k, (x, y) in enumerate(zip(lhs, rhs)):
+            if not (x == y if holds is None else holds(x, y)):
+                self.register(Violation(self.law_id, args(k), show(x), show(y), note))
+
     def to_dict(self) -> dict:
         return {
             "law": self.law_id,

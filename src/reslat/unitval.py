@@ -18,9 +18,8 @@ class UnitValue(Fraction):
 
     Construction rejects anything outside the interval and refuses floats
     (which would smuggle rounding into the core).  Inherited Fraction
-    arithmetic returns plain Fractions; use :meth:`add_clamped` and
-    :meth:`sub_clamped` for the truncated operations that stay inside
-    the interval.
+    arithmetic returns plain Fractions; wrap a result in ``UnitValue`` to
+    bring it back into the interval, with its range check.
     """
 
     __slots__ = ()
@@ -47,23 +46,9 @@ class UnitValue(Fraction):
             raise ValueError(f"value {Fraction(self)} outside [0, 1]")
         return self
 
-    def add_clamped(self, other) -> "UnitValue":
-        """min(1, self + other), exact."""
-        total = self + Fraction(other)
-        return UnitValue(total if total <= 1 else 1)
-
-    def sub_clamped(self, other) -> "UnitValue":
-        """max(0, self - other), exact."""
-        diff = self - Fraction(other)
-        return UnitValue(diff if diff >= 0 else 0)
-
     def complement(self) -> "UnitValue":
         """1 - self."""
         return UnitValue(1 - self)
-
-    def divide(self, other) -> "UnitValue":
-        """self / other; requires other != 0 and a quotient inside [0, 1]."""
-        return UnitValue(self / Fraction(other))
 
     def __repr__(self) -> str:
         return f"UnitValue({self})"

@@ -66,7 +66,8 @@ class TestNorms:
             main(["norms", "--family", "drastic", "--grid", "4", option])
         _, err = capsys.readouterr()
         assert exc.value.code == 2
-        assert err.startswith("usage: ") and f"unrecognized arguments: {option}" in err
+        assert err.startswith("usage: reslat norms ")
+        assert err.endswith(f"\nreslat norms: error: unrecognized arguments: {option}\n")
 
     def test_help_prints_the_grid_default(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -74,6 +75,36 @@ class TestNorms:
         out, _ = capsys.readouterr()
         assert exc.value.code == 0
         assert "(default: 64)" in out and "--residuum" not in out and "--approx" not in out
+
+
+@pytest.mark.parametrize(
+    "argv, unknown",
+    [
+        (["metric", "--family", "goedel", "--grid", "4", "--residuum"], "--residuum"),
+        (["algebra", "check", "l4.alg", "--approx"], "--approx"),
+        (["eval", "p", "--t-algebra", "goedel", "--assign", "p=1/2", "--grid", "8"], "--grid 8"),
+    ],
+    ids=["metric", "algebra", "eval"],
+)
+def test_unknown_option_is_reported_by_its_subcommand(capsys, fixtures_dir, argv, unknown):
+    with pytest.raises(SystemExit) as exc:
+        main([str(fixtures_dir / arg) if arg.endswith(".alg") else arg for arg in argv])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == ""
+    assert err.startswith(f"usage: reslat {argv[0]} ")
+    assert err.endswith(f"\nreslat {argv[0]}: error: unrecognized arguments: {unknown}\n")
+
+
+def test_unknown_option_before_the_subcommand_is_reported_by_the_top_level(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--residuum", "norms", "--family", "drastic", "--grid", "4"])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == ""
+    assert err.startswith("usage: reslat [-h] {norms,metric,algebra,eval} ...\n")
+    assert err.endswith("\nreslat: error: unrecognized arguments: --residuum\n")
+
+
+APPROX_ONLY = "error: --approx applies only to metric --ball and to a single eval --t-algebra value printed as text\n"
 
 
 class TestMetric:
@@ -94,6 +125,10 @@ class TestMetric:
         code, out, _ = run(capsys, "metric", "--family", "lukasiewicz", "--ball", "0.5,1")
         assert code == 0
         assert "ball: [0, 1]" in out
+
+    def test_approx_without_ball_refused(self, capsys):
+        code, out, err = run(capsys, "metric", "--family", "goedel", "--grid", "4", "--grid4", "2", "--approx")
+        assert (code, out, err) == (2, "", APPROX_ONLY)
 
     def test_ball_invalid_radius(self, capsys):
         code, _, err = run(capsys, "metric", "--family", "lukasiewicz", "--ball", "1/2,0")
@@ -435,6 +470,20 @@ class TestEval:
         assert code == 0
         assert out.strip() == "1/2 (0.5)"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--t-algebra", "goedel", "--sweep", "2"],
+            ["--algebra", "l4.alg", "--assign", "p=1/3"],
+            ["--t-algebra", "goedel", "--assign", "p=1/3", "--format", "json"],
+        ],
+        ids=["sweep", "carrier", "json"],
+    )
+    def test_approx_refused_where_it_prints_no_decimals(self, capsys, fixtures_dir, argv):
+        argv = [str(fixtures_dir / arg) if arg.endswith(".alg") else arg for arg in argv]
+        code, out, err = run(capsys, "eval", "p", *argv, "--approx")
+        assert (code, out, err) == (2, "", APPROX_ONLY)
+
 
 class TestOutputStability:
     def test_json_deterministic(self, capsys, fixtures_dir):
@@ -542,6 +591,38 @@ class TestSweepBudget:
         monkeypatch.setattr(reslat.norms, "ordering_chain_check", lambda *args: reslat.reports.LawReport("ordering"))
         assert run(capsys, "norms", "--family", "goedel", "--grid", str(grid))[0] == 0
         assert run(capsys, "norms", "--family", "goedel", "--grid", str(grid + 1))[0] == 2
+
+
+# Runs ``python -m reslat ARGV`` in this interpreter, then writes to stderr
+# whether ``json`` was ever imported.
+JSON_PROBE = """
+import runpy, sys
+sys.argv = ["reslat", *sys.argv[1:]]
+try:
+    runpy.run_module("reslat", run_name="__main__", alter_sys=True)
+except SystemExit:
+    pass
+sys.stderr.write(f"json imported: {'json' in sys.modules}")
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, imported",
+    [
+        (["norms", "--all", "--grid", "4"], False),
+        (["eval", "p -> q", "--t-algebra", "product", "--assign", "p=1/3,q=1/2"], False),
+        (["eval", "p -> q", "--t-algebra", "product", "--assign", "p=1/3,q=1/2", "--format", "json"], True),
+    ],
+    ids=["norms-text", "eval-text", "eval-json"],
+)
+def test_only_json_output_imports_json(argv, imported):
+    path = os.pathsep.join(filter(None, [str(SRC_DIR), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", JSON_PROBE, *argv],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, timeout=120,
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == f"json imported: {imported}"
 
 
 def test_module_entry_point(fixtures_dir):

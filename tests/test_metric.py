@@ -221,7 +221,7 @@ class TestIntervalBalls:
         ids=["lukasiewicz-short", "product-long"],
     )
     def test_wrong_piece_between_sample_points_fails(self, alg, center, radius, piece):
-        ball = IntervalBall(alg, center, radius, (piece,))
+        ball = IntervalBall(alg, center, radius, piece)
         # the 1000-point sample the check used to take sees no disagreement
         assert all(ball.contains(b) == ball.closed_form_contains(b) for b in GridSpec(1000).points())
         report = ball.agreement_check()
@@ -229,6 +229,31 @@ class TestIntervalBalls:
         witness = report.witnesses[0]
         b = witness.args[2]
         assert (ball.contains(b), ball.closed_form_contains(b)) == (witness.lhs, witness.rhs)
+
+    def test_closed_interval_with_equal_ends_is_a_point(self):
+        point = Interval(u(1, 3), True, u(1, 3), True)
+        assert point.describe() == "{1/3}"
+        assert point.contains(u(1, 3))
+        assert not any(point.contains(b) for b in GridSpec(12).points() if b != u(1, 3))
+
+    @pytest.mark.parametrize(
+        "alg, described",
+        [
+            # one row per centre 0, 1/3, 1/2 and 1, at radii 1/7, 1/2 and 1
+            (LUK, [["[0, 1/7)", "[0, 1/2)", "[0, 1)"], ["(4/21, 10/21)", "[0, 5/6)", "[0, 1]"],
+                   ["(5/14, 9/14)", "(0, 1)", "[0, 1]"], ["(6/7, 1]", "(1/2, 1]", "(0, 1]"]]),
+            (GOE, [["[0, 1/7)", "[0, 1/2)", "[0, 1)"], ["{1/3}", "[0, 1/2)", "[0, 1)"],
+                   ["{1/2}", "{1/2}", "[0, 1)"], ["{1}", "{1}", "{1}"]]),
+            (PROD, [["[0, 1/7)", "[0, 1/2)", "[0, 1)"], ["(2/9, 3/7)", "[0, 2/3)", "[0, 1)"],
+                    ["(5/12, 4/7)", "(0, 3/4)", "[0, 1)"], ["{1}", "{1}", "{1}"]]),
+        ],
+        ids=["lukasiewicz", "goedel", "product"],
+    )
+    def test_ball_is_one_interval(self, alg, described):
+        balls = [[interval_ball(alg, c, r) for r in (u(1, 7), u(1, 2), ONE)] for c in (ZERO, u(1, 3), u(1, 2), ONE)]
+        assert all(type(ball.piece) is Interval for row in balls for ball in row)
+        assert [[ball.piece.describe() for ball in row] for row in balls] == described
+        assert [[ball.describe() for ball in row] for row in balls] == described
 
     def test_product_ball_around_one_is_singleton(self):
         ball = interval_ball(PROD, ONE, ONE)

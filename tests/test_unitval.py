@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from reslat.unitval import MAX_EXPONENT, ONE, ZERO, GridSpec, UnitValue, format_unit, parse_unit
+from reslat.unitval import MAX_EXPONENT, ONE, GridSpec, UnitValue, format_unit, parse_unit
 
 units = st.fractions(min_value=0, max_value=1).map(UnitValue)
 
@@ -50,23 +50,9 @@ def test_parse_keeps_the_range_and_digit_messages():
         parse_unit("1/" + "9" * 5000)
 
 
-@given(units, units)
-def test_clamped_ops_exact(x, y):
-    assert x.add_clamped(y) == min(Fraction(1), Fraction(x) + Fraction(y))
-    assert x.sub_clamped(y) == max(Fraction(0), Fraction(x) - Fraction(y))
-
-
 @given(units)
 def test_complement_involution(x):
     assert x.complement().complement() == x
-
-
-def test_divide():
-    assert UnitValue(1, 4).divide(UnitValue(1, 2)) == Fraction(1, 2)
-    with pytest.raises(ZeroDivisionError):
-        UnitValue(1, 4).divide(ZERO)
-    with pytest.raises(ValueError):
-        UnitValue(3, 4).divide(UnitValue(1, 2))  # quotient escapes [0, 1]
 
 
 def test_grid_points():
