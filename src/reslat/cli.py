@@ -192,8 +192,9 @@ def cmd_metric(args) -> int:
 
     ids = ()
     if args.laws:
-        # Refuse a bad selector or laws grid before any sweep runs.
-        ids = _parse_law_selector(args.laws, "D", 15)
+        # Refuse a bad selector or laws grid before any sweep runs.  Each law
+        # runs once, in catalogue order, and is counted once in the budget.
+        ids = sorted(set(_parse_law_selector(args.laws, "D", 15)), key=lambda law_id: int(law_id[1:]))
         laws_grid = unitval.GridSpec(args.laws_grid)
     grid = unitval.GridSpec(args.grid)
     grid4 = unitval.GridSpec(args.grid4)
@@ -207,7 +208,9 @@ def cmd_metric(args) -> int:
     ]
     notes = []
     if args.laws:
-        sections.append((f"derived laws {ids[0]}..{ids[-1]}", metric.dbl_laws_check(alg, laws_grid, ids)))
+        consecutive = len(ids) > 1 and int(ids[-1][1:]) - int(ids[0][1:]) == len(ids) - 1
+        title = f"{ids[0]}..{ids[-1]}" if consecutive else ", ".join(ids)
+        sections.append((f"derived laws {title}", metric.dbl_laws_check(alg, laws_grid, ids)))
         notes.append(f"derived-law sweep at denominator {args.laws_grid}")
     return _emit(args, sections, notes)
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import sys
 from enum import Enum
 from pathlib import Path
 
@@ -241,6 +242,11 @@ def loads_algebra(text: str) -> FiniteAlgebra:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid algebra document: {exc}") from None
+    except RecursionError:
+        raise ParseError("invalid algebra document: nesting too deep") from None
+    except ValueError:  # the one other ValueError of json.loads: an integer past the int/str limit
+        limit = sys.get_int_max_str_digits()
+        raise ParseError(f"invalid algebra document: a number with more than {limit} digits") from None
     return algebra_from_document(doc)
 
 

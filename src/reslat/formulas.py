@@ -1,8 +1,7 @@
 """Propositional basic-logic formulas: parsing, printing, and evaluation.
 
 Core connectives are bottom, strong conjunction ``&``, and implication
-``->``; negation, lattice meet/join, equivalence, and top are sugar that
-desugars deterministically before evaluation:
+``->``; negation, lattice meet/join, equivalence, and top are sugar:
 
     !p       ==  p -> 0
     p ^ q    ==  p & (p -> q)
@@ -17,9 +16,10 @@ non-associative.  Atoms match [a-z][a-zA-Z0-9_]*.  A formula nests at most
 operator counts one level on the path to an atom, and deeper input is a
 positioned syntax error.
 
-Evaluation extends an atom assignment homomorphically: e(0) = 0,
-e(p & q) = e(p) * e(q), e(p -> q) = e(p) -> e(q), either over a t-norm on
-the unit interval or over the tables of a finite algebra.
+One walk, ``interpret``, gives every connective its meaning: it extends an
+atom assignment homomorphically over 0, ``&`` and ``->`` and reads the sugar
+by these definitions.  Desugaring, ``atoms``, and evaluation over a t-norm on
+the unit interval or over the tables of a finite algebra all run through it.
 """
 
 from __future__ import annotations
@@ -108,48 +108,57 @@ class Iff(_Binary):
     __slots__ = ()
 
 
+def interpret(f: Formula, atom, bottom, star, arrow):
+    """The value of ``f`` where ``atom(name)`` is an atom's value, ``bottom``
+    is 0's, and ``star`` and ``arrow`` are the operations of ``&`` and ``->``;
+    the sugar is read by the module's definitions.  Each node is visited once,
+    operands left to right, so ``atom`` meets the atoms in ``atoms`` order and
+    a chain of k joins costs O(k) operations."""
+
+    def run(node):
+        match node:
+            case Atom(name):
+                return atom(name)
+            case Bottom():
+                return bottom
+            case Conj(lhs, rhs):
+                return star(run(lhs), run(rhs))
+            case Impl(lhs, rhs):
+                return arrow(run(lhs), run(rhs))
+            case Top():
+                return arrow(bottom, bottom)
+            case Neg(arg):
+                return arrow(run(arg), bottom)
+            case Meet(lhs, rhs):
+                a = run(lhs)
+                return star(a, arrow(a, run(rhs)))
+            case Join(lhs, rhs):
+                a, b = run(lhs), run(rhs)
+                x, y = arrow(arrow(a, b), b), arrow(arrow(b, a), a)
+                return star(x, arrow(x, y))  # x ^ y
+            case Iff(lhs, rhs):
+                a, b = run(lhs), run(rhs)
+                return star(arrow(a, b), arrow(b, a))
+        raise TypeError(f"not a formula: {node!r}")
+
+    return run(f)
+
+
 def desugar(f: Formula) -> Formula:
-    """Lower sugar to the {atom, 0, &, ->} core; deterministic and idempotent."""
-    match f:
-        case Atom() | Bottom():
-            return f
-        case Top():
-            return Impl(Bottom(), Bottom())
-        case Conj(lhs, rhs):
-            return Conj(desugar(lhs), desugar(rhs))
-        case Impl(lhs, rhs):
-            return Impl(desugar(lhs), desugar(rhs))
-        case Neg(arg):
-            return Impl(desugar(arg), Bottom())
-        case Meet(lhs, rhs):
-            a, b = desugar(lhs), desugar(rhs)
-            return Conj(a, Impl(a, b))
-        case Join(lhs, rhs):
-            a, b = desugar(lhs), desugar(rhs)
-            x, y = Impl(Impl(a, b), b), Impl(Impl(b, a), a)
-            return Conj(x, Impl(x, y))  # the Meet case on operands already lowered
-        case Iff(lhs, rhs):
-            a, b = desugar(lhs), desugar(rhs)
-            return Conj(Impl(a, b), Impl(b, a))
-    raise TypeError(f"not a formula: {f!r}")
+    """Lower sugar to the {atom, 0, &, ->} core; deterministic and idempotent.
+    The core shares the lowered operands of each sugar node."""
+    return interpret(f, Atom, Bottom(), Conj, Impl)
 
 
 def atoms(f: Formula) -> tuple[str, ...]:
     """Atom names in first-occurrence order."""
     seen: dict[str, None] = {}
-
-    def walk(node):
-        match node:
-            case Atom(name):
-                seen.setdefault(name, None)
-            case Neg(arg):
-                walk(arg)
-            case _Binary(l, r):
-                walk(l)
-                walk(r)
-
-    walk(f)
+    interpret(f, seen.setdefault, None, _ignore, _ignore)
     return tuple(seen)
+
+
+def _ignore(a, b):
+    return None
 
 
 # -- tokenizer / parser --------------------------------------------------------
@@ -193,9 +202,9 @@ def _tokenize(text: str) -> list[_Token]:
 
 class _Parser:
     # Deepest syntax tree accepted.  Parsing one level costs up to five
-    # interpreter frames (a parenthesis), and printing, desugaring and
-    # evaluating recurse once or twice per level, so a formula at the limit
-    # stays well inside the default recursion limit of 1000.
+    # interpreter frames (a parenthesis), printing two and ``interpret`` one,
+    # so a formula at the limit stays well inside the default recursion
+    # limit of 1000.
     MAX_DEPTH = 100
 
     def __init__(self, tokens: list[_Token]):
@@ -356,7 +365,7 @@ def evaluate(f: Formula, algebra, valuation):
     ``algebra`` is either a non-drastic t-norm family (values are
     UnitValues) or a FiniteAlgebra (values are carrier labels).
     """
-    return _evaluator(algebra)(desugar(f), valuation)
+    return _evaluator(algebra)(f, valuation)
 
 
 def _is_finite(algebra) -> bool:
@@ -370,55 +379,33 @@ def _is_finite(algebra) -> bool:
 
 
 def _evaluator(algebra):
-    """The evaluator of core formulas over ``algebra``: (core, valuation) -> value."""
-    if _is_finite(algebra):
-        return lambda core, valuation: algebra.labels[
-            _evaluate_core(core, lambda name: algebra.index(valuation[name]), algebra.bottom, algebra.star, algebra.arrow)
-        ]
-    if not isinstance(algebra, NormFamily):
-        raise TypeError(f"unsupported algebra: {algebra!r}")
-    if algebra.side is not NormSide.TNORM:
-        raise ValueError("formula evaluation needs the t-norm side of a family")
-    if not algebra.is_residuated:
-        raise DrasticNotResiduated("cannot evaluate '->' over the drastic t-norm")
+    """The evaluator over ``algebra``: (formula, valuation) -> value."""
+    finite = _is_finite(algebra)
+    if finite:
+        read, operations = algebra.index, (algebra.bottom, algebra.star, algebra.arrow)
+    else:
+        if not isinstance(algebra, NormFamily):
+            raise TypeError(f"unsupported algebra: {algebra!r}")
+        if algebra.side is not NormSide.TNORM:
+            raise ValueError("formula evaluation needs the t-norm side of a family")
+        if not algebra.is_residuated:
+            raise DrasticNotResiduated("cannot evaluate '->' over the drastic t-norm")
+        operations = ZERO, partial(apply_norm, algebra), residuum_form(algebra)
 
-    def atom(valuation, name):
-        value = valuation[name]
-        return value if isinstance(value, UnitValue) else UnitValue(Fraction(value))
+        def read(value):
+            return value if isinstance(value, UnitValue) else UnitValue(Fraction(value))
 
-    star, arrow = partial(apply_norm, algebra), residuum_form(algebra)
-    return lambda core, valuation: _evaluate_core(core, partial(atom, valuation), ZERO, star, arrow)
+    def run(f, valuation):
+        def atom(name):
+            try:
+                return read(valuation[name])
+            except KeyError:
+                raise UnboundAtom(f"atom {name!r} has no value") from None
 
+        value = interpret(f, atom, *operations)
+        return algebra.labels[value] if finite else value
 
-def _evaluate_core(f: Formula, atom, bottom, star, arrow):
-    """Evaluate a core formula once per node object.  ``desugar`` shares
-    subterms, so the core is a DAG that a tree walk would visit exponentially
-    often on join chains; the memo is keyed by node identity because
-    hashing a node walks its whole subtree."""
-    memo: dict[int, object] = {}
-
-    def run(node):
-        key = id(node)
-        if key in memo:
-            return memo[key]
-        match node:
-            case Atom(name):
-                try:
-                    value = atom(name)
-                except KeyError:
-                    raise UnboundAtom(f"atom {name!r} has no value") from None
-            case Bottom():
-                value = bottom
-            case Conj(l, r):
-                value = star(run(l), run(r))
-            case Impl(l, r):
-                value = arrow(run(l), run(r))
-            case _:
-                raise TypeError(f"non-core formula after desugaring: {node!r}")
-        memo[key] = value
-        return value
-
-    return run(f)
+    return run
 
 
 def parse_valuation(text: str, finite: bool = False) -> dict:
@@ -449,9 +436,8 @@ def parse_valuation(text: str, finite: bool = False) -> dict:
 def sweep_values(f: Formula, algebra, domain) -> dict:
     """Evaluate over every total valuation with values from ``domain``;
     returns {valuation tuple: value} with deterministic ordering."""
-    names = atoms(f)
-    core, run = desugar(f), _evaluator(algebra)
-    return {combo: run(core, dict(zip(names, combo))) for combo in itertools.product(domain, repeat=len(names))}
+    names, run = atoms(f), _evaluator(algebra)
+    return {combo: run(f, dict(zip(names, combo))) for combo in itertools.product(domain, repeat=len(names))}
 
 
 def check_prelinearity_tautology(algebra, g: GridSpec | None = None) -> LawReport:

@@ -64,10 +64,6 @@ class ValueTable:
         """values[i] <= values[j], by integer cross-multiplication."""
         return self._num[i] * self._den[j] <= self._num[j] * self._den[i]
 
-    def les(self, xs: Iterable[int], ys: Iterable[int]) -> list[bool]:
-        """``[le(x, y) for x, y in zip(xs, ys)]``."""
-        return list(map(operator.le if self.ids_ordered else self.le, xs, ys))
-
     def all_le(self, xs: Iterable[int], ys: Iterable[int]) -> bool:
         """``le(x, y)`` for every pair of ``zip(xs, ys)``."""
         return all(map(operator.le if self.ids_ordered else self.le, xs, ys))

@@ -199,6 +199,24 @@ class TestMetric:
     def test_law_selector_forms(self, selector, ids):
         assert reslat.cli._parse_law_selector(selector, "D", 15) == ids
 
+    @pytest.mark.parametrize(
+        "laws, title, ids",
+        [
+            ("d10,d3,d3", "D3, D10", ["D3", "D10"]),
+            ("d15", "D15", ["D15"]),
+            ("d2,d3,d4", "D2..D4", ["D2", "D3", "D4"]),
+            ("d1..d15", "D1..D15", [f"D{i}" for i in range(1, 16)]),
+        ],
+    )
+    def test_law_section_runs_each_law_once_in_catalogue_order(self, capsys, laws, title, ids):
+        argv = ["metric", "--family", "goedel", "--grid", "2", "--grid4", "2", "--laws", laws, "--laws-grid", "2"]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and f"\n== derived laws {title}\n" in out
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        section = json.loads(out)["sections"][-1]
+        assert section["title"] == f"derived laws {title}"
+        assert [report["law"] for report in section["reports"]] == ids
+
 
 class TestAlgebra:
     def test_check_valid(self, capsys, fixtures_dir):
@@ -301,6 +319,39 @@ class TestAlgebra:
         code, out, err = run(capsys, *command, str(path))
         assert code == 2 and out == ""
         assert err == f"error: unknown label {label!r} in {where}\n"
+
+
+L2 = {
+    "signature": "BL", "carrier": ["0", "1"], "bottom": "0", "top": "1", "leq": [["0", "1"]],
+    "star": [["0", "0"], ["0", "1"]], "arrow": [["1", "1"], ["0", "1"]],
+}
+
+MALFORMED_DOCUMENTS = [
+    ("[" * 10_000 + "]" * 10_000, "invalid algebra document: nesting too deep"),
+    ('{"carrier": [' + "9" * 5000 + "]}", "invalid algebra document: a number with more than 4300 digits"),
+    ("{not json", "invalid algebra document: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+    ("[]", "algebra document must be a mapping"),
+    (json.dumps({key: value for key, value in L2.items() if key != "arrow"}), "missing fields: arrow"),
+    (json.dumps({**L2, "leq": [["0", "bogus"]]}), "unknown label 'bogus' in leq"),
+    (json.dumps({**L2, "star": [["0", "0"]]}), "star table must be an n x n array"),
+    (json.dumps({**L2, "star": [["bogus", "0"], ["0", "1"]]}), "unknown label 'bogus' in star table"),
+]
+
+
+@pytest.mark.parametrize(
+    "command", [["algebra", "check"], ["algebra", "topology"], ["algebra", "dualize"], ["eval", "p", "--sweep", "--algebra"]]
+)
+@pytest.mark.parametrize(
+    "text, message",
+    MALFORMED_DOCUMENTS,
+    ids=["deep", "long-integer", "not-json", "not-a-mapping", "missing-field", "leq-label", "not-square", "table-label"],
+)
+def test_malformed_algebra_document_exit_2(capsys, tmp_path, command, text, message):
+    path = tmp_path / "bad.alg"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, *command, str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
 
 
 class TestEval:
@@ -545,6 +596,7 @@ class TestSweepBudget:
             ["metric", "--family", "product", "--grid", "5", "--grid4", "3", "--laws", "d1..d15", "--laws-grid", "3"],
             ["metric", "--family", "lukasiewicz", "--grid", "20", "--grid4", "2", "--laws", "d2,d15", "--laws-grid", "4"],
             ["metric", "--family", "goedel", "--grid", "3", "--grid4", "4"],
+            ["metric", "--family", "goedel", "--grid", "2", "--grid4", "2", "--laws", "d3,d3,d1", "--laws-grid", "3"],
         ],
         ids=" ".join,
     )

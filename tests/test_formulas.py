@@ -1,10 +1,11 @@
+import collections
 import copy
 import itertools
 import pickle
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reslat.formulas as formulas_module
@@ -237,23 +238,19 @@ class TestDesugaring:
         b = Impl(Impl(q, p), p)
         assert desugar(Join(p, q)) == Conj(a, Impl(a, b))
 
-    def test_join_chain_lowers_each_node_once(self, monkeypatch):
-        lower = formulas_module.desugar
-        calls = 0
-
-        def counting(f):
-            nonlocal calls
-            calls += 1
-            if calls > 1000:
-                raise AssertionError("desugar walks lowered subterms again")
-            return lower(f)
-
-        monkeypatch.setattr(formulas_module, "desugar", counting)
+    def test_join_chain_lowers_to_six_nodes_per_join(self):
+        joins = 200
         chain = Atom("p")
-        for k in range(20):
+        for k in range(joins):
             chain = Join(chain, Atom(f"q{k}"))
-        counting(chain)
-        assert calls == 2 * 20 + 1
+        nodes, stack = {}, [desugar(chain)]
+        while stack:  # each node object of the lowered DAG once
+            node = stack.pop()
+            if id(node) not in nodes:
+                nodes[id(node)] = node
+                stack.extend(node[1:] if isinstance(node, (Conj, Impl)) else ())
+        kinds = collections.Counter(type(node) for node in nodes.values())
+        assert kinds == {Conj: joins, Impl: 5 * joins, Atom: joins + 1}
 
 
 class TestEvaluation:
@@ -323,6 +320,14 @@ small_formulas = st.recursive(
 )
 
 
+@pytest.fixture
+def norm_calls(monkeypatch):
+    """The arguments of each ``apply_norm`` call that evaluation makes."""
+    calls, norm = [], formulas_module.apply_norm
+    monkeypatch.setattr(formulas_module, "apply_norm", lambda *args: calls.append(args) or norm(*args))
+    return calls
+
+
 class TestDagEvaluation:
     @given(small_formulas, st.lists(st.sampled_from(GridSpec(6).points()), min_size=3, max_size=3))
     def test_random_formulas_round_trip_and_evaluate_by_the_semantics(self, ast, values):
@@ -331,35 +336,45 @@ class TestDagEvaluation:
         for family in T_ALGS:
             assert evaluate(ast, family, valuation) == semantic_value(ast, family, valuation)
 
+    @settings(deadline=None)
+    @given(small_formulas, st.lists(st.integers(0, 63), min_size=3, max_size=3))
+    def test_lowering_keeps_values_and_atoms(self, fixture_algebras, corrupt_algebra, ast, picks):
+        core = desugar(ast)
+        assert atoms(core) == atoms(ast)
+        points = GridSpec(6).points()
+        for family in T_ALGS:
+            valuation = {name: points[i % len(points)] for name, i in zip("pqr", picks)}
+            assert evaluate(core, family, valuation) == evaluate(ast, family, valuation)
+        for alg in [*fixture_algebras.values(), corrupt_algebra]:
+            valuation = {name: alg.labels[i % alg.n] for name, i in zip("pqr", picks)}
+            assert evaluate(core, alg, valuation) == evaluate(ast, alg, valuation)
+
     @pytest.mark.parametrize("family", T_ALGS, ids=lambda f: f.kind.value)
-    def test_join_chain_applies_the_norm_once_per_join(self, family, monkeypatch):
-        calls = 0
-        norm = formulas_module.apply_norm
-
-        def counting(*args):
-            nonlocal calls
-            calls += 1
-            return norm(*args)
-
-        monkeypatch.setattr(formulas_module, "apply_norm", counting)
+    def test_join_chain_applies_the_norm_once_per_join(self, family, norm_calls):
         joins = 40
         chain = parse(" | ".join(["p"] + [f"q{k}" for k in range(joins)]))
         valuation = {"p": u(1, 3), **{f"q{k}": u(k, 2 * joins) for k in range(joins)}}
         assert evaluate(chain, family, valuation) == max(valuation.values())
-        assert calls == joins  # one conjunction node per lowered join
+        assert len(norm_calls) == joins  # one conjunction node per lowered join
 
-    def test_sweep_lowers_the_formula_once(self, monkeypatch):
-        lower = formulas_module.desugar
-        calls = 0
+    @pytest.mark.parametrize("family", T_ALGS, ids=lambda f: f.kind.value)
+    def test_sweep_applies_the_norm_once_per_valuation(self, family, norm_calls):
+        results = sweep_values(parse("p | q"), family, GridSpec(4).points())
+        assert len(results) == len(norm_calls) == 25  # the one conjunction of the lowered join
 
-        def counting(f):
-            nonlocal calls
-            calls += 1
-            return lower(f)
-
-        monkeypatch.setattr(formulas_module, "desugar", counting)
-        results = sweep_values(parse("p -> q"), T_LUK, GridSpec(4).points())
-        assert len(results) == 25 and calls == 3  # once per node of p -> q, not per valuation
+    @pytest.mark.parametrize(
+        "text, first", [("(q ^ p) <-> r", "q"), ("!(p | r) -> q", "r"), ("1 -> p & (r <-> q)", "r"), ("s ^ (r | p)", "s")]
+    )
+    @pytest.mark.parametrize("backend", ["lukasiewicz", "l4"])
+    def test_unbound_atom_is_the_first_in_atoms_order(self, fixture_algebras, backend, text, first):
+        f = parse(text)
+        if backend == "l4":
+            algebra, valuation = fixture_algebras["l4"], {"p": "1/3"}
+        else:
+            algebra, valuation = T_LUK, {"p": u(1, 3)}
+        assert first == next(name for name in atoms(f) if name != "p")
+        with pytest.raises(UnboundAtom, match=f"^atom '{first}' has no value$"):
+            evaluate(f, algebra, valuation)
 
 
 class TestSemanticProperties:

@@ -1,7 +1,7 @@
 """The row engine of reslat.tables, and the row sweeps built on it.
 
 ``op.row`` and ``op.map`` must give the ids the scalar definition gives,
-``all_le``/``les`` the order ``le`` gives, and the checkers that compare
+``all_le`` the order ``le`` gives, and the checkers that compare
 whole rows the same reports as the brute-force references of
 ``test_grid_tables.py`` when a broken entry sits deep inside a long row.
 """
@@ -89,22 +89,19 @@ def test_rows_reach_past_their_length_without_growing_to_every_id():
     assert len(calls) == len(set(calls)) == 4
 
 
-# -- all_le and les ------------------------------------------------------------------
+# -- all_le -------------------------------------------------------------------------
 
 
 def assert_order_matches_le(table):
     n = len(table.values)
     pairs = list(itertools.product(range(n), repeat=2))
-    xs, ys = [x for x, _ in pairs], [y for _, y in pairs]
     expected = [table.values[x] <= table.values[y] for x, y in pairs]
     assert expected == [table.le(x, y) for x, y in pairs]
-    assert table.les(xs, ys) == expected
     for x, y in pairs:
         assert table.all_le([x], [y]) == (table.values[x] <= table.values[y])
     for x in range(n):
         row = [table.values[x] <= table.values[y] for y in range(n)]
         assert table.all_le([x] * n, range(n)) == all(row)
-        assert table.les(range(n), [x] * n) == [table.values[y] <= table.values[x] for y in range(n)]
 
 
 def test_all_le_on_a_grid_and_after_an_off_grid_intern():
