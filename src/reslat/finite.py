@@ -25,6 +25,11 @@ from .laws import D_LAWS, LawContext, as_bl, check_signature_axioms, run_catalog
 from .reports import LawReport
 
 
+def _cut(text: str) -> str:
+    """``text`` as an error message echoes it: up to 60 characters, then an ellipsis."""
+    return text if len(text) <= 60 else text[:60] + "…"
+
+
 class Signature(Enum):
     BL = "BL"
     DBL = "DBL"
@@ -57,22 +62,20 @@ class FiniteAlgebra:
             raise ParseError("leq matrix must be n x n")
         for i in range(n):
             if not leq[i][i]:
-                raise NotAPartialOrder(f"missing reflexive pair ({self.labels[i]}, {self.labels[i]})")
+                raise NotAPartialOrder(f"missing reflexive pair ({_cut(self.labels[i])}, {_cut(self.labels[i])})")
         for i, j in itertools.product(range(n), repeat=2):
             if i != j and leq[i][j] and leq[j][i]:
-                raise NotAPartialOrder(
-                    f"antisymmetry fails: {self.labels[i]} <= {self.labels[j]} <= {self.labels[i]}"
-                )
+                x, y = _cut(self.labels[i]), _cut(self.labels[j])
+                raise NotAPartialOrder(f"antisymmetry fails: {x} <= {y} <= {x}")
         for i, j, k in itertools.product(range(n), repeat=3):
             if leq[i][j] and leq[j][k] and not leq[i][k]:
-                raise NotAPartialOrder(
-                    f"transitivity fails at ({self.labels[i]}, {self.labels[j]}, {self.labels[k]})"
-                )
+                x, y, z = (_cut(self.labels[v]) for v in (i, j, k))
+                raise NotAPartialOrder(f"transitivity fails at ({x}, {y}, {z})")
         for i in range(n):
             if not leq[self.bottom][i]:
-                raise NotALattice(f"bottom {self.labels[self.bottom]} is not below {self.labels[i]}")
+                raise NotALattice(f"bottom {_cut(self.labels[self.bottom])} is not below {_cut(self.labels[i])}")
             if not leq[i][self.top]:
-                raise NotALattice(f"top {self.labels[self.top]} is not above {self.labels[i]}")
+                raise NotALattice(f"top {_cut(self.labels[self.top])} is not above {_cut(self.labels[i])}")
 
     def _validate_tables(self):
         n = self.n
@@ -92,12 +95,12 @@ class FiniteAlgebra:
             lower = [k for k in range(n) if leq[k][i] and leq[k][j]]
             greatest = [m for m in lower if all(leq[k][m] for k in lower)]
             if len(greatest) != 1:
-                raise NotALattice(f"no unique meet for ({self.labels[i]}, {self.labels[j]})")
+                raise NotALattice(f"no unique meet for ({_cut(self.labels[i])}, {_cut(self.labels[j])})")
             meet[i][j] = greatest[0]
             upper = [k for k in range(n) if leq[i][k] and leq[j][k]]
             least = [m for m in upper if all(leq[m][k] for k in upper)]
             if len(least) != 1:
-                raise NotALattice(f"no unique join for ({self.labels[i]}, {self.labels[j]})")
+                raise NotALattice(f"no unique join for ({_cut(self.labels[i])}, {_cut(self.labels[j])})")
             join[i][j] = least[0]
         return tuple(map(tuple, meet)), tuple(map(tuple, join))
 
@@ -182,11 +185,11 @@ def algebra_from_document(doc) -> FiniteAlgebra:
     try:
         signature = Signature(doc["signature"])
     except ValueError:
-        raise ParseError(f"signature must be 'BL' or 'DBL', got {doc['signature']!r}") from None
+        raise ParseError(f"signature must be 'BL' or 'DBL', got {_cut(repr(doc['signature']))}") from None
 
     def known(label, where):
         if not isinstance(label, str) or label not in index:
-            raise ParseError(f"unknown label {label!r} in {where}")
+            raise ParseError(f"unknown label {_cut(repr(label))} in {where}")
         return index[label]
 
     bottom = known(doc["bottom"], "bottom")
@@ -197,7 +200,7 @@ def algebra_from_document(doc) -> FiniteAlgebra:
         raise ParseError("leq must be an array of [a, b] pairs")
     for pair in doc["leq"]:
         if not (isinstance(pair, list) and len(pair) == 2):
-            raise ParseError(f"leq entry {pair!r} is not a pair")
+            raise ParseError(f"leq entry {_cut(repr(pair))} is not a pair")
         a, b = pair
         leq[known(a, "leq")][known(b, "leq")] = True
 
@@ -212,7 +215,7 @@ def algebra_from_document(doc) -> FiniteAlgebra:
             idx_row = []
             for entry in row:
                 if not isinstance(entry, str) or entry not in index:
-                    raise TableOutOfRange(f"unknown label {entry!r} in {field} table")
+                    raise TableOutOfRange(f"unknown label {_cut(repr(entry))} in {field} table")
                 idx_row.append(index[entry])
             out.append(idx_row)
         return out
@@ -278,14 +281,19 @@ def check_axioms(alg: FiniteAlgebra) -> list[LawReport]:
 
 def check_derived_laws(alg: FiniteAlgebra, ids=None) -> list[LawReport]:
     """D1..D15 (DBL signature) or B1..B15 (BL signature, as D1..D15 on the
-    order dual), exhaustively.
+    order dual), exhaustively.  ``ids`` picks laws by the algebra's own
+    prefix, D or B; any other id is refused with a ValueError.
 
     The arity-4 laws sweep n^4 tuples; carriers up to n = 24 stay practical.
     """
     if alg.signature is Signature.DBL:
         return run_catalogue(dbl_context(alg), D_LAWS, ids)
     if ids is not None:
-        ids = ["D" + i[1:] for i in ids if i.upper().startswith("B")]
+        b_laws = {"B" + law_id[1:] for law_id, *_ in D_LAWS}
+        wrong = [i for i in ids if i.upper() not in b_laws]
+        if wrong:
+            raise ValueError(f"a BL-algebra has only the laws B1..B15, not {', '.join(wrong)}")
+        ids = ["D" + i[1:] for i in ids]
     return as_bl(run_catalogue(dbl_context(alg), D_LAWS, ids))
 
 

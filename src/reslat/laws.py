@@ -16,8 +16,8 @@ algebras.  A term is a variable (``a``..``d``, indices into the tuple),
 context's operations or ``"eq"``.  A clause ``(lhs, rel, rhs, note)`` holds
 at a tuple where ``lhs == rhs`` (rel ``"="``) or ``le(rhs, lhs)`` (rel
 ``">="``); where it fails, the tuple, both sides and the note are a witness.
-DBL2..DBL5 and D1..D15 are clause lists, all checked by :func:`_sweep`;
-only the lattice axiom DBL1 is written out by hand.
+DBL1..DBL5 and D1..D15 are clause lists, all swept by :func:`_sweep`, and
+one runner, :func:`run_catalogue`, fills every law report.
 """
 
 from __future__ import annotations
@@ -105,6 +105,13 @@ def _axioms(x, y, z):
 # Keyed by ``bl``: BL3 at (a, b, c) is DBL3 at (c, a, b).
 _AXIOMS = {False: _axioms(a, b, c), True: _axioms(c, a, b)}
 
+# DBL1: meet and join bound both arguments, and 0 and 1 are extreme.
+_LATTICE = ("DBL1", 2, None, (
+    (a, ">=", M(a, b), "bounds fail"), (b, ">=", M(a, b), "bounds fail"),
+    (J(a, b), ">=", a, "bounds fail"), (J(a, b), ">=", b, "bounds fail"),
+    (a, ">=", ZERO, "0/1 not extreme"), (ONE, ">=", a, "0/1 not extreme"),
+))
+
 
 # -- the sweep ------------------------------------------------------------------
 
@@ -177,13 +184,17 @@ def _sweep(ctx, report: LawReport, arity: int, guard, clauses) -> LawReport:
 
 
 def run_catalogue(ctx, laws, ids=None) -> list[LawReport]:
-    """Run a law catalogue, optionally restricted to a set of law ids."""
-    wanted = None if ids is None else {i.upper() for i in ids}
-    return [
-        _sweep(ctx, LawReport(law_id), arity, guard, clauses)
-        for law_id, arity, guard, clauses in laws
-        if wanted is None or law_id in wanted
-    ]
+    """Run a law catalogue in order, optionally restricted to a set of law
+    ids, into one report per id; an id the catalogue does not hold is refused."""
+    known = {law[0] for law in laws}
+    wanted = known if ids is None else {i.upper() for i in ids}
+    if wanted - known:
+        raise ValueError(f"no such law in the catalogue: {', '.join(sorted(wanted - known))}")
+    reports = {}
+    for law_id, arity, guard, clauses in laws:
+        if law_id in wanted:
+            _sweep(ctx, reports.setdefault(law_id, LawReport(law_id)), arity, guard, clauses)
+    return list(reports.values())
 
 
 def check_signature_axioms(ctx: LawContext, bl: bool = False) -> list[LawReport]:
@@ -194,19 +205,7 @@ def check_signature_axioms(ctx: LawContext, bl: bool = False) -> list[LawReport]
     swept in BL argument order: BL3 at (a, b, c) is DBL3 at (c, a, b).  The
     reports keep the DBL ids either way.
     """
-    le, fmt, zero, one = ctx.le, ctx.fmt, ctx.zero, ctx.one
-    lattice = LawReport("DBL1")
-    for x, y in itertools.product(ctx.elements(), repeat=2):
-        lattice.checked += 1
-        m, j = ctx.meet(x, y), ctx.join(x, y)
-        if not (le(m, x) and le(m, y) and le(x, j) and le(y, j)):
-            lattice.register(Violation("DBL1", (fmt(x), fmt(y)), fmt(m), fmt(j), "bounds fail"))
-        if not (le(zero, x) and le(x, one)):
-            lattice.register(Violation("DBL1", (fmt(x),), fmt(zero), fmt(one), "0/1 not extreme"))
-    reports = {"DBL1": lattice}
-    for law_id, arity, guard, clauses in _AXIOMS[bl]:
-        _sweep(ctx, reports.setdefault(law_id, LawReport(law_id)), arity, guard, clauses)
-    return list(reports.values())
+    return run_catalogue(ctx, [_LATTICE, *_AXIOMS[bl]])
 
 
 # Report ids and notes of the DBL form -> the BL wording of the same check.

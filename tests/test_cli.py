@@ -354,6 +354,28 @@ def test_malformed_algebra_document_exit_2(capsys, tmp_path, command, text, mess
     assert err == f"error: {message}\n"
 
 
+LONG = "x" * 5000
+LONG_VALUE_DOCUMENTS = {
+    "deep-bottom": {**L2, "bottom": json.loads("[" * 900 + "]" * 900)},
+    "long-top": {**L2, "top": LONG},
+    "long-signature": {**L2, "signature": LONG},
+    "long-leq-entry": {**L2, "leq": [["0"] * 3000]},
+    "long-star-entry": {**L2, "star": [["0", LONG], ["0", "1"]]},
+    "long-labels-unordered": {**L2, "carrier": ["0", LONG], "leq": [], "star": [["0", "0"], ["0", LONG]],
+                              "arrow": [[LONG, LONG], ["0", LONG]], "top": LONG},
+}
+
+
+@pytest.mark.parametrize("name", LONG_VALUE_DOCUMENTS)
+def test_a_long_document_value_is_echoed_cut(capsys, tmp_path, name):
+    path = tmp_path / "bad.alg"
+    path.write_text(json.dumps(LONG_VALUE_DOCUMENTS[name]), encoding="utf-8")
+    code, out, err = run(capsys, "algebra", "check", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and len(err) <= 200
+    assert "…" in err
+
+
 class TestEval:
     def test_assign(self, capsys):
         code, out, _ = run(capsys, "eval", "p -> q", "--t-algebra", "lukasiewicz",
