@@ -43,6 +43,7 @@ laws = _lazy("laws")
 metric = _lazy("metric")
 norms = _lazy("norms")
 reports = _lazy("reports")
+tables = _lazy("tables")
 topology = _lazy("topology")
 unitval = _lazy("unitval")
 
@@ -142,16 +143,19 @@ def cmd_norms(args) -> int:
     else:
         kinds = [NormKind(args.family)]
     _refuse_over_budget(norms.tuples_checked(kinds, args.grid))
+    # One table of the grid for the whole run: each norm and residuum square
+    # is built once, and every checker reads it from there.
+    table = tables.ValueTable(grid.points())
     sections = []
     notes = []
     for kind in kinds:
         for side in (NormSide.TNORM, NormSide.SNORM):
             family = norms.NormFamily(kind, side)
-            sections.append((f"{family.describe()}: axioms", norms.norm_axioms_check(family, grid)))
-        sections.append((f"{kind.value}: duality", [norms.duality_check(kind, grid)]))
+            sections.append((f"{family.describe()}: axioms", norms.norm_axioms_check(family, grid, table)))
+        sections.append((f"{kind.value}: duality", [norms.duality_check(kind, grid, table)]))
         if kind is not NormKind.DRASTIC:
             family = norms.NormFamily.s_norm(kind)
-            sections.append((f"{kind.value}: adjointness", [norms.adjointness_check(family, grid)]))
+            sections.append((f"{kind.value}: adjointness", [norms.adjointness_check(family, grid, table)]))
             oracle_grid = unitval.GridSpec(min(args.grid, norms.MAX_ORACLE_GRID))
             sections.append(
                 (f"{kind.value}: residuum vs oracle", [norms.oracle_agreement_check(family, oracle_grid)])
@@ -165,7 +169,7 @@ def cmd_norms(args) -> int:
                 "drastic s-norm uses the standard definition: value 1 when both arguments are nonzero"
             )
     sections.append(
-        ("ordering chains", [norms.ordering_chain_check(side, grid) for side in (NormSide.TNORM, NormSide.SNORM)])
+        ("ordering chains", [norms.ordering_chain_check(side, grid, table) for side in (NormSide.TNORM, NormSide.SNORM)])
     )
     return _emit(args, sections, notes)
 

@@ -1,6 +1,11 @@
 """Exception hierarchy shared across the package."""
 
 
+def cut(text: str) -> str:
+    """``text`` as an error message echoes it: up to 60 characters, then an ellipsis."""
+    return text if len(text) <= 60 else text[:60] + "…"
+
+
 class ReslatError(Exception):
     """Base class for all errors raised by this package."""
 

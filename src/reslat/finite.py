@@ -20,14 +20,9 @@ import sys
 from enum import Enum
 from pathlib import Path
 
-from .errors import NotALattice, NotAPartialOrder, ParseError, TableOutOfRange
+from .errors import NotALattice, NotAPartialOrder, ParseError, TableOutOfRange, cut
 from .laws import D_LAWS, LawContext, as_bl, check_signature_axioms, run_catalogue
 from .reports import LawReport
-
-
-def _cut(text: str) -> str:
-    """``text`` as an error message echoes it: up to 60 characters, then an ellipsis."""
-    return text if len(text) <= 60 else text[:60] + "…"
 
 
 class Signature(Enum):
@@ -62,20 +57,20 @@ class FiniteAlgebra:
             raise ParseError("leq matrix must be n x n")
         for i in range(n):
             if not leq[i][i]:
-                raise NotAPartialOrder(f"missing reflexive pair ({_cut(self.labels[i])}, {_cut(self.labels[i])})")
+                raise NotAPartialOrder(f"missing reflexive pair ({cut(self.labels[i])}, {cut(self.labels[i])})")
         for i, j in itertools.product(range(n), repeat=2):
             if i != j and leq[i][j] and leq[j][i]:
-                x, y = _cut(self.labels[i]), _cut(self.labels[j])
+                x, y = cut(self.labels[i]), cut(self.labels[j])
                 raise NotAPartialOrder(f"antisymmetry fails: {x} <= {y} <= {x}")
         for i, j, k in itertools.product(range(n), repeat=3):
             if leq[i][j] and leq[j][k] and not leq[i][k]:
-                x, y, z = (_cut(self.labels[v]) for v in (i, j, k))
+                x, y, z = (cut(self.labels[v]) for v in (i, j, k))
                 raise NotAPartialOrder(f"transitivity fails at ({x}, {y}, {z})")
         for i in range(n):
             if not leq[self.bottom][i]:
-                raise NotALattice(f"bottom {_cut(self.labels[self.bottom])} is not below {_cut(self.labels[i])}")
+                raise NotALattice(f"bottom {cut(self.labels[self.bottom])} is not below {cut(self.labels[i])}")
             if not leq[i][self.top]:
-                raise NotALattice(f"top {_cut(self.labels[self.top])} is not above {_cut(self.labels[i])}")
+                raise NotALattice(f"top {cut(self.labels[self.top])} is not above {cut(self.labels[i])}")
 
     def _validate_tables(self):
         n = self.n
@@ -95,12 +90,12 @@ class FiniteAlgebra:
             lower = [k for k in range(n) if leq[k][i] and leq[k][j]]
             greatest = [m for m in lower if all(leq[k][m] for k in lower)]
             if len(greatest) != 1:
-                raise NotALattice(f"no unique meet for ({_cut(self.labels[i])}, {_cut(self.labels[j])})")
+                raise NotALattice(f"no unique meet for ({cut(self.labels[i])}, {cut(self.labels[j])})")
             meet[i][j] = greatest[0]
             upper = [k for k in range(n) if leq[i][k] and leq[j][k]]
             least = [m for m in upper if all(leq[m][k] for k in upper)]
             if len(least) != 1:
-                raise NotALattice(f"no unique join for ({_cut(self.labels[i])}, {_cut(self.labels[j])})")
+                raise NotALattice(f"no unique join for ({cut(self.labels[i])}, {cut(self.labels[j])})")
             join[i][j] = least[0]
         return tuple(map(tuple, meet)), tuple(map(tuple, join))
 
@@ -110,7 +105,7 @@ class FiniteAlgebra:
         try:
             return self._index[label]
         except KeyError:
-            raise ParseError(f"unknown element label {label!r}") from None
+            raise ParseError(f"unknown element label {cut(repr(label))}") from None
 
     def elements(self):
         return range(self.n)
@@ -185,11 +180,11 @@ def algebra_from_document(doc) -> FiniteAlgebra:
     try:
         signature = Signature(doc["signature"])
     except ValueError:
-        raise ParseError(f"signature must be 'BL' or 'DBL', got {_cut(repr(doc['signature']))}") from None
+        raise ParseError(f"signature must be 'BL' or 'DBL', got {cut(repr(doc['signature']))}") from None
 
     def known(label, where):
         if not isinstance(label, str) or label not in index:
-            raise ParseError(f"unknown label {_cut(repr(label))} in {where}")
+            raise ParseError(f"unknown label {cut(repr(label))} in {where}")
         return index[label]
 
     bottom = known(doc["bottom"], "bottom")
@@ -200,7 +195,7 @@ def algebra_from_document(doc) -> FiniteAlgebra:
         raise ParseError("leq must be an array of [a, b] pairs")
     for pair in doc["leq"]:
         if not (isinstance(pair, list) and len(pair) == 2):
-            raise ParseError(f"leq entry {_cut(repr(pair))} is not a pair")
+            raise ParseError(f"leq entry {cut(repr(pair))} is not a pair")
         a, b = pair
         leq[known(a, "leq")][known(b, "leq")] = True
 
@@ -215,7 +210,7 @@ def algebra_from_document(doc) -> FiniteAlgebra:
             idx_row = []
             for entry in row:
                 if not isinstance(entry, str) or entry not in index:
-                    raise TableOutOfRange(f"unknown label {_cut(repr(entry))} in {field} table")
+                    raise TableOutOfRange(f"unknown label {cut(repr(entry))} in {field} table")
                 idx_row.append(index[entry])
             out.append(idx_row)
         return out

@@ -36,6 +36,7 @@ from .errors import (
     UnbalancedParens,
     UnboundAtom,
     UnknownToken,
+    cut,
 )
 from .norms import NormFamily, NormSide, apply_norm, residuum_form
 from .reports import LawReport, Violation
@@ -422,13 +423,13 @@ def parse_valuation(text: str, finite: bool = False) -> dict:
         if not entry or entry.startswith("#"):
             continue
         if "=" not in entry:
-            raise ValueError(f"valuation entry {entry!r} is not 'atom = value'")
+            raise ValueError(f"valuation entry {cut(repr(entry))} is not 'atom = value'")
         name, _, value = entry.partition("=")
         name, value = name.strip(), value.strip()
         if not _ATOM.fullmatch(name):
-            raise ValueError(f"valuation entry {entry!r} does not name an atom")
+            raise ValueError(f"valuation entry {cut(repr(entry))} does not name an atom")
         if name in assignment:
-            raise ValueError(f"atom {name!r} is assigned more than once")
+            raise ValueError(f"atom {cut(repr(name))} is assigned more than once")
         assignment[name] = value if finite else parse_unit(value)
     return assignment
 

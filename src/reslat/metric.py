@@ -8,6 +8,12 @@ the Lukasiewicz one this is an ordinary metric.  The pair distance
 ``D((a1, a2), (b1, b2)) = d(a1, b1) * d(a2, b2)`` plays the taxicab role on
 the square, and both the s-norm and its residuum move outputs by at most the
 pair distance of their inputs (the Lipschitz-style continuity contracts).
+
+The grid checkers run on reslat.tables.  The distance square is the star
+of the residuum's square with its transpose; off the grid (product) the
+star-triangle compares rows of the star's kernel with ``d(a, b)`` and
+interns nothing, and the continuity contracts pick each row from a square
+of the star, the residuum or the distance on the values the grid takes.
 """
 
 from __future__ import annotations
@@ -15,13 +21,15 @@ from __future__ import annotations
 import itertools
 import operator
 from fractions import Fraction
+from functools import partial
+from itertools import repeat
 from math import lcm
 
 from .errors import InvalidRadius
 from .laws import D_LAWS, LawContext, check_signature_axioms, run_catalogue
 from .norms import NormFamily, NormKind, NormSide, closed_form, residuum_form
 from .reports import LawReport, Violation
-from .tables import ValueTable, square
+from .tables import ValueTable, kernel_row, picker, positions
 from .unitval import ONE, ZERO, GridSpec, UnitValue
 
 # The largest grid denominator ``reslat metric`` checks the signature axioms on.
@@ -109,9 +117,13 @@ def d_star_closed_form_check(alg: SAlgebra, g: GridSpec) -> LawReport:
 def _metric_laws(prefix: str, points, dist, table: ValueTable, star, numeric: bool) -> list[LawReport]:
     """Identity, symmetry, star-triangle and (with ``numeric``) the numeric
     triangle of the distance table ``dist`` (ids) on ``points`` (witness
-    labels); point i is row i, and id 0 is the distance 0.  Each law
-    compares whole rows over its last variable; only a row that fails is
-    swept again, to register its witnesses in tuple order."""
+    labels), with ``star`` the s-norm on values; point i is row i, and id 0
+    is the distance 0.  Each law compares whole rows over its last
+    variable; only a row that fails is swept again, to register its
+    witnesses in tuple order.  Off the grid, where ``star`` carries a
+    kernel, each star-triangle row ``d(a, c) * d(c, b)`` over c comes from
+    tables.kernel_row and is compared with ``d(a, b)`` by
+    cross-multiplication: nothing is interned or memoised for it."""
     values, le = table.values, table.le
     m = len(points)
     rng = range(m)
@@ -133,12 +145,26 @@ def _metric_laws(prefix: str, points, dist, table: ValueTable, star, numeric: bo
     common = lcm(*(values[i].denominator for row in dist for i in row))
     scaled = [[values[i].numerator * (common // values[i].denominator) for i in row] for row in dist]
     scaled_cols = [list(col) for col in zip(*scaled)]
+    if max(map(max, dist)) < table.n_points:
+        # Distances on the grid: the star of two of them is read from the star's square.
+        kernel, star_sq = None, table.square(star)
+        star_row = lambda xs, ys: list(map(operator.getitem, map(star_sq.__getitem__, xs), ys))
+    else:
+        kernel, star_row = getattr(star, "kernel", None), partial(table.map, star)
+    num, den = table._num, table._den
+    fractions = lambda rows: [([num[i] for i in row], [den[i] for i in row]) for row in rows]
+    if kernel is not None:
+        row_fractions, col_fractions = fractions(dist), fractions(cols)
     for a, b in itertools.product(rng, repeat=2):
-        d_ab, bounds = dist[a][b], star.map(dist[a], cols[b])
-        if table.all_le([d_ab] * m, bounds) and (
-            triangle is None or scaled[a][b] <= min(map(operator.add, scaled[a], scaled_cols[b]))
-        ):
+        d_ab = dist[a][b]
+        if kernel is None:
+            star_holds = table.all_le([d_ab] * m, star_row(dist[a], cols[b]))
+        else:
+            ns, ds = kernel_row(kernel, *row_fractions[a], *col_fractions[b])
+            star_holds = all(map(operator.le, map(operator.mul, repeat(num[d_ab]), ds), map(operator.mul, ns, repeat(den[d_ab]))))
+        if star_holds and (triangle is None or scaled[a][b] <= min(map(operator.add, scaled[a], scaled_cols[b]))):
             continue
+        bounds = star_row(dist[a], cols[b])
         for c in rng:
             if not le(d_ab, bounds[c]):
                 star_triangle.register(
@@ -150,32 +176,34 @@ def _metric_laws(prefix: str, points, dist, table: ValueTable, star, numeric: bo
     return [identity, symmetry, star_triangle] + ([triangle] if numeric else [])
 
 
-def _distances(alg: SAlgebra, pts):
-    """The grid interned, the s-norm, residuum and distance on ids, and the
-    table of d(a, b) ids on the grid."""
-    table = ValueTable(pts)
-    star, res = table.operation(alg.star), table.operation(alg.res)
-    dist = table.memo(lambda a, b: star(res(a, b), res(b, a)))
-    return table, star, res, dist, square(dist, len(pts))
+def _distance_square(table: ValueTable, alg: SAlgebra, ids=None) -> list[list[int]]:
+    """d(a, b) = (a -> b) * (b -> a) for every pair of ``ids`` (by default
+    the table's points), as rows of ids: row a is the star of row a and
+    column a of the residuum's square."""
+    res = table.square(alg.res, ids)
+    return [table.map(alg.star, row, col) for row, col in zip(res, zip(*res))]
 
 
 def metric_axioms_check(alg: SAlgebra, g: GridSpec) -> list[LawReport]:
     """Identity of indiscernibles, symmetry, the star-triangle inequality,
     and (when the norm is weaker than Lukasiewicz) the numeric triangle
     inequality, all exhaustively on the grid."""
-    table, star, _, _, dist = _distances(alg, g.points())
-    return _metric_laws("d", g.points(), dist, table, star, weaker_than_lukasiewicz(alg, g))
+    table = ValueTable(g.points())
+    return _metric_laws("d", g.points(), _distance_square(table, alg), table, alg.star, weaker_than_lukasiewicz(alg, g))
 
 
 def pair_metric_axioms_check(alg: SAlgebra, g: GridSpec) -> list[LawReport]:
     """The three pair-distance clauses (plus the numeric triangle when it
     applies) over all pairs of grid points; cubic in the squared grid."""
     pts = g.points()
-    table, star, _, _, dist = _distances(alg, pts)
-    pairs = [(x, y) for x in range(len(pts)) for y in range(len(pts))]
-    pair_dist = [[star(dist[a1][b1], dist[a2][b2]) for b1, b2 in pairs] for a1, a2 in pairs]
+    rng = range(len(pts))
+    table = ValueTable(pts)
+    dist = _distance_square(table, alg)
+    pairs = [(x, y) for x in rng for y in rng]
+    repeated, tiled = [[x for x in row for _ in rng] for row in dist], [row * len(pts) for row in dist]
+    pair_dist = [table.map(alg.star, repeated[a1], tiled[a2]) for a1, a2 in pairs]
     labels = [PairValue(pts[x], pts[y]) for x, y in pairs]
-    return _metric_laws("pair", labels, pair_dist, table, star, weaker_than_lukasiewicz(alg, g))
+    return _metric_laws("pair", labels, pair_dist, table, alg.star, weaker_than_lukasiewicz(alg, g))
 
 
 def continuity_inequalities_check(alg: SAlgebra, g: GridSpec) -> list[LawReport]:
@@ -191,36 +219,46 @@ def continuity_inequalities_check(alg: SAlgebra, g: GridSpec) -> list[LawReport]
 
     where D(a, b) = d(a1, b1) * d(a2, b2).  Each (a1, a2) compares one row
     per contract over the flattened pairs (b1, b2); only a row that fails is
-    swept again, to register its witnesses in tuple order.
+    swept again, to register its witnesses in tuple order.  Every row is
+    picked from a square: of the star, the residuum or the distance on the
+    grid, or on the star values, residua or distances the grid takes.
     """
     pts = g.points()
     n = len(pts)
     rng = range(n)
-    table, star, res, dist, dist_g = _distances(alg, pts)
+    table = ValueTable(pts)
     values, le = table.values, table.le
-    res_g, star_g = square(res, n), square(star, n)
+    star_g, res_g, dist_g = table.square(alg.star), table.square(alg.res), _distance_square(table, alg)
     res_t = [list(col) for col in zip(*res_g)]
     pairs = list(itertools.product(rng, repeat=2))
     pair_pts = [(pts[b1], pts[b2]) for b1, b2 in pairs]
-    # Rows over (b1, b2): a table entry at (b1, b2), at (a, b1) repeated for
-    # each b2, or at (a, b2) tiled for each b1.
-    star_b, res_b = [star_g[b1][b2] for b1, b2 in pairs], [res_g[b1][b2] for b1, b2 in pairs]
-    repeated = lambda tab: [[x for x in row for _ in rng] for row in tab]
-    tiled = lambda tab: [row * n for row in tab]
-    dist_rep, dist_tile = repeated(dist_g), tiled(dist_g)
-    res_rep, res_tile, res_t_rep, res_t_tile = repeated(res_g), tiled(res_g), repeated(res_t), tiled(res_t)
+
+    # The values each square of the grid takes, and the position of each among them.
+    (star_ids, star_pos), (res_ids, res_pos), (dist_ids, dist_pos) = map(positions, (star_g, res_g, dist_g))
+    dist_of_stars, dist_of_res = _distance_square(table, alg, star_ids), _distance_square(table, alg, res_ids)
+    res_of_res, star_of_res = table.square(alg.res, res_ids), table.square(alg.star, res_ids)
+    star_of_dist = table.square(alg.star, dist_ids)
+    res_of_res_t = [list(col) for col in zip(*res_of_res)]
+    at_star_b, at_res_b = picker(star_pos, itertools.chain(*star_g)), picker(res_pos, itertools.chain(*res_g))
+    at_dist_row = [picker(dist_pos, row) for row in dist_g]
+    at_res_row, at_res_col = [picker(res_pos, row) for row in res_g], [picker(res_pos, row) for row in res_t]
+    outer = lambda rows, pick: list(itertools.chain.from_iterable(map(pick, rows)))
     reports = [LawReport(law, n**4) for law in ("star-lipschitz", "res-lipschitz", "z1", "z2", "z3")]
     for a1 in rng:
-        z1 = (res_tile[a1], star.map(res_rep[a1], res_b))
+        # star(x, .) for x = d(a1, b1), a1 -> b1 and b1 -> a1, one row per b1.
+        big_rows = [star_of_dist[dist_pos[x]] for x in dist_g[a1]]
+        z2_rows = [star_of_res[res_pos[x]] for x in res_g[a1]]
+        z3_rows = [star_of_res[res_pos[x]] for x in res_t[a1]]
+        z1 = (res_g[a1] * n, list(itertools.chain.from_iterable(pick(row) for pick, row in zip(at_res_row, z2_rows))))
         for a2 in rng:
-            r_a = res_g[a1][a2]
-            big = star.map(dist_rep[a1], dist_tile[a2])
+            s_a, r_a = star_pos[star_g[a1][a2]], res_pos[res_g[a1][a2]]
+            big = outer(big_rows, at_dist_row[a2])
             rows = (
-                (dist.row(star_g[a1][a2], star_b), big),
-                (dist.row(r_a, res_b), big),
+                (at_star_b(dist_of_stars[s_a]), big),
+                (at_res_b(dist_of_res[r_a]), big),
                 z1,
-                (res.map(res_b, [r_a] * len(pairs)), star.map(res_rep[a1], res_t_tile[a2])),
-                (res.row(r_a, res_b), star.map(res_t_rep[a1], res_tile[a2])),
+                (at_res_b(res_of_res_t[r_a]), outer(z2_rows, at_res_col[a2])),
+                (at_res_b(res_of_res[r_a]), outer(z3_rows, at_res_row[a2])),
             )
             for report, (lhs, rhs) in zip(reports, rows):
                 if not table.all_le(lhs, rhs):

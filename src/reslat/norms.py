@@ -28,8 +28,9 @@ from .unitval import GridSpec, UnitValue
 # The largest grid denominator ``reslat norms`` runs the residuum oracle on.
 MAX_ORACLE_GRID = 16
 
-# The grid checkers import reslat.tables when they run: evaluating formulas
-# needs only the scalar forms, so an ``eval`` process never loads it.
+# The grid checkers import reslat.tables when they run (an ``eval`` needs
+# only the scalar forms), and share squares through an optional ValueTable
+# of their grid: ``reslat norms`` passes one table to all of them.
 
 
 class NormKind(Enum):
@@ -214,13 +215,13 @@ def residuum_oracle(f: NormFamily, x: UnitValue, y: UnitValue, g: GridSpec) -> U
     raise AssertionError("unreachable: T(0, x) = 0 <= y")
 
 
-def adjointness_check(f: NormFamily, g: GridSpec) -> LawReport:
+def adjointness_check(f: NormFamily, g: GridSpec, table=None) -> LawReport:
     """Residuation as a biconditional, exhaustively over grid triples.
 
     s-norm side: a >= R(b, c)  iff  S(a, b) >= c.
     t-norm side: a <= R(b, c)  iff  T(a, b) <= c.
     """
-    from .tables import ValueTable, square
+    from .tables import ValueTable, residuated
 
     if not f.is_residuated:
         raise DrasticNotResiduated("adjointness is undefined for the drastic family")
@@ -229,16 +230,15 @@ def adjointness_check(f: NormFamily, g: GridSpec) -> LawReport:
     rng = range(m)
     law = "DBL3-adjointness" if f.side is NormSide.SNORM else "BL3-adjointness"
     report = LawReport(law, m**3)
-    table = ValueTable(pts)
+    table = table or ValueTable(pts)
     form = getattr(residuum, "form", None)
-    res = square(table.operation(form(f) if form else partial(residuum, f)), m)
-    nrm = square(table.operation(closed_form(f)), m)
-    # Nothing is interned past the two squares: compare order ranks.
+    res = table.square(form(f) if form else partial(residuum, f))
+    nrm = table.square(closed_form(f))
     ranks = table.ranked(res + nrm + [rng])
     res_r, nrm_r, grid_r = ranks[:m], ranks[m:-1], ranks[-1]
     snorm_side = f.side is NormSide.SNORM
     # One row per (a, b), over c.
-    for a, b in itertools.product(rng, repeat=2):
+    for a, b in () if residuated(res_r, nrm_r, grid_r, snorm_side) else itertools.product(rng, repeat=2):
         a_row, n_row = [grid_r[a]] * m, [nrm_r[a][b]] * m
         if snorm_side:
             left, right = list(map(le, res_r[b], a_row)), list(map(le, grid_r, n_row))
@@ -260,25 +260,25 @@ def oracle_agreement_check(f: NormFamily, g: GridSpec) -> LawReport:
     return report
 
 
-def norm_axioms_check(f: NormFamily, g: GridSpec) -> list[LawReport]:
+def norm_axioms_check(f: NormFamily, g: GridSpec, table=None) -> list[LawReport]:
     """Associativity, commutativity, monotonicity, and the boundary condition."""
-    from .tables import ValueTable, square
+    from .tables import ValueTable, associativity_rows
 
     pts = g.points()
     m = len(pts)
     rng = range(m)
-    table = ValueTable(pts)
-    values = table.values
-    norm = table.operation(closed_form(f))
-    grid_tab = square(norm, m)
+    table = table or ValueTable(pts)
+    fn = closed_form(f)
+    grid_tab = table.square(fn)
     cols = [list(col) for col in zip(*grid_tab)]
 
     # Each law compares whole rows over its last variable; only a row that
     # differs is swept again, to register its witnesses in tuple order.
-    show = values.__getitem__
+    show = table.values.__getitem__
     assoc = LawReport("associativity", m**3)
-    for x, y in itertools.product(rng, repeat=2):
-        lhs, rhs = norm.row(grid_tab[x][y], rng), norm.row(x, grid_tab[y])
+    rows = associativity_rows(table, fn, grid_tab)
+    for x, y in itertools.product(rng, repeat=2) if rows else ():
+        lhs, rhs = rows(x, y)
         if lhs != rhs:
             assoc.register_row(lhs, rhs, lambda z: (pts[x], pts[y], pts[z]), show)
     comm = LawReport("commutativity", m**2)
@@ -287,7 +287,8 @@ def norm_axioms_check(f: NormFamily, g: GridSpec) -> list[LawReport]:
             comm.register_row(grid_tab[x], cols[x], lambda y: (pts[x], pts[y]), show)
     mono = LawReport("monotonicity", m * m * (m + 1) // 2)
     ranks = table.ranked(grid_tab)
-    for x1, x2 in itertools.combinations_with_replacement(rng, 2):
+    chained = all(all(map(le, lo, hi)) for lo, hi in zip(ranks, ranks[1:]))  # le is transitive
+    for x1, x2 in () if chained else itertools.combinations_with_replacement(rng, 2):
         if not all(map(le, ranks[x1], ranks[x2])):
             mono.register_row(grid_tab[x1], grid_tab[x2], lambda y: (pts[x1], pts[x2], pts[y]), show, table.le)
     unit_idx = m - 1 if f.side is NormSide.TNORM else 0
@@ -307,21 +308,21 @@ def tuples_checked(kinds, grid: int) -> int:
     return len(kinds) * (2 * axioms + m**2) + residuated * (m**3 + oracle**2) + 2 * 3 * m**2
 
 
-def ordering_chain_check(side: NormSide, g: GridSpec) -> LawReport:
+def ordering_chain_check(side: NormSide, g: GridSpec, table=None) -> LawReport:
     """Pointwise ordering of the four families on all grid pairs.
 
     t-norms: drastic <= lukasiewicz <= product <= goedel;
     s-norms the reverse chain: goedel <= product <= lukasiewicz <= drastic.
     """
-    from .tables import ValueTable, square
+    from .tables import ValueTable
 
     chain = [NormKind.DRASTIC, NormKind.LUKASIEWICZ, NormKind.PRODUCT, NormKind.GOEDEL]
     families = [NormFamily(k, side) for k in (chain if side is NormSide.TNORM else reversed(chain))]
     pts = g.points()
     m = len(pts)
-    table = ValueTable(pts)
+    table = table or ValueTable(pts)
     values = table.values
-    tabs = [square(table.operation(closed_form(f)), m) for f in families]
+    tabs = [table.square(closed_form(f)) for f in families]
     ranks = table.ranked([row for tab in tabs for row in tab])
     rank_tabs = [ranks[k : k + m] for k in range(0, len(ranks), m)]
     rng = range(m)
@@ -345,24 +346,19 @@ def ordering_chain_check(side: NormSide, g: GridSpec) -> LawReport:
     return report
 
 
-def duality_check(kind: NormKind, g: GridSpec) -> LawReport:
+def duality_check(kind: NormKind, g: GridSpec, table=None) -> LawReport:
     """Duality identity on all grid pairs for one family kind: the grid is
     closed under complement, and grid id k complements to id N - k."""
-    from .tables import ValueTable, square
+    from .tables import ValueTable
 
     pts = g.points()
     top = len(pts) - 1
-    rng, flipped = range(len(pts)), range(top, -1, -1)
     report = LawReport("duality", len(pts) ** 2)
-    table = ValueTable(pts)
-    values = table.values
-    s_norm = table.operation(closed_form(NormFamily.s_norm(kind)))
-    t_norm = table.operation(closed_form(NormFamily.t_norm(kind)))
-    # Row 0 of this operation maps the id of y to the id of 1 - y.
-    complement = table.operation(lambda _, y: y.complement())
-    for x in rng:
-        s_row = s_norm.row(x, rng)
-        t_row = complement.row(0, t_norm.row(top - x, flipped))
+    table = table or ValueTable(pts)
+    s_norm = table.square(closed_form(NormFamily.s_norm(kind)))
+    t_norm = table.square(closed_form(NormFamily.t_norm(kind)))
+    for x in range(len(pts)):
+        s_row, t_row = s_norm[x], table.complements(t_norm[top - x][::-1])
         if s_row != t_row:
-            report.register_row(s_row, t_row, lambda y: (pts[x], pts[y]), values.__getitem__)
+            report.register_row(s_row, t_row, lambda y: (pts[x], pts[y]), table.values.__getitem__)
     return report

@@ -1,33 +1,45 @@
-"""Exact values interned as small integer ids, with memoised operations.
+"""Exact values interned as small integer ids, and whole rows of an operation.
 
 The exhaustive unit-grid sweeps run on ids instead of on UnitValues.  The
 grid points are ids ``0..N`` in increasing order; an operation is the
 caller's own function on values (a family's closed form or residuum), so the
-code under test is unchanged, but it runs once per distinct pair of ids.
-Equal values share one id, and the order is decided exactly from the
-numerators and denominators the table keeps.  On a grid closed under the
-operations (Lukasiewicz, Goedel, drastic) no id is ever added, so every
-operation is an ``(N+1)^2`` table of grid ids; otherwise (product) the
-values the operations produce off the grid get the next ids as they appear.
+code under test is unchanged.  Equal values share one id, and the order is
+decided exactly from the numerators and denominators the table keeps.  On a
+grid closed under the operations (Lukasiewicz, Goedel, drastic) no id is
+ever added, so every operation is an ``(N+1)^2`` table of grid ids;
+otherwise (product) the values the operations produce off the grid get the
+next ids as they appear.
 
 The closed forms and residua of reslat.norms carry an integer kernel on
-numerators and denominators; an operation on such a function runs the
-kernel on the table's own numerator and denominator lists and builds a
-UnitValue only for a value new to the table.  Any other function (a
-wrapper, a test's broken operation, a complement) runs on values.
+numerators and denominators, and :func:`kernel_row` is the one row
+primitive: it runs a kernel over whole columns of numerators and
+denominators in C, as ``map(kernel, ...)``, and applies UnitValue's range
+check to every result.  :meth:`ValueTable.square` interns such rows into an
+operation's grid square, once per table and function, so that the checkers
+of one ``reslat norms`` run share their squares; a checker that only
+compares results (product associativity, the star-triangle) compares the
+rows themselves and interns nothing.  Any other function (a wrapper, a
+test's broken operation) runs on values, through :meth:`ValueTable.operation`.
 
-The sweeps work on whole rows of ids: an operation hands out a row
-``op.row(i, js)`` or an elementwise list ``op.map(is_, js)``, read from its
-memo rows in C, and ``all_le`` tests a whole row of order pairs, by plain
-id order while the ids still increase with their values.  Where a law
-interns nothing more, :meth:`ValueTable.ranked` maps the rows it compares
-to order ranks once, so that ``operator.le`` compares them in C.
+An operation from :meth:`ValueTable.operation` is computed once per distinct
+pair of ids and hands out a row ``op.row(i, js)`` or an elementwise list
+``op.map(is_, js)``, read from its memo rows in C.  ``all_le`` tests a whole
+row of order pairs in C: by plain id order while the ids still increase with
+their values, else by the values' correctly rounded floats while no two of
+them share a float.  Where a law interns nothing more,
+:meth:`ValueTable.ranked` maps the rows it compares to order ranks once, so
+that ``operator.le`` compares them in C.
 """
 
 from __future__ import annotations
 
 import operator
-from math import gcd
+from array import array
+from bisect import bisect_left, bisect_right
+from collections import defaultdict
+from itertools import repeat
+from math import gcd, lcm
+from operator import floordiv, itemgetter, le, mod, mul
 from typing import Callable, Iterable
 
 from .unitval import UnitValue
@@ -41,11 +53,20 @@ class ValueTable:
         self._ids: dict[tuple[int, int], int] = {}
         self._num: list[int] = []
         self._den: list[int] = []
+        self._float: list[float] = []  # the correctly rounded float of each value
+        self._floats: set[float] = set()
         # True while every id was interned above the one before it, so that
         # id order is value order.
         self.ids_ordered = True
+        # True while no two values share a float: rounding is monotone, so
+        # float order is then value order.
+        self.floats_distinct = True
+        self._squares: dict = {}  # the points' square of each function
+        self._ops: dict = {}  # the operation of each function without a kernel
         for v in points:
             self.intern(v)
+        # The points' ids, 0..n_points - 1: the grid every square is taken on.
+        self.n_points = len(self.values)
 
     def intern(self, v) -> int:
         """The id of ``v``, assigning the next one if ``v`` is new."""
@@ -58,6 +79,11 @@ class ValueTable:
             self.values.append(v)
             self._num.append(key[0])
             self._den.append(key[1])
+            f = key[0] / key[1]
+            if self.floats_distinct:
+                self.floats_distinct = f not in self._floats
+                self._floats.add(f)
+            self._float.append(f)
         return i
 
     def le(self, i: int, j: int) -> bool:
@@ -65,8 +91,55 @@ class ValueTable:
         return self._num[i] * self._den[j] <= self._num[j] * self._den[i]
 
     def all_le(self, xs: Iterable[int], ys: Iterable[int]) -> bool:
-        """``le(x, y)`` for every pair of ``zip(xs, ys)``."""
-        return all(map(operator.le if self.ids_ordered else self.le, xs, ys))
+        """``le(x, y)`` for every pair of ``zip(xs, ys)``, in C unless two
+        values of the table share a float."""
+        if self.ids_ordered:
+            return all(map(le, xs, ys))
+        if self.floats_distinct:
+            as_float = self._float.__getitem__
+            return all(map(le, map(as_float, xs), map(as_float, ys)))
+        return all(map(self.le, xs, ys))
+
+    def apply(self, kernel: Callable, xs, ys) -> list[int]:
+        """The ids of ``kernel`` on the ids ``xs[k], ys[k]``, for every k:
+        the row primitive, with each result reduced and interned."""
+        num, den = self._num.__getitem__, self._den.__getitem__
+        ns, ds = kernel_row(kernel, map(num, xs), map(den, xs), map(num, ys), map(den, ys))
+        gs = list(map(gcd, ns, ds))
+        out = list(map(self._ids.get, zip(map(floordiv, ns, gs), map(floordiv, ds, gs))))
+        if None in out:
+            for k, i in enumerate(out):
+                if i is None:
+                    out[k] = self.intern(UnitValue(ns[k], ds[k]))
+        return out
+
+    def complements(self, ids) -> list[int]:
+        """The ids of ``1 - v`` for the values ``v`` with the ids ``ids``."""
+        return self.apply(_complement, ids, ids)
+
+    def map(self, fn: Callable, xs, ys) -> list[int]:
+        """The ids of ``fn`` on the ids ``xs[k], ys[k]``, for every k: by the
+        row primitive on ``fn.kernel`` when ``fn`` carries one, else through
+        one :meth:`operation` per table and function."""
+        kernel = getattr(fn, "kernel", None)
+        if kernel is not None:
+            return self.apply(kernel, xs, ys)
+        op = self._ops.get(fn)
+        if op is None:
+            op = self._ops[fn] = self.operation(fn)
+        return op.map(xs, ys)
+
+    def square(self, fn: Callable, ids=None) -> list[list[int]]:
+        """The ids ``fn(x, y)`` for every pair of ``ids``, row by row; by
+        default the ids are the points', and that square is computed once
+        per table and function."""
+        rows = self._squares.get(fn) if ids is None else None
+        if rows is None:
+            rng = range(self.n_points) if ids is None else ids
+            rows = [self.map(fn, [i] * len(rng), rng) for i in rng]
+            if ids is None:
+                self._squares[fn] = rows
+        return rows
 
     def operation(self, fn: Callable) -> Callable[[int, int], int]:
         """``fn`` on values as a binary operation on ids, computed once per
@@ -100,10 +173,10 @@ class ValueTable:
         every row a law compares, once nothing more is interned for it."""
         if self.ids_ordered:
             return rows
-        num, den, values = self._num, self._den, self.values
+        floats, values = self._float, self.values
         # The float of n/d is correctly rounded, so it orders the values up
         # to ties; the exact value breaks them.
-        order = sorted(set().union(*rows), key=lambda i: (num[i] / den[i], values[i]))
+        order = sorted(set().union(*rows), key=lambda i: (floats[i], values[i]))
         rank = dict(zip(order, range(len(order))))
         return [list(map(rank.__getitem__, row)) for row in rows]
 
@@ -180,6 +253,128 @@ class ValueTable:
         return apply
 
 
-def square(op: Callable[[int, int], int], n: int) -> list[list[int]]:
-    """The ids ``op(i, j)`` for the first ``n`` ids (the grid), row by row."""
-    return [[op(i, j) for j in range(n)] for i in range(n)]
+def _complement(a: int, b: int, c: int, d: int) -> tuple[int, int]:
+    return d - c, d  # 1 - c/d
+
+
+def residuated(res: list, nrm: list, pts, upper: bool) -> bool:
+    """Whether ``a >= res[b][c]`` iff ``nrm[a][b] >= pts[c]`` for all a, b,
+    c, or with ``upper`` false ``a <= res[b][c]`` iff ``nrm[a][b] <= pts[c]``
+    (a reads ``pts[a]``), on order ranks with ``pts`` increasing.
+
+    For each b the column ``a -> nrm[a][b]`` must be non-decreasing; else
+    the answer is False.  Then both sides, as sets of a, are up-sets (down-
+    sets) of the chain of points, and they are equal iff their thresholds
+    are: the first a with ``pts[a] >= res[b][c]`` and the first a with
+    ``nrm[a][b] >= pts[c]``, both found by ``bisect_left`` (by
+    ``bisect_right`` for down-sets), one comparison per (b, c).
+    """
+    cols = list(zip(*nrm))
+    if not all(all(map(le, col, col[1:])) for col in cols):
+        return False
+    find = bisect_left if upper else bisect_right
+    return all(
+        list(map(find, repeat(pts), res_b)) == list(map(find, repeat(col), pts)) for res_b, col in zip(res, cols)
+    )
+
+
+def positions(rows) -> tuple[list[int], dict]:
+    """The ids the ``rows`` hold, in increasing order, and the position of each."""
+    ids = sorted(set().union(*rows))
+    return ids, dict(zip(ids, range(len(ids))))
+
+
+def picker(pos: dict, ids) -> Callable:
+    """The function that takes, in C, the entries at ``ids`` (two or more)
+    from a row over the ids that ``pos`` numbers."""
+    return itemgetter(*map(pos.__getitem__, ids))
+
+
+def kernel_row(kernel: Callable, xn, xd, yn, yd) -> tuple[tuple, tuple]:
+    """``kernel`` over whole columns, as ``map(kernel, xn, xd, yn, yd)``:
+    the numerators and the denominators of its results, as two tuples.
+
+    Each result is checked as UnitValue checks it: a pair ``0 <= n <= d``
+    with ``d > 0`` is kept as it is, and any other pair goes through
+    UnitValue, which refuses it (ValueError, ZeroDivisionError) or gives its
+    reduced form.
+    """
+    pairs = list(map(kernel, xn, xd, yn, yd))
+    if not pairs:
+        return (), ()
+    ns, ds = zip(*pairs)
+    if min(ds) > 0 and min(ns) >= 0 and all(map(le, ns, ds)):
+        return ns, ds
+    values = [UnitValue(n, d) for n, d in pairs]
+    return tuple(v.numerator for v in values), tuple(v.denominator for v in values)
+
+
+def associativity_rows(table: ValueTable, fn: Callable, sq: list[list[int]]):
+    """None where ``T(T(x, y), z) == T(x, T(y, z))`` for all points x, y, z,
+    with T ``fn`` and ``sq`` its square: on a closed grid (every ``T(x, y)``
+    a point) as the square alone decides it, else as :func:`rows_associative`
+    decides it on ``fn.kernel``.  Otherwise the function ``(x, y) -> (lhs,
+    rhs)``, the two sides as rows of ids over z, read from the square on a
+    closed grid and from :meth:`ValueTable.operation` off it.
+    """
+    m = table.n_points
+    if max(map(max, sq)) < m:
+        # Row x of each side at once: (T(T(x, y), z))_y,z picks rows of the
+        # square, and (T(x, T(y, z)))_y,z picks from row x.
+        rows, picks = [tuple(row) for row in sq], [itemgetter(*row) for row in sq]
+        if all(list(itemgetter(*row)(rows)) == [pick(row) for pick in picks] for row in sq):
+            return None
+        return lambda x, y: (sq[sq[x][y]], list(map(sq[x].__getitem__, sq[y])))
+    kernel = getattr(fn, "kernel", None)
+    if kernel is not None and rows_associative(table, kernel, sq):
+        return None
+    op, rng = table.operation(fn), range(m)
+    return lambda x, y: (op.row(sq[x][y], rng), op.row(x, sq[y]))
+
+
+def rows_associative(table: ValueTable, kernel: Callable, sq: list[list[int]]) -> bool:
+    """Whether ``T(T(x, y), z) == T(x, T(y, z))`` for all points x, y, z,
+    where T is ``kernel`` and ``sq`` its square of ids on the points.
+
+    ``T(x, .)`` runs over the square's ids once per x, and ``T(s, .)`` over
+    the points once per distinct ``s = T(x, y)``, as rows of kernel_row.
+    Every result is a key over one common denominator ``L``, so that rows
+    compare with ``==``; only the rows ``T(x, .)`` are kept, as int64
+    arrays, and no result is interned.  False also where a result is
+    refused (the caller's row sweep then meets the refusal in its own
+    order) or a key cannot be formed: a result denominator that does not
+    divide ``L``, or a key past int64.
+    """
+    num, den = table._num, table._den
+    m = table.n_points
+    ids, pos = positions(sq)
+    # picks[y] takes (T(x, T(y, z)))_z from the row of T(x, .) over the square's ids.
+    picks = [picker(pos, row) for row in sq]
+    id_num, id_den = [num[i] for i in ids], [den[i] for i in ids]
+    pt_num, pt_den = num[:m], den[:m]
+    # Every kernel of reslat.norms gives a denominator that divides the
+    # product of its arguments' denominators.
+    common = lcm(*pt_den) * lcm(*id_den)
+
+    def keys(ns, ds) -> list[int]:
+        if any(map(mod, repeat(common), ds)):
+            raise ArithmeticError("a result denominator does not divide the common one")
+        return list(map(mul, ns, map(floordiv, repeat(common), ds)))
+
+    try:
+        rows = [
+            array("q", keys(*kernel_row(kernel, repeat(num[x], len(ids)), repeat(den[x], len(ids)), id_num, id_den)))
+            for x in range(m)
+        ]
+        pairs = defaultdict(list)
+        for x, row in enumerate(sq):
+            for y, s in enumerate(row):
+                pairs[s].append((x, y))
+        for s, xys in pairs.items():
+            lhs = tuple(keys(*kernel_row(kernel, repeat(num[s], m), repeat(den[s], m), pt_num, pt_den)))
+            for x, y in xys:
+                if lhs != picks[y](rows[x]):
+                    return False
+    except (ArithmeticError, ValueError):  # ZeroDivisionError and OverflowError included
+        return False
+    return True

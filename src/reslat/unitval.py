@@ -12,6 +12,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
+from .errors import cut
+
 
 class UnitValue(Fraction):
     """An exact rational number in [0, 1].
@@ -96,7 +98,7 @@ def parse_unit(text: str) -> UnitValue:
     try:
         value = Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise ValueError(f"{text!r} is not a number") from None
+        raise ValueError(f"{cut(repr(text))} is not a number") from None
     return UnitValue(value)
 
 

@@ -376,6 +376,26 @@ def test_a_long_document_value_is_echoed_cut(capsys, tmp_path, name):
     assert "…" in err
 
 
+LONG_ASSIGNMENTS = {
+    "unknown-label": (["--algebra", "l4.alg"], f"p={LONG}"),
+    "not-a-number": (["--t-algebra", "goedel"], f"p={LONG}"),
+    "assigned-twice": (["--t-algebra", "goedel"], f"{LONG}=1,{LONG}=1"),
+    "no-equals-sign": (["--t-algebra", "goedel"], LONG),
+    "not-an-atom": (["--t-algebra", "goedel"], f"1{LONG}=1"),
+}
+
+
+@pytest.mark.parametrize("name", LONG_ASSIGNMENTS)
+def test_a_long_assigned_value_is_echoed_cut(capsys, fixtures_dir, name):
+    backend, assign = LONG_ASSIGNMENTS[name]
+    if backend[0] == "--algebra":
+        backend = [backend[0], str(fixtures_dir / backend[1])]
+    code, out, err = run(capsys, "eval", "p", *backend, "--assign", assign)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and len(err) <= 200
+    assert "…" in err
+
+
 class TestEval:
     def test_assign(self, capsys):
         code, out, _ = run(capsys, "eval", "p -> q", "--t-algebra", "lukasiewicz",

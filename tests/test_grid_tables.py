@@ -30,7 +30,7 @@ from reslat.metric import (
 )
 from reslat.norms import NormFamily, NormKind, NormSide
 from reslat.reports import LawReport, Violation
-from reslat.tables import ValueTable, square
+from reslat.tables import ValueTable
 from reslat.unitval import ONE, ZERO, GridSpec, UnitValue
 
 GRIDS = (4, 5, 8)
@@ -42,6 +42,11 @@ NORM_BREAKS = ("valid", "norm-entry", "non-commutative")
 
 def dicts(reports):
     return [r.to_dict() for r in reports]
+
+
+def square(op, n):
+    """The ids ``op(i, j)`` for the first ``n`` ids (the grid), row by row."""
+    return [[op(i, j) for j in range(n)] for i in range(n)]
 
 
 # -- deliberately broken operations -------------------------------------------

@@ -17,8 +17,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from reslat.norms import NormFamily, NormKind, NormSide, closed_form, residuum, residuum_form
-from reslat.tables import ValueTable, square
+from reslat.tables import ValueTable
 from reslat.unitval import GridSpec, UnitValue
+
+from test_grid_tables import square
 
 FAMILIES = [NormFamily(kind, side) for kind in NormKind for side in NormSide]
 FORMS = [pytest.param(closed_form(f), id=f.describe()) for f in FAMILIES] + [
