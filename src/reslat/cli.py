@@ -13,7 +13,9 @@ files; ``--help`` prints each grid default.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import importlib.util
+import os
 import re
 import sys
 
@@ -86,6 +88,7 @@ def _print_json(doc, indent=2) -> None:
 
 def _emit(args, sections, notes=(), extra=None) -> int:
     ok = all(reports.all_ok(section) for _, section in sections)
+    args.verdict = 0 if ok else 1  # the exit code, also when stdout is closed (see main)
     if args.format == "json":
         doc = {
             "ok": ok,
@@ -111,7 +114,7 @@ def _emit(args, sections, notes=(), extra=None) -> int:
             for key, value in extra.items():
                 print(f"{key}: {value}")
         print("result: " + ("PASS" if ok else "FAIL"))
-    return 0 if ok else 1
+    return args.verdict
 
 
 def _parse_law_selector(selector: str, prefix: str, count: int) -> list[str]:
@@ -369,8 +372,19 @@ def main(argv=None) -> int:
         # Options before the subcommand's name are the top-level parser's; the rest are the subcommand's.
         owner = parser if set(unknown) & set(argv[: argv.index(args.command)]) else args.parser
         owner.error(f"unrecognized arguments: {' '.join(unknown)}")
+    args.verdict = 0  # eval, topology and dualize print only once their output is computed
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at shutdown
+        return code
+    except BrokenPipeError:
+        # The reader of stdout has gone (``reslat ... | head``): not bad input,
+        # so the verdict stands.  The rest of the output goes to the null
+        # device, so that the flush at shutdown prints nothing.
+        with contextlib.suppress(AttributeError, OSError):  # a stream without a file descriptor
+            fd = sys.stdout.fileno()
+            os.dup2(os.open(os.devnull, os.O_WRONLY), fd)
+        return args.verdict
     except TheoremViolation as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return 1

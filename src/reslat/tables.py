@@ -10,30 +10,28 @@ ever added, so every operation is an ``(N+1)^2`` table of grid ids;
 otherwise (product) the values the operations produce off the grid get the
 next ids as they appear.
 
-The closed forms and residua of reslat.norms carry an integer kernel on
-numerators and denominators, and :func:`kernel_row` is the one row
-primitive: it runs a kernel over whole columns of numerators and
-denominators in C, as ``map(kernel, ...)``, and applies UnitValue's range
-check to every result.  :meth:`ValueTable.square` interns such rows into an
-operation's grid square, once per table and function, so that the checkers
-of one ``reslat norms`` run share their squares; a checker that only
-compares results (product associativity, the star-triangle) compares the
-rows themselves and interns nothing.  Any other function (a wrapper, a
-test's broken operation) runs on values, through :meth:`ValueTable.operation`.
+Every operation runs as an integer kernel on numerators and denominators:
+the closed forms and residua of reslat.norms carry theirs, and
+:func:`kernel_of` wraps any other function (a wrapper, a test's broken
+operation) as one.  :func:`kernel_row` is the one row primitive: it runs a
+kernel over whole columns in C, as ``map(kernel, ...)``, and applies
+UnitValue's range check to every result.  :meth:`ValueTable.map` interns
+its rows, and :meth:`ValueTable.square` an operation's grid square, once
+per table and function, so that the checkers of one ``reslat norms`` run
+share their squares; a checker that only compares results (product
+associativity, the star-triangle) compares the rows themselves and interns
+nothing.  :meth:`ValueTable.operation` is the scalar lookup a law sweep
+calls once per tuple, computed once per distinct pair of ids.
 
-An operation from :meth:`ValueTable.operation` is computed once per distinct
-pair of ids and hands out a row ``op.row(i, js)`` or an elementwise list
-``op.map(is_, js)``, read from its memo rows in C.  ``all_le`` tests a whole
-row of order pairs in C: by plain id order while the ids still increase with
-their values, else by the values' correctly rounded floats while no two of
-them share a float.  Where a law interns nothing more,
-:meth:`ValueTable.ranked` maps the rows it compares to order ranks once, so
-that ``operator.le`` compares them in C.
+``all_le`` tests a whole row of order pairs in C: by plain id order while
+the ids still increase with their values, else by the values' correctly
+rounded floats while no two of them share a float.  Where a law interns
+nothing more, :meth:`ValueTable.ranked` maps the rows it compares to order
+ranks once, so that ``operator.le`` compares them in C.
 """
 
 from __future__ import annotations
 
-import operator
 from array import array
 from bisect import bisect_left, bisect_right
 from collections import defaultdict
@@ -62,7 +60,6 @@ class ValueTable:
         # float order is then value order.
         self.floats_distinct = True
         self._squares: dict = {}  # the points' square of each function
-        self._ops: dict = {}  # the operation of each function without a kernel
         for v in points:
             self.intern(v)
         # The points' ids, 0..n_points - 1: the grid every square is taken on.
@@ -118,16 +115,9 @@ class ValueTable:
         return self.apply(_complement, ids, ids)
 
     def map(self, fn: Callable, xs, ys) -> list[int]:
-        """The ids of ``fn`` on the ids ``xs[k], ys[k]``, for every k: by the
-        row primitive on ``fn.kernel`` when ``fn`` carries one, else through
-        one :meth:`operation` per table and function."""
-        kernel = getattr(fn, "kernel", None)
-        if kernel is not None:
-            return self.apply(kernel, xs, ys)
-        op = self._ops.get(fn)
-        if op is None:
-            op = self._ops[fn] = self.operation(fn)
-        return op.map(xs, ys)
+        """The ids of ``fn`` on the ids ``xs[k], ys[k]``, for every k, by the
+        row primitive on :func:`kernel_of` ``(fn)``."""
+        return self.apply(kernel_of(fn), xs, ys)
 
     def square(self, fn: Callable, ids=None) -> list[list[int]]:
         """The ids ``fn(x, y)`` for every pair of ``ids``, row by row; by
@@ -142,56 +132,27 @@ class ValueTable:
         return rows
 
     def operation(self, fn: Callable) -> Callable[[int, int], int]:
-        """``fn`` on values as a binary operation on ids, computed once per
-        distinct pair (see :meth:`memo`).
+        """``fn`` as a binary operation on ids, computed once per distinct
+        pair: the scalar lookup of a law sweep.
 
-        When ``fn`` carries an integer kernel as ``fn.kernel`` (the closed
-        forms and residua of reslat.norms do), the kernel runs on the ids'
-        numerators and denominators, and its result ``(n, d)`` is reduced
-        and looked up; a UnitValue, with its range check, is built only for
-        a value that is new to the table.  Any other ``fn`` runs on values.
+        The kernel of ``fn`` (:func:`kernel_of`) runs on the ids' numerators
+        and denominators, and its result ``(n, d)`` is reduced and looked up;
+        a UnitValue, with its range check, is built only for a value that is
+        new to the table.  The memo is a list of rows: ``rows[i][j]`` is the
+        id of ``fn`` at ``(i, j)``, or None until that pair is asked for.
         """
-        kernel = getattr(fn, "kernel", None)
-        if kernel is None:
-            values, intern = self.values, self.intern
-            return self.memo(lambda i, j: intern(fn(values[i], values[j])))
-        num, den, ids, intern = self._num, self._den, self._ids, self.intern
+        kernel = kernel_of(fn)
+        num, den, ids, intern, values = self._num, self._den, self._ids, self.intern, self.values
+        rows: list[list] = []
 
+        # A miss is its own closure: every closure cell of apply, the hit
+        # path, is copied into its frame on each call.
         def compute(i: int, j: int) -> int:
             n, d = kernel(num[i], den[i], num[j], den[j])
             g = gcd(n, d)
             k = ids.get((n // g, d // g) if g > 1 else (n, d))
             # A value new to the table, or no value at all: UnitValue decides.
             return intern(UnitValue(n, d)) if k is None else k
-
-        return self.memo(compute)
-
-    def ranked(self, rows: list) -> list[list[int]]:
-        """``rows`` of ids with each id replaced by its rank among the ids
-        the rows hold, so that ``operator.le`` on ranks is :meth:`le` on the
-        ids.  Ranks compare only with ranks from the same call: rank together
-        every row a law compares, once nothing more is interned for it."""
-        if self.ids_ordered:
-            return rows
-        floats, values = self._float, self.values
-        # The float of n/d is correctly rounded, so it orders the values up
-        # to ties; the exact value breaks them.
-        order = sorted(set().union(*rows), key=lambda i: (floats[i], values[i]))
-        rank = dict(zip(order, range(len(order))))
-        return [list(map(rank.__getitem__, row)) for row in rows]
-
-    def memo(self, compute: Callable[[int, int], int]) -> Callable[[int, int], int]:
-        """``compute`` on ids, called once per distinct pair.
-
-        The memo is a list of rows: ``rows[i][j]`` is ``compute(i, j)``, or
-        None until that pair is asked for.  The returned ``op(i, j)`` reads
-        one entry; ``op.row(i, js)`` is ``[op(i, j) for j in js]`` and
-        ``op.map(is_, js)`` is ``[op(i, j) for i, j in zip(is_, js)]``, both
-        read in C, with only the missing entries computed.
-        ``is_`` and ``js`` must be sequences: a miss reads them again.
-        """
-        rows: list[list] = []
-        values = self.values
 
         def grow(i: int, j: int) -> list:
             rows.extend([] for _ in range(i + 1 - len(rows)))
@@ -210,47 +171,36 @@ class ValueTable:
                 k = rows[i][j] = compute(i, j)
             return k
 
-        # row and map_ never refer to apply: an operation that carried a
-        # reference to itself would outlive its sweep until the cyclic
-        # garbage collector runs, and its memo rows with it.
-        def fill(out: list, is_, js) -> list[int]:
-            """``out`` with its None entries, the pairs not yet computed, filled in."""
-            for k, (i, j) in enumerate(zip(is_, js)):
-                if out[k] is None:
-                    memo_row = rows[i]
-                    if memo_row[j] is None:
-                        memo_row[j] = compute(i, j)
-                    out[k] = memo_row[j]
-            return out
-
-        def row(i: int, js) -> list[int]:
-            try:
-                memo_row = rows[i]
-                out = list(map(memo_row.__getitem__, js))
-            except IndexError:
-                memo_row = grow(i, max(js, default=0))
-                out = list(map(memo_row.__getitem__, js))
-            if None in out:
-                for k, j in enumerate(js):
-                    if out[k] is None:
-                        v = memo_row[j]
-                        if v is None:
-                            v = memo_row[j] = compute(i, j)
-                        out[k] = v
-            return out
-
-        def map_(is_, js) -> list[int]:
-            try:
-                out = list(map(operator.getitem, map(rows.__getitem__, is_), js))
-            except IndexError:
-                for i, j in zip(is_, js):
-                    if i >= len(rows) or j >= len(rows[i]):
-                        grow(i, j)
-                out = list(map(operator.getitem, map(rows.__getitem__, is_), js))
-            return fill(out, is_, js) if None in out else out
-
-        apply.row, apply.map = row, map_
         return apply
+
+    def ranked(self, rows: list) -> list[list[int]]:
+        """``rows`` of ids with each id replaced by its rank among the ids
+        the rows hold, so that ``operator.le`` on ranks is :meth:`le` on the
+        ids.  Ranks compare only with ranks from the same call: rank together
+        every row a law compares, once nothing more is interned for it."""
+        if self.ids_ordered:
+            return rows
+        floats, values = self._float, self.values
+        # The float of n/d is correctly rounded, so it orders the values up
+        # to ties; the exact value breaks them.
+        order = sorted(set().union(*rows), key=lambda i: (floats[i], values[i]))
+        rank = dict(zip(order, range(len(order))))
+        return [list(map(rank.__getitem__, row)) for row in rows]
+
+
+def kernel_of(fn: Callable) -> Callable:
+    """The integer kernel of ``fn``: ``fn.kernel`` when it carries one (the
+    closed forms and residua of reslat.norms do), else the kernel that runs
+    ``fn`` itself on the values, ``(a, b, c, d) -> fn(a/b, c/d)`` as a pair."""
+    kernel = getattr(fn, "kernel", None)
+    if kernel is not None:
+        return kernel
+
+    def on_values(a: int, b: int, c: int, d: int) -> tuple[int, int]:
+        v = fn(UnitValue(a, b), UnitValue(c, d))
+        return v.numerator, v.denominator
+
+    return on_values
 
 
 def _complement(a: int, b: int, c: int, d: int) -> tuple[int, int]:
@@ -315,7 +265,7 @@ def associativity_rows(table: ValueTable, fn: Callable, sq: list[list[int]]):
     a point) as the square alone decides it, else as :func:`rows_associative`
     decides it on ``fn.kernel``.  Otherwise the function ``(x, y) -> (lhs,
     rhs)``, the two sides as rows of ids over z, read from the square on a
-    closed grid and from :meth:`ValueTable.operation` off it.
+    closed grid and computed by :meth:`ValueTable.map` off it.
     """
     m = table.n_points
     if max(map(max, sq)) < m:
@@ -328,8 +278,7 @@ def associativity_rows(table: ValueTable, fn: Callable, sq: list[list[int]]):
     kernel = getattr(fn, "kernel", None)
     if kernel is not None and rows_associative(table, kernel, sq):
         return None
-    op, rng = table.operation(fn), range(m)
-    return lambda x, y: (op.row(sq[x][y], rng), op.row(x, sq[y]))
+    return lambda x, y: (table.map(fn, [sq[x][y]] * m, range(m)), table.map(fn, [x] * m, sq[y]))
 
 
 def rows_associative(table: ValueTable, kernel: Callable, sq: list[list[int]]) -> bool:

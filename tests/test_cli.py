@@ -731,3 +731,69 @@ def test_module_entry_point_deep_nesting_has_no_traceback(formula):
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: line 1, column 101: ") and proc.stderr.count("\n") == 1
+
+
+# -- a closed pipe ----------------------------------------------------------------
+
+
+class ClosedAfter:
+    """A stdout whose reader goes away once ``limit`` characters were written."""
+
+    def __init__(self, limit):
+        self.limit, self.written = limit, 0
+
+    def write(self, text):
+        if self.written + len(text) > self.limit:
+            raise BrokenPipeError(32, "Broken pipe")
+        self.written += len(text)
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+CLOSED_PIPE_RUNS = [
+    (["algebra", "check", "l4.alg"], 0),
+    (["algebra", "check", "l4-corrupt.alg"], 1),
+    (["algebra", "check", "l4-corrupt.alg", "--format", "json"], 1),
+    (["norms", "--family", "goedel", "--grid", "4"], 0),
+    (["metric", "--family", "product", "--grid", "4", "--grid4", "2"], 0),
+    (["eval", "p", "--t-algebra", "product", "--sweep", "300"], 0),
+    (["algebra", "topology", "bool4.alg"], 0),
+    (["algebra", "dualize", "g3.alg"], 0),
+]
+
+
+@pytest.mark.parametrize("limit", (0, 10, 200))
+@pytest.mark.parametrize("argv, verdict", CLOSED_PIPE_RUNS, ids=lambda v: "-".join(v) if isinstance(v, list) else None)
+def test_a_closed_pipe_keeps_the_verdict_and_prints_nothing(capsys, monkeypatch, fixtures_dir, argv, verdict, limit):
+    argv = [str(fixtures_dir / a) if a.endswith(".alg") else a for a in argv]
+    assert run(capsys, *argv)[0] == verdict
+    stdout = ClosedAfter(limit)
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert main(argv) == verdict
+    assert stdout.written <= limit
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize(
+    "argv, verdict",
+    [(["eval", "p", "--t-algebra", "product", "--sweep", "300"], 0), (["algebra", "check", "l4-corrupt.alg"], 1)],
+    ids=["eval-sweep", "failing-check"],
+)
+def test_a_closed_pipe_ends_the_process_quietly(fixtures_dir, argv, verdict):
+    """A block-buffered stdout, as in a shell pipeline, holds the output
+    until the end: without PYTHONUNBUFFERED, the closed pipe shows only when
+    it is flushed."""
+    argv = [str(fixtures_dir / a) if a.endswith(".alg") else a for a in argv]
+    path = os.pathsep.join(filter(None, [str(SRC_DIR), os.environ.get("PYTHONPATH")]))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "reslat", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**env, "PYTHONPATH": path},
+    )
+    proc.stdout.close()  # no reader is left, so every write fails
+    _, err = proc.communicate(timeout=120)
+    assert (proc.returncode, err) == (verdict, b"")

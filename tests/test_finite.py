@@ -1,11 +1,14 @@
+import collections
 import itertools
 import json
+import random
 
 import pytest
 
 from reslat.errors import NotALattice, NotAPartialOrder, ParseError, TableOutOfRange
 from reslat.finite import (
     MAX_CARRIER,
+    FiniteAlgebra,
     Signature,
     algebra_from_document,
     algebra_to_document,
@@ -262,3 +265,90 @@ class TestFixtureBuilders:
         for doc in (lukasiewicz_chain(2), lukasiewicz_chain(4), goedel_chain(3), boolean_algebra(2)):
             alg = algebra_from_document(doc)
             assert all_ok(check_axioms(alg))
+
+
+# -- meets and joins -----------------------------------------------------------
+
+
+def ref_bounds(labels, leq):
+    """Meets and joins by scanning the common lower and upper bounds of each
+    pair, in product order with the meet first: the two tables, or the
+    message for the first pair without a unique bound."""
+    n = len(labels)
+    meet = [[0] * n for _ in range(n)]
+    join = [[0] * n for _ in range(n)]
+    for i, j in itertools.product(range(n), repeat=2):
+        lower = [k for k in range(n) if leq[k][i] and leq[k][j]]
+        greatest = [m for m in lower if all(leq[k][m] for k in lower)]
+        if len(greatest) != 1:
+            return f"no unique meet for ({labels[i]}, {labels[j]})"
+        meet[i][j] = greatest[0]
+        upper = [k for k in range(n) if leq[i][k] and leq[j][k]]
+        least = [m for m in upper if all(leq[m][k] for k in upper)]
+        if len(least) != 1:
+            return f"no unique join for ({labels[i]}, {labels[j]})"
+        join[i][j] = least[0]
+    return tuple(map(tuple, meet)), tuple(map(tuple, join))
+
+
+def loaded_bounds(labels, leq, bottom, top):
+    """The meets and joins of an algebra on this order, or the message it is refused with."""
+    zeros = [[0] * len(labels)] * len(labels)
+    try:
+        alg = FiniteAlgebra(labels, leq, zeros, zeros, Signature.BL, bottom, top)
+    except NotALattice as exc:
+        return str(exc)
+    return alg._meet, alg._join
+
+
+def product_order(a, b):
+    """The labels, order, bottom and top of the direct product of two orders."""
+    pairs = list(itertools.product(a.elements(), b.elements()))
+    labels = [f"{a.labels[i]}|{b.labels[j]}" for i, j in pairs]
+    leq = [[a.le(i1, i2) and b.le(j1, j2) for i2, j2 in pairs] for i1, j1 in pairs]
+    return labels, leq, a.bottom * b.n + b.bottom, a.top * b.n + b.top
+
+
+def random_order(rng, n):
+    """The order by inclusion on n random subsets of {0, .., 4}, the empty
+    set and the full set among them, listed in a random carrier order; many
+    pairs of such subsets have no meet or no join."""
+    sets = [0, 31] + rng.sample(range(1, 31), n - 2)
+    rng.shuffle(sets)
+    leq = [[x & y == x for y in sets] for x in sets]
+    return [format(x, "05b") for x in sets], leq, sets.index(0), sets.index(31)
+
+
+class TestBounds:
+    def test_fixtures_chains_and_boolean_algebras(self, fixture_algebras):
+        algebras = list(fixture_algebras.values()) + [
+            algebra_from_document(doc) for doc in (lukasiewicz_chain(64), goedel_chain(9), boolean_algebra(6))
+        ]
+        for alg in algebras + [dualize_algebra(alg) for alg in algebras]:
+            assert (alg._meet, alg._join) == ref_bounds(alg.labels, alg.leq), alg
+
+    def test_products(self, fixture_algebras):
+        bases = list(fixture_algebras.values()) + [algebra_from_document(goedel_chain(3))]
+        for a, b in itertools.product(bases, repeat=2):
+            labels, leq, bottom, top = product_order(a, b)
+            assert loaded_bounds(labels, leq, bottom, top) == ref_bounds(labels, leq)
+
+    def test_a_pair_without_meet_and_join_is_refused_for_its_meet(self):
+        # 0 < a, b < x, y < e, f < 1, each level below all of the next.
+        levels = [["0"], ["a", "b"], ["x", "y"], ["e", "f"], ["1"]]
+        rank = {v: r for r, level in enumerate(levels) for v in level}
+        labels = ["x", "y", "0", "a", "b", "e", "f", "1"]
+        leq = [[u == v or rank[u] < rank[v] for v in labels] for u in labels]
+        expected = "no unique meet for (x, y)"
+        assert loaded_bounds(labels, leq, 2, 7) == ref_bounds(labels, leq) == expected
+
+    def test_random_orders_with_and_without_bounds(self):
+        rng = random.Random(20261019)
+        outcomes = collections.Counter()
+        for _ in range(300):
+            labels, leq, bottom, top = random_order(rng, rng.randint(2, 18))
+            expected = ref_bounds(labels, leq)
+            assert loaded_bounds(labels, leq, bottom, top) == expected
+            outcomes[expected.split()[2] if isinstance(expected, str) else "lattice"] += 1
+        # Lattices were drawn, and orders whose first missing bound is a meet or a join.
+        assert min(outcomes[k] for k in ("lattice", "meet", "join")) >= 20

@@ -1,11 +1,11 @@
 """The integer kernels of the closed forms, and the order ranks of the tables.
 
-``ValueTable.operation`` runs a function's ``kernel`` attribute on the ids'
-numerators and denominators when it has one, and the function itself on
-values otherwise.  Both paths must intern the same values under the same
-ids, and a kernel whose result is not a value in [0, 1] must be refused as
-``UnitValue`` refuses it.  ``ValueTable.ranked`` must order ids as ``le``
-does.
+The tables run a function's ``kernel`` attribute on the ids' numerators and
+denominators when it has one, and otherwise the adapter kernel of
+``tables.kernel_of``, which runs the function itself on values.  Both paths
+must intern the same values under the same ids, and a kernel whose result is
+not a value in [0, 1] must be refused as ``UnitValue`` refuses it.
+``ValueTable.ranked`` must order ids as ``le`` does.
 """
 
 import itertools
@@ -62,13 +62,13 @@ def test_kernel_path_equals_value_path_on_the_grid(n, form):
     assert_same_tables(kernel_table, value_table)
 
 
-def associativity_ids(table, op, m):
-    """The ids the associativity sweep of ``op`` visits on the grid ``0..m-1``, in order."""
+def associativity_ids(table, fn, m):
+    """The ids the associativity sweep of ``fn`` visits on the grid ``0..m-1``, in order."""
     rng = range(m)
-    grid_tab = square(op, m)
+    grid_tab = square(table.operation(fn), m)
     out = []
     for x, y in itertools.product(rng, repeat=2):
-        out += op.row(grid_tab[x][y], rng) + op.row(x, grid_tab[y])
+        out += table.map(fn, [grid_tab[x][y]] * m, rng) + table.map(fn, [x] * m, grid_tab[y])
     return out
 
 
@@ -81,8 +81,8 @@ def test_kernel_path_equals_value_path_off_the_grid(n, norm, form):
     pts = GridSpec(n).points()
     m = len(pts)
     kernel_table, value_table = ValueTable(pts), ValueTable(pts)
-    swept = associativity_ids(kernel_table, kernel_table.operation(norm), m)
-    assert swept == associativity_ids(value_table, value_table.operation(plain(norm)), m)
+    swept = associativity_ids(kernel_table, norm, m)
+    assert swept == associativity_ids(value_table, plain(norm), m)
     assert len(kernel_table.values) > m
     assert_same_tables(kernel_table, value_table)
 
@@ -90,7 +90,7 @@ def test_kernel_path_equals_value_path_off_the_grid(n, norm, form):
     ids = range(len(kernel_table.values))
     is_, js = rng.choices(ids, k=2000), rng.choices(ids, k=2000)
     by_kernel, by_value = kernel_table.operation(form), value_table.operation(plain(form))
-    assert by_kernel.map(is_, js) == by_value.map(is_, js)
+    assert kernel_table.map(form, is_, js) == value_table.map(plain(form), is_, js)
     assert [by_kernel(i, j) for i, j in zip(js, is_)] == [by_value(i, j) for i, j in zip(js, is_)]
     assert_same_tables(kernel_table, value_table)
 
@@ -125,9 +125,9 @@ def test_a_result_outside_the_unit_interval_is_refused_as_unitvalue_refuses_it(p
     expected = refusal(lambda: UnitValue(*pair))
     assert expected is not None
     table = ValueTable(GridSpec(4).points())
-    op = table.operation(with_kernel(lambda a, b, c, d: pair))
-    assert refusal(lambda: op(1, 2)) == expected
-    assert refusal(lambda: op.row(3, [0, 1])) == expected
+    form = with_kernel(lambda a, b, c, d: pair)
+    assert refusal(lambda: table.operation(form)(1, 2)) == expected
+    assert refusal(lambda: table.map(form, [3, 3], [0, 1])) == expected
     assert len(table.values) == 5
 
 
@@ -147,9 +147,9 @@ def test_a_result_outside_the_unit_interval_is_refused_as_unitvalue_refuses_it(p
 )
 def test_an_unreduced_or_negative_pair_is_interned_under_its_canonical_id(pair, value):
     table = ValueTable(GridSpec(4).points())
-    op = table.operation(with_kernel(lambda a, b, c, d: pair))
+    form = with_kernel(lambda a, b, c, d: pair)
     expected = table.intern(UnitValue(value))
-    assert op(1, 2) == expected and op.row(0, [3]) == [expected]
+    assert table.operation(form)(1, 2) == expected and table.map(form, [0], [3]) == [expected]
     assert table.values[expected] == value
     assert (table._num[expected], table._den[expected]) == (value.numerator, value.denominator)
     assert len(table.values) == (5 if value.denominator in (1, 2, 4) else 6)

@@ -268,6 +268,23 @@ def test_kernel_rows_refuse_a_result_as_unitvalue_refuses_it(pair):
     assert len(table.values) == 5
 
 
+@pytest.mark.parametrize(
+    "value",
+    [Fraction(3, 2), Fraction(-1, 2), Fraction(10**5000 + 1, 10**5000), Fraction(-(10**5000), 3)],
+    ids=["3/2", "-1/2", "long-above-1", "long-negative"],
+)
+def test_results_of_a_function_without_a_kernel_are_refused_as_unitvalue_refuses_them(value):
+    expected = refusal(lambda: UnitValue(value))
+    fn = lambda x, y: value
+    table = ValueTable(GridSpec(4).points())
+    assert refusal(lambda: table.map(fn, [1, 2], [3, 0])) == expected
+    assert refusal(lambda: table.square(fn)) == expected
+    assert refusal(lambda: table.operation(fn)(1, 2)) == expected
+    # A sum leaves [0, 1] as soon as both arguments exceed 1/2.
+    assert refusal(lambda: table.map(lambda x, y: x + y, [3, 4], [3, 0])) == (ValueError, "value 3/2 outside [0, 1]")
+    assert len(table.values) == 5
+
+
 @pytest.mark.parametrize("pair, value", [((2, 4), Fraction(1, 2)), ((-1, -2), Fraction(1, 2)), ((0, -7), Fraction(0))])
 def test_kernel_rows_reduce_as_unitvalue_does(pair, value):
     kernel = lambda a, b, c, d: pair

@@ -1,11 +1,12 @@
-"""Peak memory of the product sweeps stays nearly flat as the grid grows.
+"""Peak memory of the product sweeps grows little as the grid grows.
 
 Each command runs in a fresh process that reads its own high-water RSS
 (``VmHWM``) from ``/proc/self/status`` when it is done; a fresh process
 counts only its own pages.  Going from grid 32 to grid 64 multiplies the
 tuples a command checks by about eight, so a table that grew with them
 (a memo of every star of two distances, or of every third-level product)
-shows here as megabytes.  Skipped where ``/proc/self/status`` is absent.
+shows here as megabytes.  The law sweep keeps a memo of every pair it
+looks up, so its bound is looser.  Skipped where ``/proc/self/status`` is absent.
 """
 
 import os
@@ -54,3 +55,9 @@ def peak_kb(*argv) -> int:
 def test_peak_memory_grows_little_from_grid_32_to_64(argv, bound_mb):
     small, large = peak_kb(*argv, "--grid", "32"), peak_kb(*argv, "--grid", "64")
     assert large - small < bound_mb * 1024, f"{small} kB at grid 32, {large} kB at grid 64"
+
+
+def test_peak_memory_of_the_law_sweep_grows_little_from_laws_grid_12_to_24():
+    argv = ["metric", "--family", "product", "--grid", "4", "--grid4", "2", "--laws", "d1..d15"]
+    small, large = peak_kb(*argv, "--laws-grid", "12"), peak_kb(*argv, "--laws-grid", "24")
+    assert large - small < 8 * 1024, f"{small} kB at laws grid 12, {large} kB at laws grid 24"

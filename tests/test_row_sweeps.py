@@ -1,6 +1,7 @@
 """The row engine of reslat.tables, and the row sweeps built on it.
 
-``op.row`` and ``op.map`` must give the ids the scalar definition gives,
+``ValueTable.map`` and the scalar ``ValueTable.operation`` must give the ids
+the scalar definition gives, the operation computing each pair once,
 ``all_le`` the order ``le`` gives, and the checkers that compare
 whole rows the same reports as the brute-force references of
 ``test_grid_tables.py`` when a broken entry sits deep inside a long row.
@@ -37,22 +38,26 @@ from test_grid_tables import (
 RESIDUATED = tuple(k for k in NormKind if k is not NormKind.DRASTIC)
 
 
-# -- op.row and op.map ---------------------------------------------------------------
+# -- ValueTable.map and the scalar operation ---------------------------------------------
+
+
+def product(x, y):
+    return UnitValue(x * y)
 
 
 def product_table(n):
-    """The grid 0..n with a few values off it, the product norm on ids, and
-    the norm's calls counted."""
+    """The grid 0..n with a few values off it, the product norm on ids as the
+    scalar operation, and that operation's calls of the norm counted."""
     table = ValueTable(GridSpec(n).points())
     for v in (Fraction(1, 7), Fraction(2, 9), Fraction(5, 11)):
         table.intern(UnitValue(v))
     calls = []
 
-    def product(x, y):
+    def counted(x, y):
         calls.append((x, y))
-        return UnitValue(x * y)
+        return product(x, y)
 
-    return table, table.operation(product), calls
+    return table, table.operation(counted), calls
 
 
 def by_definition(table, i, j):
@@ -68,24 +73,29 @@ def test_row_and_map_equal_the_scalar_definition(queries, seed):
     table, op, calls = product_table(8)
     rng = random.Random(seed)
     for i, js in queries:
-        # Some entries asked for one at a time first, so rows have grown part way.
+        # Some entries asked for one at a time first, so memo rows have grown part way.
         for j in rng.sample(js, len(js) // 3):
             assert op(i, j) == by_definition(table, i, j)
-        assert op.row(i, js) == [by_definition(table, i, j) for j in js]
-        # Off-grid ids that only now exist, and ids past every row's length.
+        assert table.map(product, [i] * len(js), js) == [by_definition(table, i, j) for j in js]
+        assert [op(i, j) for j in js] == [by_definition(table, i, j) for j in js]
+        # Off-grid ids that only now exist, and ids past every memo row's length.
         fresh = [op(i, j) for j in js] + js
         is_ = [rng.choice(fresh) for _ in fresh]
-        assert op.map(is_, fresh) == [by_definition(table, i, j) for i, j in zip(is_, fresh)]
+        expected = [by_definition(table, i, j) for i, j in zip(is_, fresh)]
+        assert table.map(product, is_, fresh) == expected
+        assert list(map(op, is_, fresh)) == expected
     assert len(calls) == len(set(calls))
 
 
 def test_rows_reach_past_their_length_without_growing_to_every_id():
     table, op, calls = product_table(4)
     far = table.intern(UnitValue(1, 1000))
-    assert op.row(far, [0, far]) == [by_definition(table, far, 0), by_definition(table, far, far)]
-    assert op.row(0, []) == [] and op.map([], []) == []
-    is_, js = [far, 1, far], [2, far, 2]
-    assert op.map(is_, js) == [by_definition(table, i, j) for i, j in zip(is_, js)]
+    assert table.map(product, [far, far], [0, far]) == [by_definition(table, far, 0), by_definition(table, far, far)]
+    assert table.map(product, [], []) == []
+    is_, js = [far, 1, far, far, far], [2, far, 2, 0, far]
+    expected = [by_definition(table, i, j) for i, j in zip(is_, js)]
+    assert table.map(product, is_, js) == expected
+    assert list(map(op, is_, js)) == expected
     assert len(calls) == len(set(calls)) == 4
 
 
