@@ -9,34 +9,53 @@ sides.  So a BL-algebra is checked by running the DBL form on its order dual
 and renaming the reports with :func:`as_bl` (B1..B15, BL1..BL5), which also
 rewords the notes that name the order or a constant.
 
-Laws are data, written against a :class:`LawContext`, so the same
-definitions run over unit-interval grids and over finite table-driven
-algebras.  A term is a variable (``a``..``d``, indices into the tuple),
-``ZERO`` or ``ONE``, or ``(op, term, term)`` with ``op`` one of the
-context's operations or ``"eq"``.  A clause ``(lhs, rel, rhs, note)`` holds
-at a tuple where ``lhs == rhs`` (rel ``"="``) or ``le(rhs, lhs)`` (rel
-``">="``); where it fails, the tuple, both sides and the note are a witness.
-DBL1..DBL5 and D1..D15 are clause lists, all swept by :func:`_sweep`, and
-one runner, :func:`run_catalogue`, fills every law report.
+Laws are data, written against a :class:`LawContext` of tables, so the
+same definitions run over unit-interval grids and over finite algebras.  A
+term is a variable (``a``..``d``, indices into the tuple), ``ZERO`` or
+``ONE``, or ``(op, term, term)`` with ``op`` one of the context's tables or
+``"eq"``.  A clause ``(lhs, rel, rhs, note)`` holds at a tuple where
+``lhs == rhs`` (rel ``"="``) or ``le[rhs][lhs]`` (rel ``">="``); where it
+fails, the tuple, both sides and the note are a witness.  DBL1..DBL5 and
+D1..D15 are clause lists, all swept by :func:`_sweep`, and one runner,
+:func:`run_catalogue`, fills every law report.
 """
 
 from __future__ import annotations
 
 import itertools
-import operator
+from functools import partial
 from itertools import repeat
+from operator import eq, getitem, itemgetter
 
 from .reports import LawReport, Violation
 
 
+class LazyTable(dict):
+    """``fn`` of one argument as a dict: a missing entry is computed when first read, and kept."""
+
+    __slots__ = ("fn",)
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
+
+
+def lazy_table(fn) -> LazyTable:
+    """``fn`` as a table, ``t[x][y] == fn(x, y)``, filled as it is read: the law layer's one memo."""
+    return LazyTable(lambda x: LazyTable(partial(fn, x)))
+
+
 class LawContext:
-    """A structure in the DBL form, as the structure's own callables.
+    """A structure in the DBL form, as tables indexed by its elements; a
+    function ``fn(a, b)`` given for a table is wrapped once as a :func:`lazy_table`.
 
     elements()   deterministic iteration order (fixes witness order)
-    star(a, b)   the monoid operation
-    res(a, b)    the residuum
+    star, res    the monoid operation and the residuum, ``star[a][b]``
     meet / join  lattice inf / sup
-    le(a, b)     the lattice order
+    le           the lattice order, ``le[a][b]``
     zero / one   bottom and top constants (zero is the monoid unit)
     fmt(v)       element rendering for witnesses
     """
@@ -44,6 +63,7 @@ class LawContext:
     __slots__ = ("elements", "star", "res", "meet", "join", "le", "zero", "one", "fmt")
 
     def __init__(self, elements, star, res, meet, join, le, zero, one, fmt):
+        star, res, meet, join, le = (lazy_table(t) if callable(t) else t for t in (star, res, meet, join, le))
         self.elements, self.star, self.res, self.meet, self.join = elements, star, res, meet, join
         self.le, self.zero, self.one, self.fmt = le, zero, one, fmt
 
@@ -119,28 +139,28 @@ _LATTICE = ("DBL1", 2, None, (
 def _compile(ctx, term, last: int, elements: tuple):
     """``(fn, is_row)``: ``fn(prefix)`` is the term's value at the values of
     the variables before ``last``, or, where the term reads ``last``, an
-    iterator of its values along ``elements``."""
+    iterator of its values along ``elements``, read from the tables in C."""
     if isinstance(term, int):
-        return ((lambda prefix: elements), True) if term == last else (operator.itemgetter(term), False)
+        return ((lambda prefix: elements), True) if term == last else (itemgetter(term), False)
     if isinstance(term, str):
         value = getattr(ctx, term)
         return (lambda prefix: value), False
-    op, x, y = term
-    f, n = operator.eq if op == "eq" else getattr(ctx, op), len(elements)
+    op, x, y, n = *term, len(elements)
     (fx, x_row), (fy, y_row) = _compile(ctx, x, last, elements), _compile(ctx, y, last, elements)
-    if x_row and y_row:
-        return (lambda p: map(f, fx(p), fy(p))), True
+    if op == "eq":
+        xs, ys = _along(fx, x_row, n), _along(fy, y_row, n)
+        return ((lambda p: map(eq, xs(p), ys(p))), True) if x_row or y_row else ((lambda p: fx(p) == fy(p)), False)
+    table = getattr(ctx, op)
     if x_row:
-        return (lambda p: map(f, fx(p), repeat(fy(p), n))), True
+        rows, ys = table.__getitem__, _along(fy, y_row, n)
+        return (lambda p: map(getitem, map(rows, fx(p)), ys(p))), True
     if y_row:
-        return (lambda p: map(f, repeat(fx(p), n), fy(p))), True
-    return (lambda p: f(fx(p), fy(p))), False
+        return (lambda p: map(table[fx(p)].__getitem__, fy(p))), True
+    return (lambda p: table[fx(p)][fy(p)]), False
 
 
-def _row(ctx, term, last: int, elements: tuple):
-    """The term along the row, a scalar repeated once per element."""
-    fn, is_row = _compile(ctx, term, last, elements)
-    n = len(elements)
+def _along(fn, is_row: bool, n: int):
+    """A compiled term along the row: a scalar repeated once per element."""
     return fn if is_row else (lambda p: repeat(fn(p), n))
 
 
@@ -155,13 +175,12 @@ def _sweep(ctx, report: LawReport, arity: int, guard, clauses) -> LawReport:
     tuple-at-a-time sweep.
     """
     elements = tuple(ctx.elements())
-    last, fmt = arity - 1, ctx.fmt
-    report.checked += len(elements) ** arity
-    # holds(rhs, lhs): "=" is symmetric, and ">=" is le(rhs, lhs).
-    compiled = [
-        (_row(ctx, lhs, last, elements), operator.eq if rel == "=" else ctx.le, _row(ctx, rhs, last, elements), note)
-        for lhs, rel, rhs, note in clauses
-    ]
+    last, fmt, n = arity - 1, ctx.fmt, len(elements)
+    report.checked += n**arity
+    row = lambda term: _along(*_compile(ctx, term, last, elements), n)
+    # holds(rhs, lhs) along a row: "=" is symmetric, and ">=" is le[rhs][lhs].
+    relations = {"=": partial(map, eq), ">=": lambda rhs, lhs: map(getitem, map(ctx.le.__getitem__, rhs), lhs)}
+    compiled = [(row(lhs), relations[rel], row(rhs), note) for lhs, rel, rhs, note in clauses]
     if guard is not None:
         guard, guard_row = _compile(ctx, guard, last, elements)
         if guard_row:
@@ -170,14 +189,14 @@ def _sweep(ctx, report: LawReport, arity: int, guard, clauses) -> LawReport:
         if guard is not None and not guard(prefix):
             continue
         for lhs, holds, rhs, _ in compiled:
-            if not all(map(holds, rhs(prefix), lhs(prefix))):
+            if not all(holds(rhs(prefix), lhs(prefix))):
                 break
         else:
             continue
         rows = [(list(lhs(prefix)), holds, list(rhs(prefix)), note) for lhs, holds, rhs, note in compiled]
         for k, x in enumerate(elements):
             for lhs, holds, rhs, note in rows:
-                if not holds(rhs[k], lhs[k]):
+                if not all(holds((rhs[k],), (lhs[k],))):
                     args = tuple(map(fmt, prefix + (x,)))
                     report.register(Violation(report.law_id, args, fmt(lhs[k]), fmt(rhs[k]), note))
     return report

@@ -26,7 +26,7 @@ from itertools import repeat
 from math import lcm
 
 from .errors import InvalidRadius
-from .laws import D_LAWS, LawContext, check_signature_axioms, run_catalogue
+from .laws import D_LAWS, LawContext, LazyTable, check_signature_axioms, run_catalogue
 from .norms import NormFamily, NormKind, NormSide, closed_form, residuum_form
 from .reports import LawReport, Violation
 from .tables import ValueTable, kernel_row, picker, positions
@@ -278,16 +278,28 @@ def tuples_checked(grid: int, grid4: int, laws_grid: int, ids=()) -> int:
 
 
 def _grid_context(alg: SAlgebra, g: GridSpec) -> LawContext:
-    """The grid as a law context on interned ids: 0 is ZERO, len(g) - 1 is ONE."""
+    """The grid as a law context on interned ids: 0 is ZERO, len(g) - 1 is
+    ONE.  The context keeps the operations as lazily filled tables; the order
+    keeps no entry, as off the grid its pairs fill many sparse rows."""
     table = ValueTable(g.points())
-    values, le = table.values, table.le
+    values, le, num, den = table.values, table.le, table._num, table._den
+
+    class OrderRow:  # row x of the order: row[y] is values[x] <= values[y]
+        __slots__ = ("n", "d")
+
+        def __init__(self, x: int):
+            self.n, self.d = num[x], den[x]
+
+        def __getitem__(self, y: int) -> bool:
+            return self.n * den[y] <= num[y] * self.d
+
     return LawContext(
         lambda: range(len(g)),
         table.operation(alg.star),
         table.operation(alg.res),
         lambda a, b: a if le(a, b) else b,
         lambda a, b: b if le(a, b) else a,
-        le,
+        LazyTable(OrderRow),
         0,
         len(g) - 1,
         lambda v: str(v) if isinstance(v, bool) else str(values[v]),

@@ -20,8 +20,8 @@ its rows, and :meth:`ValueTable.square` an operation's grid square, once
 per table and function, so that the checkers of one ``reslat norms`` run
 share their squares; a checker that only compares results (product
 associativity, the star-triangle) compares the rows themselves and interns
-nothing.  :meth:`ValueTable.operation` is the scalar lookup a law sweep
-calls once per tuple, computed once per distinct pair of ids.
+nothing.  :meth:`ValueTable.operation` is an operation on one pair of ids,
+which the grid law context keeps as a lazily filled table (reslat.laws).
 
 ``all_le`` tests a whole row of order pairs in C: by plain id order while
 the ids still increase with their values, else by the values' correctly
@@ -132,21 +132,11 @@ class ValueTable:
         return rows
 
     def operation(self, fn: Callable) -> Callable[[int, int], int]:
-        """``fn`` as a binary operation on ids, computed once per distinct
-        pair: the scalar lookup of a law sweep.
+        """``fn`` as a binary operation on ids: the kernel of ``fn`` runs on
+        the ids' numerators and denominators, and its result is reduced and
+        looked up; only a value new to the table is built as a UnitValue."""
+        kernel, num, den, ids, intern = kernel_of(fn), self._num, self._den, self._ids, self.intern
 
-        The kernel of ``fn`` (:func:`kernel_of`) runs on the ids' numerators
-        and denominators, and its result ``(n, d)`` is reduced and looked up;
-        a UnitValue, with its range check, is built only for a value that is
-        new to the table.  The memo is a list of rows: ``rows[i][j]`` is the
-        id of ``fn`` at ``(i, j)``, or None until that pair is asked for.
-        """
-        kernel = kernel_of(fn)
-        num, den, ids, intern, values = self._num, self._den, self._ids, self.intern, self.values
-        rows: list[list] = []
-
-        # A miss is its own closure: every closure cell of apply, the hit
-        # path, is copied into its frame on each call.
         def compute(i: int, j: int) -> int:
             n, d = kernel(num[i], den[i], num[j], den[j])
             g = gcd(n, d)
@@ -154,24 +144,7 @@ class ValueTable:
             # A value new to the table, or no value at all: UnitValue decides.
             return intern(UnitValue(n, d)) if k is None else k
 
-        def grow(i: int, j: int) -> list:
-            rows.extend([] for _ in range(i + 1 - len(rows)))
-            row = rows[i]
-            # A row at least doubles when it grows, up to the number of ids,
-            # so a sweep along a row extends it O(log n) times.
-            row.extend([None] * (max(j + 1, min(2 * len(row), len(values))) - len(row)))
-            return row
-
-        def apply(i: int, j: int) -> int:
-            try:
-                k = rows[i][j]
-            except IndexError:
-                k = grow(i, j)[j]
-            if k is None:
-                k = rows[i][j] = compute(i, j)
-            return k
-
-        return apply
+        return compute
 
     def ranked(self, rows: list) -> list[list[int]]:
         """``rows`` of ids with each id replaced by its rank among the ids

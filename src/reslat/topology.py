@@ -46,9 +46,8 @@ MAX_LISTED_CARRIER = 20
 
 
 def _radii(ctx: LawContext) -> list[int]:
-    """The positive elements of the DBL form, in carrier order."""
-    zero = ctx.zero
-    return [a for a in ctx.elements() if all(b == zero for b in ctx.elements() if ctx.meet(a, b) == zero)]
+    """The positive elements of the DBL form (their meet is 0 only with 0), in carrier order."""
+    return [a for a in ctx.elements() if ctx.meet[a].count(ctx.zero) == 1]
 
 
 def admissible_radii(alg: FiniteAlgebra) -> tuple[str, ...]:
@@ -59,7 +58,7 @@ def admissible_radii(alg: FiniteAlgebra) -> tuple[str, ...]:
 
 def _ball_mask(ctx: LawContext, radius: int, distances) -> int:
     """The points whose distance, in point order, lies strictly below the radius."""
-    return sum(1 << k for k, d in enumerate(distances) if d != radius and ctx.le(d, radius))
+    return sum(1 << k for k, d in enumerate(distances) if d != radius and ctx.le[d][radius])
 
 
 def _inside_widest_radius(alg: FiniteAlgebra) -> list[bool]:
@@ -67,8 +66,8 @@ def _inside_widest_radius(alg: FiniteAlgebra) -> list[bool]:
     the meet of the admissible radii (there is one: the top of the DBL form
     is positive)."""
     ctx = dbl_context(alg)
-    radius = reduce(ctx.meet, _radii(ctx))
-    return [d != radius and ctx.le(d, radius) for d in ctx.elements()]
+    radius = reduce(lambda a, b: ctx.meet[a][b], _radii(ctx))
+    return [d != radius and ctx.le[d][radius] for d in ctx.elements()]
 
 
 def _smallest_opens(alg: FiniteAlgebra) -> list[int]:
@@ -280,7 +279,7 @@ def check_radius_lemmas(alg: FiniteAlgebra) -> list[LawReport]:
     ctx = dbl_context(alg)
     adm = set(_radii(ctx))
     fmt = ctx.fmt
-    lt = lambda a, b: a != b and ctx.le(a, b)
+    lt = lambda a, b: a != b and ctx.le[a][b]
 
     first = LawReport("G1", checked=1)
     if ctx.one not in adm:
@@ -302,7 +301,7 @@ def check_radius_lemmas(alg: FiniteAlgebra) -> list[LawReport]:
     fourth = LawReport("G4")
     for a, b in itertools.product(sorted(adm), repeat=2):
         fourth.checked += 1
-        combined = ctx.meet(a, b)
+        combined = ctx.meet[a][b]
         if combined not in adm:
             fourth.register(Violation("G4", (fmt(a), fmt(b)), fmt(combined), "admissible"))
 

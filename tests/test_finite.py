@@ -352,3 +352,64 @@ class TestBounds:
             outcomes[expected.split()[2] if isinstance(expected, str) else "lattice"] += 1
         # Lattices were drawn, and orders whose first missing bound is a meet or a join.
         assert min(outcomes[k] for k in ("lattice", "meet", "join")) >= 20
+
+
+# -- transitivity ----------------------------------------------------------------
+
+
+def ref_transitivity(labels, leq):
+    """The O(n^3) loop the bitmask test replaced: the message for the first
+    failing triple in product order, or None for a transitive relation."""
+    for i, j, k in itertools.product(range(len(labels)), repeat=3):
+        if leq[i][j] and leq[j][k] and not leq[i][k]:
+            return f"transitivity fails at ({labels[i]}, {labels[j]}, {labels[k]})"
+    return None
+
+
+def random_relation(rng, n):
+    """A reflexive, antisymmetric relation on n elements: each pair of
+    distinct elements is related one way, the other way or not at all."""
+    p = rng.uniform(0.05, 0.45)
+    leq = [[i == j for j in range(n)] for i in range(n)]
+    for i, j in itertools.combinations(range(n), 2):
+        u = rng.random()
+        if u < p:
+            leq[i][j] = True
+        elif u < 2 * p:
+            leq[j][i] = True
+    return leq
+
+
+def order_missing_a_pair(rng):
+    """A random order by inclusion with one related pair of distinct
+    elements removed: at most the triples through that pair fail."""
+    labels, leq, _, _ = random_order(rng, rng.randint(3, 14))
+    pairs = [(i, j) for i, j in itertools.product(range(len(labels)), repeat=2) if i != j and leq[i][j]]
+    i, j = rng.choice(pairs)
+    leq[i][j] = False
+    return labels, leq
+
+
+class TestTransitivity:
+    def test_the_first_failing_triple_is_the_one_the_loop_names(self):
+        rng = random.Random(20261020)
+        outcomes = collections.Counter()
+        for k in range(600):
+            if k % 2:
+                labels, leq = order_missing_a_pair(rng)
+            else:
+                n = rng.randint(2, 14)
+                labels, leq = [f"e{i}" for i in range(n)], random_relation(rng, n)
+            expected = ref_transitivity(labels, leq)
+            zeros = [[0] * len(labels)] * len(labels)
+            try:
+                FiniteAlgebra(labels, leq, zeros, zeros, Signature.BL, 0, len(labels) - 1)
+                message = None
+            except NotAPartialOrder as exc:
+                message = str(exc)
+            except NotALattice:
+                message = None
+            assert message == expected
+            outcomes[expected is None] += 1
+        # Both transitive and intransitive relations were drawn.
+        assert min(outcomes.values()) >= 100

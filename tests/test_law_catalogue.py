@@ -4,7 +4,6 @@ term evaluated by recursion on scalars."""
 
 import itertools
 import json
-import operator
 import random
 
 import pytest
@@ -28,8 +27,8 @@ def value(ctx, term, args):
     if isinstance(term, str):
         return getattr(ctx, term)
     op, x, y = term
-    f = operator.eq if op == "eq" else getattr(ctx, op)
-    return f(value(ctx, x, args), value(ctx, y, args))
+    left, right = value(ctx, x, args), value(ctx, y, args)
+    return left == right if op == "eq" else getattr(ctx, op)[left][right]
 
 
 def ref_law(ctx, report, arity, guard, clauses):
@@ -40,7 +39,7 @@ def ref_law(ctx, report, arity, guard, clauses):
             continue
         for lhs, rel, rhs, note in clauses:
             left, right = value(ctx, lhs, args), value(ctx, rhs, args)
-            if not (left == right if rel == "=" else ctx.le(right, left)):
+            if not (left == right if rel == "=" else ctx.le[right][left]):
                 report.register(Violation(report.law_id, tuple(map(fmt, args)), fmt(left), fmt(right), note))
     return report
 
@@ -54,10 +53,10 @@ def ref_axioms(ctx, bl):
     lattice = LawReport("DBL1")
     for x, y in itertools.product(ctx.elements(), repeat=2):
         lattice.checked += 1
-        m, j = ctx.meet(x, y), ctx.join(x, y)
-        if not all(itertools.starmap(le, [(m, x), (m, y), (x, j), (y, j)])):
+        m, j = ctx.meet[x][y], ctx.join[x][y]
+        if not (le[m][x] and le[m][y] and le[x][j] and le[y][j]):
             lattice.register(Violation("DBL1", (fmt(x), fmt(y)), fmt(m), fmt(j), "bounds fail"))
-        if not (le(ctx.zero, x) and le(x, ctx.one)):
+        if not (le[ctx.zero][x] and le[x][ctx.one]):
             lattice.register(Violation("DBL1", (fmt(x),), fmt(ctx.zero), fmt(ctx.one), "0/1 not extreme"))
     reports = {"DBL1": lattice}
     for law_id, arity, guard, clauses in laws._AXIOMS[bl]:

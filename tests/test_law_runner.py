@@ -3,6 +3,7 @@ refused ids, and every catalogue witness of the golden reports replayed from
 its tuple alone."""
 
 import operator
+import random
 
 import pytest
 
@@ -81,6 +82,30 @@ def test_a_b_law_on_a_dbl_algebra_is_refused():
         check_derived_laws(dualize_algebra(load_algebra(FIXTURES_DIR / "l4.alg")), ["B3"])
 
 
+def test_a_lazy_table_computes_each_pair_once_when_first_read():
+    calls = []
+
+    def fn(x, y):
+        calls.append((x, y))
+        return (3 * x + y) % 5
+
+    table = laws.lazy_table(fn)
+    rng = random.Random(22)
+    pairs = [(rng.randrange(6), rng.randrange(6)) for _ in range(200)]
+    assert [table[x][y] for x, y in pairs] == [(3 * x + y) % 5 for x, y in pairs]
+    assert list(map(table[2].__getitem__, range(6))) == [(6 + y) % 5 for y in range(6)]
+    assert sorted(calls) == sorted(set(pairs) | {(2, y) for y in range(6)})
+
+
+def test_a_context_wraps_each_function_and_keeps_each_table():
+    star = tuple(tuple(min(x + y, N - 1) for y in range(N)) for x in range(N))
+    ctx = chain(star=star)
+    assert ctx.star is star
+    assert all(isinstance(getattr(ctx, op), laws.LazyTable) for op in ("res", "meet", "join", "le"))
+    assert [[ctx.res[x][y] for y in range(N)] for x in range(N)] == [[max(y - x, 0) for y in range(N)] for x in range(N)]
+    assert all(r.ok for r in check_signature_axioms(ctx))
+
+
 def test_the_runner_names_every_unknown_id():
     with pytest.raises(ValueError, match="D0, D16"):
         run_catalogue(chain(), D_LAWS, ["d16", "D2", "d0"])
@@ -98,8 +123,8 @@ def evaluate(ctx, term, args):
     if isinstance(term, str):
         return getattr(ctx, term)
     op, x, y = term
-    f = operator.eq if op == "eq" else getattr(ctx, op)
-    return f(evaluate(ctx, x, args), evaluate(ctx, y, args))
+    left, right = evaluate(ctx, x, args), evaluate(ctx, y, args)
+    return left == right if op == "eq" else getattr(ctx, op)[left][right]
 
 
 def context(key):
@@ -132,7 +157,7 @@ def replays(ctx, law_id, witness):
             continue
         for lhs, rel, rhs, clause_note in clauses:
             left, right = evaluate(ctx, lhs, args), evaluate(ctx, rhs, args)
-            fails = not (left == right if rel == "=" else ctx.le(right, left))
+            fails = not (left == right if rel == "=" else ctx.le[right][left])
             if clause_note == note and fails and (ctx.fmt(left), ctx.fmt(right)) == (witness["lhs"], witness["rhs"]):
                 return True
     return False

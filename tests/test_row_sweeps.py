@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reslat.norms as norms
+from reslat.laws import lazy_table
 from reslat.metric import SAlgebra, continuity_inequalities_check, metric_axioms_check
 from reslat.norms import NormFamily, NormKind, NormSide
 from reslat.tables import ValueTable
@@ -47,7 +48,8 @@ def product(x, y):
 
 def product_table(n):
     """The grid 0..n with a few values off it, the product norm on ids as the
-    scalar operation, and that operation's calls of the norm counted."""
+    lazy table a law context keeps, and that table's calls of the norm
+    counted."""
     table = ValueTable(GridSpec(n).points())
     for v in (Fraction(1, 7), Fraction(2, 9), Fraction(5, 11)):
         table.intern(UnitValue(v))
@@ -57,7 +59,7 @@ def product_table(n):
         calls.append((x, y))
         return product(x, y)
 
-    return table, table.operation(counted), calls
+    return table, lazy_table(table.operation(counted)), calls
 
 
 def by_definition(table, i, j):
@@ -73,17 +75,17 @@ def test_row_and_map_equal_the_scalar_definition(queries, seed):
     table, op, calls = product_table(8)
     rng = random.Random(seed)
     for i, js in queries:
-        # Some entries asked for one at a time first, so memo rows have grown part way.
+        # Some entries asked for one at a time first, so table rows are filled part way.
         for j in rng.sample(js, len(js) // 3):
-            assert op(i, j) == by_definition(table, i, j)
+            assert op[i][j] == by_definition(table, i, j)
         assert table.map(product, [i] * len(js), js) == [by_definition(table, i, j) for j in js]
-        assert [op(i, j) for j in js] == [by_definition(table, i, j) for j in js]
-        # Off-grid ids that only now exist, and ids past every memo row's length.
-        fresh = [op(i, j) for j in js] + js
+        assert [op[i][j] for j in js] == [by_definition(table, i, j) for j in js]
+        # Off-grid ids that only now exist.
+        fresh = [op[i][j] for j in js] + js
         is_ = [rng.choice(fresh) for _ in fresh]
         expected = [by_definition(table, i, j) for i, j in zip(is_, fresh)]
         assert table.map(product, is_, fresh) == expected
-        assert list(map(op, is_, fresh)) == expected
+        assert [op[i][j] for i, j in zip(is_, fresh)] == expected
     assert len(calls) == len(set(calls))
 
 
@@ -95,7 +97,7 @@ def test_rows_reach_past_their_length_without_growing_to_every_id():
     is_, js = [far, 1, far, far, far], [2, far, 2, 0, far]
     expected = [by_definition(table, i, j) for i, j in zip(is_, js)]
     assert table.map(product, is_, js) == expected
-    assert list(map(op, is_, js)) == expected
+    assert [op[i][j] for i, j in zip(is_, js)] == expected
     assert len(calls) == len(set(calls)) == 4
 
 

@@ -215,7 +215,7 @@ class TestRadiusLemmas:
 def pair_balls_by_definition(alg):
     """N2(p) for every pair p from the pair distance to every pair q: O(n^4)."""
     ctx = dbl_context(alg)
-    radius = reduce(ctx.meet, _radii(ctx))
+    radius = reduce(lambda a, b: ctx.meet[a][b], _radii(ctx))
     pairs = list(itertools.product(alg.elements(), repeat=2))
     return [_ball_mask(ctx, radius, (alg.pair_bires(p, q) for q in pairs)) for p in pairs]
 
