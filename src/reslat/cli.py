@@ -187,8 +187,9 @@ def cmd_metric(args) -> int:
             raise ValueError("--ball expects CENTER,RADIUS")
         center, radius = unitval.parse_unit(center_text), unitval.parse_unit(radius_text)
         ball = metric.interval_ball(alg, center, radius)
-        for end in (ball.piece.lo, ball.piece.hi):
-            unitval.check_digits(end, "ball end")
+        printed = [("ball end", ball.piece.lo), ("ball end", ball.piece.hi), ("ball center", center), ("ball radius", radius)]
+        for what, value in printed:
+            unitval.check_digits(value, what)
         agreement = ball.agreement_check()
         extra = {
             "ball": ball.describe(),

@@ -29,7 +29,7 @@ from .errors import InvalidRadius
 from .laws import D_LAWS, LawContext, LazyTable, check_signature_axioms, run_catalogue
 from .norms import NormFamily, NormKind, NormSide, closed_form, residuum_form
 from .reports import LawReport, Violation
-from .tables import ValueTable, kernel_row, picker, positions
+from .tables import ValueTable, kernel_of, kernel_row, picker, positions
 from .unitval import ONE, ZERO, GridSpec, UnitValue
 
 # The largest grid denominator ``reslat metric`` checks the signature axioms on.
@@ -120,10 +120,10 @@ def _metric_laws(prefix: str, points, dist, table: ValueTable, star, numeric: bo
     labels), with ``star`` the s-norm on values; point i is row i, and id 0
     is the distance 0.  Each law compares whole rows over its last
     variable; only a row that fails is swept again, to register its
-    witnesses in tuple order.  Off the grid, where ``star`` carries a
-    kernel, each star-triangle row ``d(a, c) * d(c, b)`` over c comes from
-    tables.kernel_row and is compared with ``d(a, b)`` by
-    cross-multiplication: nothing is interned or memoised for it."""
+    witnesses in tuple order.  Off the grid, each star-triangle row
+    ``d(a, c) * d(c, b)`` over c comes from tables.kernel_row on the kernel
+    of ``star`` and is compared with ``d(a, b)`` by cross-multiplication:
+    nothing is interned or memoised for it."""
     values, le = table.values, table.le
     m = len(points)
     rng = range(m)
@@ -150,7 +150,7 @@ def _metric_laws(prefix: str, points, dist, table: ValueTable, star, numeric: bo
         kernel, star_sq = None, table.square(star)
         star_row = lambda xs, ys: list(map(operator.getitem, map(star_sq.__getitem__, xs), ys))
     else:
-        kernel, star_row = getattr(star, "kernel", None), partial(table.map, star)
+        kernel, star_row = kernel_of(star), partial(table.map, star)
     num, den = table._num, table._den
     fractions = lambda rows: [([num[i] for i in row], [den[i] for i in row]) for row in rows]
     if kernel is not None:

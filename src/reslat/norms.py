@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 from enum import Enum
-from functools import lru_cache, partial
+from functools import lru_cache
 from math import lcm
 from operator import itemgetter, le
 
@@ -172,12 +172,6 @@ def residuum(f: NormFamily, x: UnitValue, y: UnitValue) -> UnitValue:
     return residuum_form(f)(x, y)
 
 
-# The checkers reach the residuum through the module name ``residuum``, so
-# that a replacement of it is what they check; only this function carries
-# the per-family forms, and with them the kernels.
-residuum.form = residuum_form
-
-
 def _oracle_denominator(f: NormFamily, x: UnitValue, y: UnitValue, g: GridSpec) -> int:
     # Refine the grid so that the true residuum is guaranteed to lie on it;
     # for the product family the answer's denominator divides
@@ -231,11 +225,12 @@ def adjointness_check(f: NormFamily, g: GridSpec, table=None) -> LawReport:
     law = "DBL3-adjointness" if f.side is NormSide.SNORM else "BL3-adjointness"
     report = LawReport(law, m**3)
     table = table or ValueTable(pts)
-    form = getattr(residuum, "form", None)
-    res = table.square(form(f) if form else partial(residuum, f))
+    res = table.square(residuum_form(f))
     nrm = table.square(closed_form(f))
-    ranks = table.ranked(res + nrm + [rng])
-    res_r, nrm_r, grid_r = ranks[:m], ranks[m:-1], ranks[-1]
+    # Order ranks, so that ``operator.le`` compares them as it compares values.
+    rank = table.ranks()
+    ranked = (lambda rows: rows) if rank is None else lambda rows: [list(map(rank.__getitem__, row)) for row in rows]
+    res_r, nrm_r, (grid_r,) = ranked(res), ranked(nrm), ranked([rng])
     snorm_side = f.side is NormSide.SNORM
     # One row per (a, b), over c.
     for a, b in () if residuated(res_r, nrm_r, grid_r, snorm_side) else itertools.product(rng, repeat=2):
@@ -286,10 +281,9 @@ def norm_axioms_check(f: NormFamily, g: GridSpec, table=None) -> list[LawReport]
         if grid_tab[x] != cols[x]:
             comm.register_row(grid_tab[x], cols[x], lambda y: (pts[x], pts[y]), show)
     mono = LawReport("monotonicity", m * m * (m + 1) // 2)
-    ranks = table.ranked(grid_tab)
-    chained = all(all(map(le, lo, hi)) for lo, hi in zip(ranks, ranks[1:]))  # le is transitive
+    chained = all(map(table.all_le, grid_tab, grid_tab[1:]))  # le is transitive
     for x1, x2 in () if chained else itertools.combinations_with_replacement(rng, 2):
-        if not all(map(le, ranks[x1], ranks[x2])):
+        if not table.all_le(grid_tab[x1], grid_tab[x2]):
             mono.register_row(grid_tab[x1], grid_tab[x2], lambda y: (pts[x1], pts[x2], pts[y]), show, table.le)
     unit_idx = m - 1 if f.side is NormSide.TNORM else 0
     boundary = LawReport("boundary", m)
@@ -323,13 +317,11 @@ def ordering_chain_check(side: NormSide, g: GridSpec, table=None) -> LawReport:
     table = table or ValueTable(pts)
     values = table.values
     tabs = [table.square(closed_form(f)) for f in families]
-    ranks = table.ranked([row for tab in tabs for row in tab])
-    rank_tabs = [ranks[k : k + m] for k in range(0, len(ranks), m)]
     rng = range(m)
     report = LawReport("ordering-chain", (len(families) - 1) * m**2)
     for x in rng:
-        rows = [rank_tab[x] for rank_tab in rank_tabs]
-        if all(all(map(le, lo, hi)) for lo, hi in zip(rows, rows[1:])):
+        rows = [tab[x] for tab in tabs]
+        if all(map(table.all_le, rows, rows[1:])):
             continue
         for y in rng:
             for lo, hi, f_lo, f_hi in zip(tabs, tabs[1:], families, families[1:]):

@@ -23,11 +23,10 @@ associativity, the star-triangle) compares the rows themselves and interns
 nothing.  :meth:`ValueTable.operation` is an operation on one pair of ids,
 which the grid law context keeps as a lazily filled table (reslat.laws).
 
-``all_le`` tests a whole row of order pairs in C: by plain id order while
-the ids still increase with their values, else by the values' correctly
-rounded floats while no two of them share a float.  Where a law interns
-nothing more, :meth:`ValueTable.ranked` maps the rows it compares to order
-ranks once, so that ``operator.le`` compares them in C.
+The table orders its ids exactly: :meth:`ValueTable.ranks` lists the rank
+of each id in value order, computed again only after an intern, and is
+None while the ids increase with their values, as on a grid.  ``all_le``
+tests a whole row of order pairs in C, on the ids or on their ranks.
 """
 
 from __future__ import annotations
@@ -37,7 +36,7 @@ from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from itertools import repeat
 from math import gcd, lcm
-from operator import floordiv, itemgetter, le, mod, mul
+from operator import floordiv, itemgetter, le, mod, mul, truediv
 from typing import Callable, Iterable
 
 from .unitval import UnitValue
@@ -51,14 +50,7 @@ class ValueTable:
         self._ids: dict[tuple[int, int], int] = {}
         self._num: list[int] = []
         self._den: list[int] = []
-        self._float: list[float] = []  # the correctly rounded float of each value
-        self._floats: set[float] = set()
-        # True while every id was interned above the one before it, so that
-        # id order is value order.
-        self.ids_ordered = True
-        # True while no two values share a float: rounding is monotone, so
-        # float order is then value order.
-        self.floats_distinct = True
+        self._ranks: tuple = (0, None)  # the number of ids ranked, and ranks()
         self._squares: dict = {}  # the points' square of each function
         for v in points:
             self.intern(v)
@@ -71,31 +63,44 @@ class ValueTable:
         i = self._ids.get(key)
         if i is None:
             i = self._ids[key] = len(self.values)
-            if self.ids_ordered and i and key[0] * self._den[-1] < self._num[-1] * key[1]:
-                self.ids_ordered = False
             self.values.append(v)
             self._num.append(key[0])
             self._den.append(key[1])
-            f = key[0] / key[1]
-            if self.floats_distinct:
-                self.floats_distinct = f not in self._floats
-                self._floats.add(f)
-            self._float.append(f)
         return i
 
     def le(self, i: int, j: int) -> bool:
         """values[i] <= values[j], by integer cross-multiplication."""
         return self._num[i] * self._den[j] <= self._num[j] * self._den[i]
 
+    def ranks(self) -> list[int] | None:
+        """The rank of each id in value order, so that ``operator.le`` on
+        ranks is :meth:`le` on ids; None while the ids increase with their
+        values.  Computed again only after an intern."""
+        n = len(self.values)
+        if self._ranks[0] != n:
+            num, den = self._num, self._den
+            rank = None
+            if not all(map(le, map(mul, num, den[1:]), map(mul, num[1:], den))):
+                # The correctly rounded float of n/d orders the values up to
+                # ties; the exact value breaks them.
+                order = sorted(zip(map(truediv, num, den), self.values, range(n)))
+                rank = [0] * n
+                for r, (_, _, i) in enumerate(order):
+                    rank[i] = r
+            self._ranks = n, rank
+        return self._ranks[1]
+
+    @property
+    def ids_ordered(self) -> bool:
+        """Whether the ids increase with their values."""
+        return self.ranks() is None
+
     def all_le(self, xs: Iterable[int], ys: Iterable[int]) -> bool:
-        """``le(x, y)`` for every pair of ``zip(xs, ys)``, in C unless two
-        values of the table share a float."""
-        if self.ids_ordered:
+        """``le(x, y)`` for every pair of ``zip(xs, ys)``, in C."""
+        rank = self.ranks()
+        if rank is None:
             return all(map(le, xs, ys))
-        if self.floats_distinct:
-            as_float = self._float.__getitem__
-            return all(map(le, map(as_float, xs), map(as_float, ys)))
-        return all(map(self.le, xs, ys))
+        return all(map(le, map(rank.__getitem__, xs), map(rank.__getitem__, ys)))
 
     def apply(self, kernel: Callable, xs, ys) -> list[int]:
         """The ids of ``kernel`` on the ids ``xs[k], ys[k]``, for every k:
@@ -145,20 +150,6 @@ class ValueTable:
             return intern(UnitValue(n, d)) if k is None else k
 
         return compute
-
-    def ranked(self, rows: list) -> list[list[int]]:
-        """``rows`` of ids with each id replaced by its rank among the ids
-        the rows hold, so that ``operator.le`` on ranks is :meth:`le` on the
-        ids.  Ranks compare only with ranks from the same call: rank together
-        every row a law compares, once nothing more is interned for it."""
-        if self.ids_ordered:
-            return rows
-        floats, values = self._float, self.values
-        # The float of n/d is correctly rounded, so it orders the values up
-        # to ties; the exact value breaks them.
-        order = sorted(set().union(*rows), key=lambda i: (floats[i], values[i]))
-        rank = dict(zip(order, range(len(order))))
-        return [list(map(rank.__getitem__, row)) for row in rows]
 
 
 def kernel_of(fn: Callable) -> Callable:
@@ -236,9 +227,9 @@ def associativity_rows(table: ValueTable, fn: Callable, sq: list[list[int]]):
     """None where ``T(T(x, y), z) == T(x, T(y, z))`` for all points x, y, z,
     with T ``fn`` and ``sq`` its square: on a closed grid (every ``T(x, y)``
     a point) as the square alone decides it, else as :func:`rows_associative`
-    decides it on ``fn.kernel``.  Otherwise the function ``(x, y) -> (lhs,
-    rhs)``, the two sides as rows of ids over z, read from the square on a
-    closed grid and computed by :meth:`ValueTable.map` off it.
+    decides it on the kernel of ``fn``.  Otherwise the function ``(x, y) ->
+    (lhs, rhs)``, the two sides as rows of ids over z, read from the square
+    on a closed grid and computed by :meth:`ValueTable.map` off it.
     """
     m = table.n_points
     if max(map(max, sq)) < m:
@@ -248,8 +239,7 @@ def associativity_rows(table: ValueTable, fn: Callable, sq: list[list[int]]):
         if all(list(itemgetter(*row)(rows)) == [pick(row) for pick in picks] for row in sq):
             return None
         return lambda x, y: (sq[sq[x][y]], list(map(sq[x].__getitem__, sq[y])))
-    kernel = getattr(fn, "kernel", None)
-    if kernel is not None and rows_associative(table, kernel, sq):
+    if rows_associative(table, kernel_of(fn), sq):
         return None
     return lambda x, y: (table.map(fn, [sq[x][y]] * m, range(m)), table.map(fn, [x] * m, sq[y]))
 

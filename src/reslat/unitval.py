@@ -110,7 +110,9 @@ def format_unit(value: Fraction, approx: bool = False) -> str:
     return base
 
 
-@lru_cache(maxsize=None)
+# Bounded: one command uses at most four grids, and a library loop over
+# denominators must not keep every grid alive.
+@lru_cache(maxsize=16)
 def _grid_points(denominator: int) -> tuple[UnitValue, ...]:
     return tuple(UnitValue(k, denominator) for k in range(denominator + 1))
 

@@ -167,6 +167,19 @@ class TestMetric:
         assert err == "error: ball end has a denominator of more than 4300 digits\n"
 
     @pytest.mark.parametrize(
+        "family, ball, fmt, what",
+        [
+            ("goedel", "1/2,1e-4300", "text", "radius"),
+            ("goedel", "1e-4300,1/2", "text", "center"),
+            ("lukasiewicz", "1e-4300,1", "json", "center"),
+        ],
+    )
+    def test_ball_center_or_radius_too_many_digits_exit_2(self, capsys, family, ball, fmt, what):
+        # The ball's ends print, but the echoed center or radius has a 4301-digit denominator.
+        code, out, err = run(capsys, "metric", "--family", family, "--ball", ball, "--format", fmt)
+        assert (code, out, err) == (2, "", f"error: ball {what} has a denominator of more than 4300 digits\n")
+
+    @pytest.mark.parametrize(
         "laws", [["--laws", "d0..d3"], ["--laws", "d1,d16"], ["--laws", "d1..d3", "--laws-grid", "1"]]
     )
     def test_bad_laws_refused_before_any_sweep(self, capsys, monkeypatch, laws):

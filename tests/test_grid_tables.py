@@ -13,7 +13,6 @@ import functools
 import itertools
 import operator
 from fractions import Fraction
-from functools import partial
 
 import pytest
 
@@ -205,15 +204,13 @@ def ref_context(alg, pts):
 
 
 @pytest.fixture
-def break_norms(monkeypatch):
+def break_norms(patch_norms):
     """Break the closed form or residuum of one family inside norms.py."""
 
     def install(family: NormFamily, how: str, pts):
-        closed_form, residuum = norms.closed_form, norms.residuum
-        fn = broken_norm(closed_form(family), how, pts)
-        res = broken_residuum(partial(residuum, family), how, pts) if family.is_residuated else None
-        monkeypatch.setattr(norms, "closed_form", lambda f: fn if f == family else closed_form(f))
-        monkeypatch.setattr(norms, "residuum", lambda f, x, y: res(x, y) if f == family else residuum(f, x, y))
+        fn = broken_norm(norms.closed_form(family), how, pts)
+        res = broken_residuum(norms.residuum_form(family), how, pts) if family.is_residuated else None
+        patch_norms(family, fn, res)
         return fn, res
 
     return install

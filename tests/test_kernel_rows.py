@@ -1,13 +1,14 @@
 """The kernel rows of reslat.tables, and the fast paths built on them.
 
 Product associativity and the star-triangle compare rows of a kernel
-without interning them, the norm axioms read a closed grid's square as
-plain lists, adjointness is decided by thresholds, and ``all_le`` compares
-floats.  Each fast path hands a failure to the row sweep it replaces, so
-every report must equal the brute-force reference of ``test_grid_tables.py``.
-The breaks below sit where only the fast paths look first: off the grid,
-deep inside a row, in a non-monotone column, and in a third-level result
-outside [0, 1].
+without interning them, also for a function without a kernel of its own,
+the norm axioms read a closed grid's square as plain lists, adjointness is
+decided by thresholds, and ``all_le`` compares order ranks when the ids are
+out of order.  Each fast path hands a failure to the row sweep it replaces,
+so every report must equal the brute-force reference of
+``test_grid_tables.py``.  The breaks below sit where only the fast paths look
+first: off the grid, deep inside a row, in a non-monotone column, and in a
+third-level result outside [0, 1].
 """
 
 import itertools
@@ -18,9 +19,16 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import reslat.norms as norms
-from reslat.metric import SAlgebra, metric_axioms_check, pair_metric_axioms_check, PairValue
+from reslat.metric import (
+    SAlgebra,
+    _distance_square,
+    _metric_laws,
+    metric_axioms_check,
+    pair_metric_axioms_check,
+    PairValue,
+)
 from reslat.norms import NormFamily, NormKind, NormSide
-from reslat.tables import ValueTable, kernel_row, residuated
+from reslat.tables import ValueTable, associativity_rows, kernel_row, residuated
 from reslat.unitval import ONE, ZERO, GridSpec, UnitValue
 
 from test_grid_tables import (
@@ -57,27 +65,13 @@ def kernel_moved(fn, at, value=None):
     return with_kernel(moved_kernel)
 
 
-@pytest.fixture
-def patch(monkeypatch):
-    """Replace one family's closed form, or its residuum, inside norms.py."""
-
-    def install(family, norm=None, res=None):
-        closed_form, residuum = norms.closed_form, norms.residuum
-        if norm is not None:
-            monkeypatch.setattr(norms, "closed_form", lambda f: norm if f == family else closed_form(f))
-        if res is not None:
-            monkeypatch.setattr(norms, "residuum", lambda f, x, y: res(x, y) if f == family else residuum(f, x, y))
-
-    return install
-
-
 # -- product associativity -------------------------------------------------------------
 
 
 @pytest.mark.parametrize("where", ("first", "second"), ids=("T(s, z)", "T(x, t)"))
 @pytest.mark.parametrize("side", tuple(NormSide), ids=lambda s: s.value)
 @pytest.mark.parametrize("n", GRIDS)
-def test_product_associativity_broken_at_one_off_grid_pair(n, side, where, patch):
+def test_product_associativity_broken_at_one_off_grid_pair(n, side, where, patch_norms):
     """The off-grid value T(pts[1], pts[2]) as the first argument is met by
     the rows T(s, .) over the points; as the second, by the rows T(x, .)
     over the square's ids."""
@@ -87,14 +81,14 @@ def test_product_associativity_broken_at_one_off_grid_pair(n, side, where, patch
     off = fn(pts[1], pts[2])
     assert off not in pts
     broken = kernel_moved(fn, (off, pts[3]) if where == "first" else (pts[3], off))
-    patch(family, norm=broken)
+    patch_norms(family, norm=broken)
     got = norms.norm_axioms_check(family, GridSpec(n))
     assert dicts(got) == dicts(ref_norm_axioms(broken, side, pts))
     assert not got[0].ok and all(r.ok for r in got[1:])
 
 
 @pytest.mark.parametrize("n", GRIDS)
-def test_product_associativity_broken_to_a_value_off_the_common_denominator(n, patch):
+def test_product_associativity_broken_to_a_value_off_the_common_denominator(n, patch_norms):
     """T(s, 0), for s = T(pts[1], pts[2]) off the grid, moved from 0 to
     1/(7 n^6): a denominator that divides no common denominator of the rows,
     over which the value would read as 0."""
@@ -102,10 +96,22 @@ def test_product_associativity_broken_to_a_value_off_the_common_denominator(n, p
     family = NormFamily(PRODUCT, NormSide.TNORM)
     fn = norms.closed_form(family)
     broken = kernel_moved(fn, (fn(pts[1], pts[2]), ZERO), UnitValue(1, 7 * n**6))
-    patch(family, norm=broken)
+    patch_norms(family, norm=broken)
     got = norms.norm_axioms_check(family, GridSpec(n))
     assert dicts(got) == dicts(ref_norm_axioms(broken, NormSide.TNORM, pts))
     assert not got[0].ok
+
+
+@pytest.mark.parametrize("side", tuple(NormSide), ids=lambda s: s.value)
+def test_product_associativity_without_a_kernel_is_decided_by_kernel_rows(side):
+    """A function without a kernel runs on the adapter of ``kernel_of``: the
+    rows decide, and no third-level value is interned."""
+    table = ValueTable(GridSpec(8).points())
+    sq = table.square(norms.closed_form(NormFamily(PRODUCT, side)))
+    ids = len(table.values)
+    assert ids > table.n_points
+    assert associativity_rows(table, plain(norms.closed_form(NormFamily(PRODUCT, side))), sq) is None
+    assert len(table.values) == ids
 
 
 def sweep_in_row_order(fn, pts):
@@ -118,14 +124,14 @@ def sweep_in_row_order(fn, pts):
 
 
 @pytest.mark.parametrize("n", GRIDS)
-def test_a_third_level_result_outside_the_unit_interval_is_refused_as_the_row_sweep_refuses_it(n, patch):
+def test_a_third_level_result_outside_the_unit_interval_is_refused_as_the_row_sweep_refuses_it(n, patch_norms):
     """The product, except that a first argument off the grid gives a value
     above 1 that depends on both arguments, so the first one refused names
     the order in which the results were computed."""
     pts = GridSpec(n).points()
     family = NormFamily(PRODUCT, NormSide.TNORM)
     broken = with_kernel(lambda a, b, c, d: (a * c, b * d) if n % b == 0 else (b * d + a * d + c, b * d))
-    patch(family, norm=broken)
+    patch_norms(family, norm=broken)
     expected = refusal(lambda: sweep_in_row_order(broken, pts))
     assert expected is not None and expected[0] is ValueError
     assert refusal(lambda: norms.norm_axioms_check(family, GridSpec(n))) == expected
@@ -161,6 +167,18 @@ def test_product_star_triangle_broken_off_the_grid(n):
     assert not got[2].ok
 
 
+def test_a_valid_product_star_without_a_kernel_interns_nothing_for_the_star_triangle():
+    pts = GridSpec(8).points()
+    alg = SAlgebra.of(PRODUCT)
+    table = ValueTable(pts)
+    dist = _distance_square(table, alg)
+    ids = len(table.values)
+    assert max(map(max, dist)) >= table.n_points
+    got = _metric_laws("d", pts, dist, table, plain(alg.star), True)
+    assert dicts(got) == dicts(ref_metric_axioms("d", pts, ref_distance(alg), alg.star, ref_numeric(alg, pts)))
+    assert all(r.ok for r in got) and len(table.values) == ids
+
+
 def pair_distance(alg):
     d = ref_distance(alg)
     return lambda a, b: alg.star(d(a.first, b.first), d(a.second, b.second))
@@ -193,7 +211,7 @@ def near(value, pts, how, side):
 @pytest.mark.parametrize("how", ("next-point", "off-grid"))
 @pytest.mark.parametrize("side", tuple(NormSide), ids=lambda s: s.value)
 @pytest.mark.parametrize("kind", RESIDUATED, ids=lambda k: k.value)
-def test_adjointness_with_a_residuum_wrong_deep_inside_a_row(kind, side, how, patch):
+def test_adjointness_with_a_residuum_wrong_deep_inside_a_row(kind, side, how, patch_norms):
     """Every column of the norm is monotone; one residuum entry is near,
     but not at, its true value."""
     pts = GridSpec(16).points()
@@ -202,7 +220,7 @@ def test_adjointness_with_a_residuum_wrong_deep_inside_a_row(kind, side, how, pa
     true = norms.residuum_form(family)
     value = near(true(*at), pts, how, side)
     res = lambda x, y: value if (x, y) == at else true(x, y)
-    patch(family, res=res)
+    patch_norms(family, res=res)
     got = norms.adjointness_check(family, GridSpec(16))
     assert got.to_dict() == ref_adjointness(norms.closed_form(family), res, side, pts).to_dict()
     assert not got.ok
@@ -210,13 +228,13 @@ def test_adjointness_with_a_residuum_wrong_deep_inside_a_row(kind, side, how, pa
 
 @pytest.mark.parametrize("side", tuple(NormSide), ids=lambda s: s.value)
 @pytest.mark.parametrize("kind", RESIDUATED, ids=lambda k: k.value)
-def test_adjointness_with_a_non_monotone_column(kind, side, patch):
+def test_adjointness_with_a_non_monotone_column(kind, side, patch_norms):
     pts = GridSpec(8).points()
     family = NormFamily(kind, side)
     fn = moved(norms.closed_form(family), (pts[5], pts[3]))
     column = [fn(a, pts[3]) for a in pts]
     assert column != sorted(column)
-    patch(family, norm=fn)
+    patch_norms(family, norm=fn)
     got = norms.adjointness_check(family, GridSpec(8))
     assert got.to_dict() == ref_adjointness(fn, lambda x, y: norms.residuum(family, x, y), side, pts).to_dict()
     assert not got.ok
@@ -307,12 +325,12 @@ def test_a_square_by_kernel_rows_is_the_square_by_values(n, form):
     assert kernel_table.complements(ids) == [kernel_table.intern(UnitValue(1 - v)) for v in kernel_table.values[: len(ids)]]
 
 
-# -- all_le on floats --------------------------------------------------------------------
+# -- all_le on ranks ---------------------------------------------------------------------
 
 
 def test_all_le_on_floats_when_ids_are_out_of_order():
     table = ValueTable(UnitValue(v) for v in (Fraction(1, 2), Fraction(1, 3), Fraction(1), Fraction(0), Fraction(2, 7)))
-    assert not table.ids_ordered and table.floats_distinct
+    assert not table.ids_ordered
     assert_order_matches_le(table)
 
 
@@ -320,6 +338,6 @@ def test_all_le_decides_exactly_when_two_values_share_a_float():
     big = 10**30
     close = [Fraction(big + 1, 3 * big), Fraction(1, 3), Fraction(big - 1, 3 * big), Fraction(1, 2)]
     table = ValueTable(UnitValue(v) for v in close)
-    assert not table.ids_ordered and not table.floats_distinct
+    assert not table.ids_ordered
     assert_order_matches_le(table)
     assert not table.all_le([0], [1]) and table.all_le([2, 1], [1, 0])

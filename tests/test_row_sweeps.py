@@ -2,15 +2,15 @@
 
 ``ValueTable.map`` and the scalar ``ValueTable.operation`` must give the ids
 the scalar definition gives, the operation computing each pair once,
-``all_le`` the order ``le`` gives, and the checkers that compare
-whole rows the same reports as the brute-force references of
-``test_grid_tables.py`` when a broken entry sits deep inside a long row.
+``all_le`` the order ``le`` gives, on ids or on order ranks and after every
+intern, and the checkers that compare whole rows the same reports as the
+brute-force references of ``test_grid_tables.py`` when a broken entry sits
+deep inside a long row.
 """
 
 import itertools
 import random
 from fractions import Fraction
-from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -134,6 +134,19 @@ def test_ids_interned_in_increasing_order_keep_id_order():
     assert_order_matches_le(table)
 
 
+@pytest.mark.parametrize("first", ("all_le", "ranks"))
+@pytest.mark.parametrize("ordered", (True, False), ids=("ordered", "out-of-order"))
+def test_an_intern_below_every_value_gives_a_fresh_order(ordered, first):
+    points = [Fraction(1, 3), Fraction(1, 2), Fraction(1)]
+    table = ValueTable(UnitValue(v) for v in (points if ordered else points[::-1]))
+    assert table.ids_ordered == ordered
+    assert table.all_le([0], [1]) == ordered if first == "all_le" else (table.ranks() is None) == ordered
+    low = table.intern(UnitValue(1, 7))
+    assert not table.ids_ordered and table.ranks()[low] == 0
+    assert not table.all_le([0], [low]) and table.all_le([low] * 4, range(4))
+    assert_order_matches_le(table)
+
+
 @given(st.lists(st.fractions(min_value=0, max_value=1, max_denominator=20), min_size=1, max_size=12))
 def test_all_le_on_arbitrary_points(points):
     table = ValueTable(UnitValue(p) for p in points)
@@ -146,17 +159,15 @@ def test_all_le_on_arbitrary_points(points):
 
 
 @pytest.fixture
-def break_entry(monkeypatch):
+def break_entry(patch_norms):
     """One entry of a family's closed form, or of its residuum, moved inside norms.py."""
 
     def install(family, at, residuum_at=None):
-        closed_form, residuum = norms.closed_form, norms.residuum
-        fn = moved(closed_form(family), at) if at else closed_form(family)
-        res = partial(residuum, family) if family.is_residuated else None
+        fn = moved(norms.closed_form(family), at) if at else norms.closed_form(family)
+        res = norms.residuum_form(family) if family.is_residuated else None
         if residuum_at:
             res = moved(res, residuum_at)
-        monkeypatch.setattr(norms, "closed_form", lambda f: fn if f == family else closed_form(f))
-        monkeypatch.setattr(norms, "residuum", lambda f, x, y: res(x, y) if f == family else residuum(f, x, y))
+        patch_norms(family, fn, res)
         return fn, res
 
     return install

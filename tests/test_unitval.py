@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from reslat.unitval import MAX_EXPONENT, ONE, GridSpec, UnitValue, format_unit, parse_unit
+from reslat.unitval import MAX_EXPONENT, ONE, GridSpec, UnitValue, _grid_points, format_unit, parse_unit
 
 units = st.fractions(min_value=0, max_value=1).map(UnitValue)
 
@@ -64,6 +64,20 @@ def test_grid_points():
     for refused in (1, 0, -2):
         with pytest.raises(ValueError, match="grid denominator must be >= 2"):
             GridSpec(refused)
+
+
+def test_grid_points_cache_is_bounded():
+    # Sixteen grids stay cached; one more evicts the least recently used.
+    assert _grid_points.cache_info().maxsize == 16
+    _grid_points.cache_clear()
+    grids = [GridSpec(n) for n in range(2, 19)]
+    oldest = grids[0].points()
+    for g in grids[1:]:
+        g.points()
+    info = _grid_points.cache_info()
+    assert (info.currsize, info.hits, info.misses) == (16, 0, 17)
+    assert grids[-1].points() is grids[-1].points() and _grid_points.cache_info().hits == 2
+    assert grids[0].points() is not oldest and grids[0].points() == oldest
 
 
 def construction(make):
