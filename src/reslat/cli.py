@@ -199,7 +199,7 @@ def cmd_metric(args) -> int:
         return _emit(args, [("ball closed form vs predicate", [agreement])], extra=extra)
 
     ids = ()
-    if args.laws:
+    if args.laws is not None:
         # Refuse a bad selector or laws grid before any sweep runs.  Each law
         # runs once, in catalogue order, and is counted once in the budget.
         ids = sorted(set(_parse_law_selector(args.laws, "D", 15)), key=lambda law_id: int(law_id[1:]))
@@ -215,7 +215,7 @@ def cmd_metric(args) -> int:
         ("continuity contracts", metric.continuity_inequalities_check(alg, grid4)),
     ]
     notes = []
-    if args.laws:
+    if args.laws is not None:
         consecutive = len(ids) > 1 and int(ids[-1][1:]) - int(ids[0][1:]) == len(ids) - 1
         title = f"{ids[0]}..{ids[-1]}" if consecutive else ", ".join(ids)
         sections.append((f"derived laws {title}", metric.dbl_laws_check(alg, laws_grid, ids)))

@@ -1,12 +1,14 @@
 """Table-driven finite algebras in the BL and DBL signatures.
 
 An algebra is given extensionally: element labels, an order relation, a
-monoid table, and a residuum table.  Meets and joins are computed from the
-order at construction time, and all structural invariants (partial order,
-bounded lattice, table closure) are validated eagerly.  Law properties
-(monoid axioms, residuation, the derived law suites) are checked separately
-so that a structurally sound but law-breaking table still loads and can be
-reported on.
+monoid table, and a residuum table.  Its public data are five tables of
+carrier indices, ``leq``, ``monoid``, ``residuum``, ``meet`` and ``join``;
+the meet and join tables are computed from the order at construction time,
+and all structural invariants (partial order, bounded lattice, table
+closure) are validated eagerly.  Law properties (monoid axioms,
+residuation, the derived law suites) are checked separately so that a
+structurally sound but law-breaking table still loads and can be reported
+on.
 
 Element labels are opaque strings; the order of the carrier list fixes the
 index order used everywhere, including witness ordering.
@@ -47,7 +49,7 @@ class FiniteAlgebra:
         self._index = {lbl: i for i, lbl in enumerate(self.labels)}
         down = self._validate_order()
         self._validate_tables()
-        self._meet, self._join = self._compute_bounds(down)
+        self.meet, self.join = self._compute_bounds(down)
 
     # -- structural validation -------------------------------------------
 
@@ -112,32 +114,6 @@ class FiniteAlgebra:
 
     def elements(self):
         return range(self.n)
-
-    def le(self, i: int, j: int) -> bool:
-        return self.leq[i][j]
-
-    def lt(self, i: int, j: int) -> bool:
-        """Strict lattice order: comparable and unequal."""
-        return i != j and self.leq[i][j]
-
-    def star(self, i: int, j: int) -> int:
-        return self.monoid[i][j]
-
-    def arrow(self, i: int, j: int) -> int:
-        return self.residuum[i][j]
-
-    def meet(self, i: int, j: int) -> int:
-        return self._meet[i][j]
-
-    def join(self, i: int, j: int) -> int:
-        return self._join[i][j]
-
-    def bires(self, i: int, j: int) -> int:
-        """(i -> j) * (j -> i): the biresiduum (BL) or induced distance (DBL)."""
-        return self.star(self.arrow(i, j), self.arrow(j, i))
-
-    def pair_bires(self, a: tuple[int, int], b: tuple[int, int]) -> int:
-        return self.star(self.bires(a[0], b[0]), self.bires(a[1], b[1]))
 
     def _key(self):
         return (self.labels, self.leq, self.monoid, self.residuum, self.signature, self.bottom, self.top)
@@ -258,11 +234,15 @@ def load_algebra(path) -> FiniteAlgebra:
 # -- axiom and law checking ---------------------------------------------------
 
 def dbl_context(alg: FiniteAlgebra) -> LawContext:
-    """The algebra in the DBL form the law checkers take: itself, or, for a
-    BL-algebra, its order dual, without rebuilding it.  Its tables are lists,
-    whose bound ``__getitem__`` a C ``map`` calls faster than a tuple's."""
+    """The algebra in the DBL form the law checkers, the topology and the
+    formula evaluator read: itself, or, for a BL-algebra, its order dual,
+    without rebuilding it.  No other code decides how a finite algebra is
+    read: its order, meet and join, its monoid unit ``zero`` and its
+    absorbing element ``one``.  Each call builds a fresh context, whose
+    tables are lists: a C ``map`` calls a list's bound ``__getitem__``
+    faster than a tuple's."""
     fmt = lambda v: str(v) if isinstance(v, bool) else alg.labels[v]
-    star, res, meet, join, le = (list(map(list, t)) for t in (alg.monoid, alg.residuum, alg._meet, alg._join, alg.leq))
+    star, res, meet, join, le = (list(map(list, t)) for t in (alg.monoid, alg.residuum, alg.meet, alg.join, alg.leq))
     if alg.signature is Signature.DBL:
         return LawContext(alg.elements, star, res, meet, join, le, alg.bottom, alg.top, fmt)
     return LawContext(alg.elements, star, res, join, meet, list(map(list, zip(*le))), alg.top, alg.bottom, fmt)
@@ -308,11 +288,11 @@ def dualize_algebra(alg: FiniteAlgebra) -> FiniteAlgebra:
 
 def biresiduum(alg: FiniteAlgebra, a: str, b: str) -> str:
     """Label-level biresiduum: (a -> b) * (b -> a)."""
-    return alg.labels[alg.bires(alg.index(a), alg.index(b))]
+    i, j = alg.index(a), alg.index(b)
+    return alg.labels[alg.monoid[alg.residuum[i][j]][alg.residuum[j][i]]]
 
 
 def pair_biresiduum(alg: FiniteAlgebra, a: tuple[str, str], b: tuple[str, str]) -> str:
     """Label-level pair operator: (a1 <-> b1) * (a2 <-> b2)."""
-    ai = (alg.index(a[0]), alg.index(a[1]))
-    bi = (alg.index(b[0]), alg.index(b[1]))
-    return alg.labels[alg.pair_bires(ai, bi)]
+    first, second = (alg.index(biresiduum(alg, x, y)) for x, y in zip(a, b))
+    return alg.labels[alg.monoid[first][second]]

@@ -369,21 +369,26 @@ def evaluate(f: Formula, algebra, valuation):
     return _evaluator(algebra)(f, valuation)
 
 
-def _is_finite(algebra) -> bool:
-    """Whether ``algebra`` is a FiniteAlgebra.  A NormFamily is ruled out
-    first, so evaluating over [0,1] never imports the finite layer."""
+def _finite_context(algebra):
+    """The DBL-form context of ``algebra`` if it is a FiniteAlgebra, else
+    None.  A NormFamily is ruled out first, so evaluating over [0,1] never
+    imports the finite layer."""
     if isinstance(algebra, NormFamily):
-        return False
-    from .finite import FiniteAlgebra
+        return None
+    from .finite import FiniteAlgebra, dbl_context
 
-    return isinstance(algebra, FiniteAlgebra)
+    return dbl_context(algebra) if isinstance(algebra, FiniteAlgebra) else None
 
 
 def _evaluator(algebra):
-    """The evaluator over ``algebra``: (formula, valuation) -> value."""
-    finite = _is_finite(algebra)
+    """The evaluator over ``algebra``: (formula, valuation) -> value.
+
+    On a finite algebra, 0 is the element that absorbs ``&``: the bottom of
+    a BL-algebra, the top of a DBL-algebra, ``one`` of the DBL form."""
+    ctx = _finite_context(algebra)
+    finite = ctx is not None
     if finite:
-        read, operations = algebra.index, (algebra.bottom, algebra.star, algebra.arrow)
+        read, operations = algebra.index, (ctx.one, lambda a, b: ctx.star[a][b], lambda a, b: ctx.res[a][b])
     else:
         if not isinstance(algebra, NormFamily):
             raise TypeError(f"unsupported algebra: {algebra!r}")
@@ -442,13 +447,14 @@ def sweep_values(f: Formula, algebra, domain) -> dict:
 
 
 def check_prelinearity_tautology(algebra, g: GridSpec | None = None) -> LawReport:
-    """(p -> q) | (q -> p) must evaluate to the top value under every
+    """(p -> q) | (q -> p) must evaluate to 1, the unit of ``&``, under every
     valuation: grid valuations for t-norm families, carrier valuations for
-    finite algebras."""
+    finite algebras (there 1 is ``zero`` of the DBL form)."""
     formula = parse("(p -> q) | (q -> p)")
-    if _is_finite(algebra):
+    ctx = _finite_context(algebra)
+    if ctx is not None:
         domain = algebra.labels
-        top = algebra.labels[algebra.top]
+        top = algebra.labels[ctx.zero]
     else:
         domain = (g or GridSpec()).points()
         top = ONE

@@ -2,12 +2,14 @@
 
 Every radius, ball and open-set decision runs on the algebra in the DBL
 form, ``finite.dbl_context``: a DBL-algebra itself, or the order dual of a
-BL-algebra.  There the admissible radii are the positive elements (a meet
-with 0 is 0 only for 0), and the ball of radius r around c holds the points
-whose distance from c lies strictly below r (comparable and unequal).  On a
-BL-algebra these are the strongly-less-than-1 elements and the points whose
-biresiduum lies strictly above r.  A subset is open when every one of its
-points has a ball, for some admissible radius, inside the subset.
+BL-algebra, so an algebra and its order dual have the same topology.  There
+the admissible radii are the positive elements (a meet with 0 is 0 only for
+0), and the ball of radius r around c holds the points whose distance
+d(c, b) = (c -> b) * (b -> c) lies strictly below r (comparable and
+unequal).  On a BL-algebra these are the strongly-less-than-1 elements and
+the points whose biresiduum lies strictly above r.  A subset is open when
+every one of its points has a ball, for some admissible radius, inside the
+subset.
 
 In any lattice the positive elements are closed under meet: if a and a' are
 positive and (a & a') & b = 0, then a & (a' & b) = 0, so a' & b = 0 and
@@ -56,26 +58,34 @@ def admissible_radii(alg: FiniteAlgebra) -> tuple[str, ...]:
     return tuple(alg.labels[i] for i in _radii(dbl_context(alg)))
 
 
+def _lt(ctx: LawContext, a: int, b: int) -> bool:
+    """The strict order of the DBL form: comparable and unequal."""
+    return a != b and ctx.le[a][b]
+
+
 def _ball_mask(ctx: LawContext, radius: int, distances) -> int:
     """The points whose distance, in point order, lies strictly below the radius."""
-    return sum(1 << k for k, d in enumerate(distances) if d != radius and ctx.le[d][radius])
+    return sum(1 << k for k, d in enumerate(distances) if _lt(ctx, d, radius))
 
 
-def _inside_widest_radius(alg: FiniteAlgebra) -> list[bool]:
-    """For each element, whether it lies strictly below the widest radius,
-    the meet of the admissible radii (there is one: the top of the DBL form
-    is positive)."""
+def _view(alg: FiniteAlgebra) -> tuple[LawContext, list[list[int]], list[bool]]:
+    """The algebra as the topology reads it: its DBL-form context; the
+    distance table, ``dist[a][b] = (a -> b) * (b -> a)``; and, for each
+    element, whether it lies strictly below the widest radius, the meet of
+    the admissible radii (there is one: the top of the DBL form is positive)."""
     ctx = dbl_context(alg)
+    star, res = ctx.star, ctx.res
+    dist = [[star[res[a][b]][res[b][a]] for b in ctx.elements()] for a in ctx.elements()]
     radius = reduce(lambda a, b: ctx.meet[a][b], _radii(ctx))
-    return [d != radius and ctx.le[d][radius] for d in ctx.elements()]
+    return ctx, dist, [_lt(ctx, d, radius) for d in ctx.elements()]
 
 
-def _smallest_opens(alg: FiniteAlgebra) -> list[int]:
+def _smallest_opens(view) -> list[int]:
     """U(a) for every a in carrier order: the closure of {a} under the smallest balls."""
-    inside = _inside_widest_radius(alg)
-    balls = [sum(1 << b for b in alg.elements() if inside[alg.bires(a, b)]) for a in alg.elements()]
+    _, dist, inside = view
+    balls = [sum(1 << b for b, d in enumerate(row) if inside[d]) for row in dist]
     ups = []
-    for a in alg.elements():
+    for a in range(len(dist)):
         mask, grown = 0, 1 << a
         while grown != mask:
             mask = grown
@@ -86,7 +96,7 @@ def _smallest_opens(alg: FiniteAlgebra) -> list[int]:
     return ups
 
 
-def _smallest_pair_balls(alg: FiniteAlgebra) -> list[int]:
+def _smallest_pair_balls(view) -> list[int]:
     """N2(p) for every pair p, in pair-index order, in O(n^3).
 
     The pair distance of (a1, a2) and (b1, b2) is star(d(a1, b1), d(a2, b2)),
@@ -94,14 +104,11 @@ def _smallest_pair_balls(alg: FiniteAlgebra) -> list[int]:
     star(d(a1, b1), d(a2, b2)) inside, at bits b1 * n + b2; the strips depend
     only on the value d(a1, b1) and on a2.
     """
-    n, inside = alg.n, _inside_widest_radius(alg)
-    dist = [[alg.bires(a, b) for b in alg.elements()] for a in alg.elements()]
-    strips = [
-        [sum(1 << b2 for b2, d in enumerate(dist[a2]) if inside[alg.star(v, d)]) for a2 in alg.elements()]
-        for v in alg.elements()
-    ]
+    ctx, dist, inside = view
+    n = len(dist)
+    strips = [[sum(1 << b2 for b2, d in enumerate(row) if inside[star_row[d]]) for row in dist] for star_row in ctx.star]
     balls = []
-    for a1, a2 in itertools.product(alg.elements(), repeat=2):
+    for a1, a2 in itertools.product(range(n), repeat=2):
         mask = 0
         for b1, d in enumerate(dist[a1]):
             mask |= strips[d][a2] << (b1 * n)
@@ -115,18 +122,18 @@ def _mask_is_open(smallest: list[int], mask: int) -> bool:
     return all(m & ~mask == 0 for a, m in enumerate(smallest) if mask >> a & 1)
 
 
-def _admissible(alg: FiniteAlgebra, radius: str) -> tuple[LawContext, int]:
-    ctx, r = dbl_context(alg), alg.index(radius)
-    if r not in _radii(ctx):
+def _admissible(alg: FiniteAlgebra, radius: str):
+    """The view of ``alg`` and the index of ``radius``, refused unless admissible."""
+    view, r = _view(alg), alg.index(radius)
+    if r not in _radii(view[0]):
         raise InadmissibleRadius(f"radius {radius!r} is not admissible (positive in the DBL form)")
-    return ctx, r
+    return view, r
 
 
 def ball(alg: FiniteAlgebra, center: str, radius: str) -> frozenset[str]:
     """The ball around ``center`` of admissible radius ``radius``."""
-    ctx, r = _admissible(alg, radius)
-    c = alg.index(center)
-    return frozenset(_labels_of(alg, _ball_mask(ctx, r, (alg.bires(c, b) for b in alg.elements()))))
+    (ctx, dist, _), r = _admissible(alg, radius)
+    return frozenset(_labels_of(alg, _ball_mask(ctx, r, dist[alg.index(center)])))
 
 
 def _mask_of(alg: FiniteAlgebra, subset) -> int:
@@ -147,7 +154,7 @@ def _set_text(alg: FiniteAlgebra, mask: int) -> str:
 def is_open(alg: FiniteAlgebra, subset) -> bool:
     """True iff every point of the subset has a ball inside it (empty set is
     vacuously open)."""
-    return _mask_is_open(_smallest_opens(alg), _mask_of(alg, subset))
+    return _mask_is_open(_smallest_opens(_view(alg)), _mask_of(alg, subset))
 
 
 class Topology:
@@ -199,7 +206,7 @@ def enumerate_topology(alg: FiniteAlgebra) -> Topology:
     """
     if alg.n > MAX_LISTED_CARRIER:
         raise CarrierTooLarge(f"carrier size {alg.n} exceeds the listing limit {MAX_LISTED_CARRIER}")
-    opens, ups = {0}, _smallest_opens(alg)
+    opens, ups = {0}, _smallest_opens(_view(alg))
     for up in ups:
         opens |= {m | up for m in opens}
     masks = tuple(sorted(opens, key=lambda m: (m.bit_count(), tuple(i for i in range(alg.n) if m >> i & 1))))
@@ -217,7 +224,7 @@ def count_opens(alg: FiniteAlgebra) -> int:
     the U(a) are classes, both branches drop the class of a, and the memo
     makes the count linear in the number of classes.
     """
-    ups = _smallest_opens(alg)
+    ups = _smallest_opens(_view(alg))
     downs = [sum(1 << b for b, up in enumerate(ups) if up >> a & 1) for a in alg.elements()]
     memo = {0: 1}
 
@@ -234,10 +241,10 @@ def count_opens(alg: FiniteAlgebra) -> int:
 
 def product_ball(alg: FiniteAlgebra, center: tuple[str, str], radius: str) -> frozenset[tuple[str, str]]:
     """Ball in the squared carrier under the pair operator."""
-    ctx, r = _admissible(alg, radius)
-    c = (alg.index(center[0]), alg.index(center[1]))
+    (ctx, dist, _), r = _admissible(alg, radius)
+    row1, row2 = dist[alg.index(center[0])], dist[alg.index(center[1])]
     pairs = list(itertools.product(alg.elements(), repeat=2))
-    mask = _ball_mask(ctx, r, (alg.pair_bires(c, q) for q in pairs))
+    mask = _ball_mask(ctx, r, (ctx.star[row1[q1]][row2[q2]] for q1, q2 in pairs))
     return frozenset((alg.labels[i], alg.labels[j]) for k, (i, j) in enumerate(pairs) if mask >> k & 1)
 
 
@@ -246,7 +253,7 @@ def product_is_open(alg: FiniteAlgebra, subset) -> bool:
     mask = 0
     for a, b in subset:
         mask |= 1 << (alg.index(a) * alg.n + alg.index(b))
-    return _mask_is_open(_smallest_pair_balls(alg), mask)
+    return _mask_is_open(_smallest_pair_balls(_view(alg)), mask)
 
 
 def verify_operation_continuity(alg: FiniteAlgebra) -> list[LawReport]:
@@ -256,11 +263,10 @@ def verify_operation_continuity(alg: FiniteAlgebra) -> list[LawReport]:
     One check per pair and map.  A failing pair p is reported with the open
     U(f(p)), whose preimage contains p but not N2(p) and so is not open.
     """
-    n = alg.n
-    smallest_opens = _smallest_opens(alg)
-    pair_balls = _smallest_pair_balls(alg)
+    n, view = alg.n, _view(alg)
+    smallest_opens, pair_balls = _smallest_opens(view), _smallest_pair_balls(view)
     reports = []
-    for name, table in (("star-continuity", alg.monoid), ("arrow-continuity", alg.residuum)):
+    for name, table in (("star-continuity", view[0].star), ("arrow-continuity", view[0].res)):
         image = [table[p // n][p % n] for p in range(n * n)]
         preimages = [sum(1 << q for q, x in enumerate(image) if up >> x & 1) for up in smallest_opens]
         report = LawReport(name)
@@ -279,7 +285,6 @@ def check_radius_lemmas(alg: FiniteAlgebra) -> list[LawReport]:
     ctx = dbl_context(alg)
     adm = set(_radii(ctx))
     fmt = ctx.fmt
-    lt = lambda a, b: a != b and ctx.le[a][b]
 
     first = LawReport("G1", checked=1)
     if ctx.one not in adm:
@@ -288,14 +293,14 @@ def check_radius_lemmas(alg: FiniteAlgebra) -> list[LawReport]:
     second = LawReport("G2")
     for a in sorted(adm):
         second.checked += 1
-        if not lt(ctx.zero, a):
+        if not _lt(ctx, ctx.zero, a):
             second.register(Violation("G2", (fmt(a),), fmt(a), fmt(ctx.zero)))
 
     third = LawReport("G3")
     for a, b in itertools.product(ctx.elements(), repeat=2):
         third.checked += 1
         # b > a >> 0 implies b >> 0
-        if a in adm and lt(a, b) and b not in adm:
+        if a in adm and _lt(ctx, a, b) and b not in adm:
             third.register(Violation("G3", (fmt(a), fmt(b)), False, True))
 
     fourth = LawReport("G4")

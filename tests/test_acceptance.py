@@ -181,7 +181,7 @@ def test_criterion_10_semantics(announce, fixture_algebras):
         ok = ok and check_prelinearity_tautology(alg).ok
         for a, b in itertools.product(alg.labels, repeat=2):
             got = evaluate(meet_formula, alg, {"p": a, "q": b})
-            if got != alg.labels[alg.meet(alg.index(a), alg.index(b))]:
+            if got != alg.labels[alg.meet[alg.index(a)][alg.index(b)]]:
                 ok = False
                 break
     announce(10, ok, "(p->q)|(q->p) is constantly 1 and p^q is the lattice meet, on grids and fixtures")

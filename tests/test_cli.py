@@ -192,7 +192,7 @@ class TestMetric:
         assert sweeps == []
 
 
-    @pytest.mark.parametrize("laws", ["d3,", "d1..", "dx", "..d3", "d1..d3..d5", ",", "d1,,d2", "d1 d2"])
+    @pytest.mark.parametrize("laws", ["d3,", "d1..", "dx", "..d3", "d1..d3..d5", ",", "d1,,d2", "d1 d2", ""])
     def test_malformed_law_selector_exit_2(self, capsys, laws):
         code, out, err = run(capsys, "metric", "--family", "product", "--laws", laws)
         assert code == 2 and out == ""
@@ -431,6 +431,16 @@ class TestEval:
                            "--sweep")
         assert code == 0
         assert out.strip() == "constant 1 over 16 valuations"
+
+    def test_finite_sweep_on_a_dual(self, capsys, fixtures_dir, tmp_path):
+        # 0 absorbs &, so on the order dual of l4 (same tables, top "0") !p negates as on l4
+        code, doc, _ = run(capsys, "algebra", "dualize", str(fixtures_dir / "l4.alg"))
+        dual_path = tmp_path / "l4-dual.alg"
+        dual_path.write_text(doc, encoding="utf-8")
+        for path in (fixtures_dir / "l4.alg", dual_path):
+            code, out, _ = run(capsys, "eval", "!p", "--algebra", str(path), "--sweep")
+            assert code == 0
+            assert out == "4 distinct values over 4 valuations:\n  0\n  1/3\n  2/3\n  1\n"
 
     @pytest.mark.parametrize("text, value", [("0.25", "1/4"), ("1e-3", "1/1000"), ("3/10", "3/10")])
     def test_assign_exact_decimals(self, capsys, text, value):

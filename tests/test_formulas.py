@@ -270,8 +270,16 @@ class TestEvaluation:
 
     def test_dbl_backend_uses_tables(self, fixture_algebras):
         dual = dualize_algebra(fixture_algebras["l4"])
-        # in the dual signature the bottom constant is the old top
-        assert evaluate(parse("0"), dual, {}) == dual.labels[dual.bottom]
+        # 0 absorbs &: in the dual signature that is the top, the old bottom
+        assert evaluate(parse("0"), dual, {}) == dual.labels[dual.top] == "0"
+        assert evaluate(parse("1"), dual, {}) == dual.labels[dual.bottom] == "1"
+
+    @pytest.mark.parametrize("text", CORPUS)
+    def test_an_algebra_and_its_dual_give_the_same_values(self, text, fixture_algebras, corrupt_algebra):
+        # the dual has the same tables and labels, and is read in the same DBL form
+        f = parse(text)
+        for alg in [*fixture_algebras.values(), corrupt_algebra]:
+            assert sweep_values(f, dualize_algebra(alg), alg.labels) == sweep_values(f, alg, alg.labels)
 
     def test_unbound_atom(self):
         with pytest.raises(UnboundAtom):
@@ -387,6 +395,11 @@ class TestSemanticProperties:
         for name, alg in fixture_algebras.items():
             assert check_prelinearity_tautology(alg).ok, name
 
+    def test_prelinearity_on_the_duals(self, fixture_algebras):
+        for name, alg in fixture_algebras.items():
+            report = check_prelinearity_tautology(dualize_algebra(alg))
+            assert report.ok and report.checked == alg.n**2, name
+
     @pytest.mark.parametrize("family", T_ALGS, ids=lambda f: f.kind.value)
     def test_meet_is_lattice_min(self, family):
         f = parse("p ^ q")
@@ -404,8 +417,8 @@ class TestSemanticProperties:
         for alg in fixture_algebras.values():
             for a, b in itertools.product(alg.labels, repeat=2):
                 v = {"p": a, "q": b}
-                assert evaluate(meet_f, alg, v) == alg.labels[alg.meet(alg.index(a), alg.index(b))]
-                assert evaluate(join_f, alg, v) == alg.labels[alg.join(alg.index(a), alg.index(b))]
+                assert evaluate(meet_f, alg, v) == alg.labels[alg.meet[alg.index(a)][alg.index(b)]]
+                assert evaluate(join_f, alg, v) == alg.labels[alg.join[alg.index(a)][alg.index(b)]]
 
     def test_iff_is_complemented_distance_on_lukasiewicz(self):
         f = parse("p <-> q")

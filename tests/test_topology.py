@@ -4,7 +4,8 @@ from functools import reduce
 import pytest
 
 from reslat.errors import CarrierTooLarge, InadmissibleRadius, TheoremViolation
-from reslat.finite import algebra_from_document, dbl_context, dualize_algebra
+from reslat.finite import Signature, algebra_from_document, dbl_context, dualize_algebra
+from reslat.laws import as_bl
 from reslat.fixtures import lukasiewicz_chain
 from reslat.reports import all_ok
 from reslat.topology import (
@@ -12,13 +13,14 @@ from reslat.topology import (
     admissible_radii,
     ball,
     check_radius_lemmas,
+    count_opens,
     enumerate_topology,
     is_open,
     product_ball,
     product_is_open,
     verify_operation_continuity,
 )
-from reslat.topology import _ball_mask, _radii, _smallest_pair_balls, _verify_topology_axioms
+from reslat.topology import _ball_mask, _radii, _smallest_pair_balls, _verify_topology_axioms, _view
 
 from test_topology_oracle import CASES
 
@@ -45,7 +47,7 @@ class TestAdmissibleRadii:
             radii = set(admissible_radii(alg))
             assert alg.labels[alg.bottom] in radii
             for a, b in itertools.product(radii, repeat=2):
-                joined = alg.labels[alg.join(alg.index(a), alg.index(b))]
+                joined = alg.labels[alg.join[alg.index(a)][alg.index(b)]]
                 assert joined in radii
 
     def test_chain_every_nontop_is_admissible(self, fixture_algebras):
@@ -84,7 +86,7 @@ class TestBalls:
         for alg in fixture_algebras.values():
             radii = [alg.index(r) for r in admissible_radii(alg)]
             for r, s in itertools.product(radii, repeat=2):
-                if not alg.le(s, r):
+                if not alg.leq[s][r]:
                     continue
                 for center in alg.labels:
                     big_r = ball(alg, center, alg.labels[r])
@@ -96,7 +98,7 @@ class TestBalls:
         for alg in fixture_algebras.values():
             radii = list(admissible_radii(alg))
             for r_a, r_b in itertools.product(radii, repeat=2):
-                joined = alg.labels[alg.join(alg.index(r_a), alg.index(r_b))]
+                joined = alg.labels[alg.join[alg.index(r_a)][alg.index(r_b)]]
                 assert joined in admissible_radii(alg)
                 for center in alg.labels:
                     merged = ball(alg, center, joined)
@@ -213,11 +215,18 @@ class TestRadiusLemmas:
 
 
 def pair_balls_by_definition(alg):
-    """N2(p) for every pair p from the pair distance to every pair q: O(n^4)."""
+    """N2(p) for every pair p from the pair distance to every pair q: O(n^4).
+    The distances come straight from the monoid and residuum tables."""
     ctx = dbl_context(alg)
     radius = reduce(lambda a, b: ctx.meet[a][b], _radii(ctx))
+    star, res = alg.monoid, alg.residuum
+
+    def pair_distance(p, q):
+        first, second = (star[res[a][b]][res[b][a]] for a, b in zip(p, q))
+        return star[first][second]
+
     pairs = list(itertools.product(alg.elements(), repeat=2))
-    return [_ball_mask(ctx, radius, (alg.pair_bires(p, q) for q in pairs)) for p in pairs]
+    return [_ball_mask(ctx, radius, (pair_distance(p, q) for q in pairs)) for p in pairs]
 
 
 CHAINS = {f"L{n}": algebra_from_document(lukasiewicz_chain(n)) for n in (16, 24)}
@@ -226,7 +235,25 @@ CHAINS = {f"L{n}": algebra_from_document(lukasiewicz_chain(n)) for n in (16, 24)
 @pytest.mark.parametrize("name", sorted(CASES) + sorted(CHAINS))
 def test_smallest_pair_balls_match_the_definition(name):
     alg = CASES.get(name) or CHAINS[name]
-    assert _smallest_pair_balls(alg) == pair_balls_by_definition(alg)
+    assert _smallest_pair_balls(_view(alg)) == pair_balls_by_definition(alg)
+
+
+def bl_named_radius_lemmas(alg):
+    reports = check_radius_lemmas(alg)
+    return [r.to_dict() for r in (as_bl(reports) if alg.signature is Signature.DBL else reports)]
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_an_algebra_and_its_dual_have_the_same_topology(name):
+    # both have the same DBL form, and the topology reads nothing else
+    alg = CASES[name]
+    dual = dualize_algebra(alg)
+    assert admissible_radii(dual) == admissible_radii(alg)
+    assert count_opens(dual) == count_opens(alg)
+    assert enumerate_topology(dual).masks == enumerate_topology(alg).masks
+    continuity = [[r.to_dict() for r in verify_operation_continuity(a)] for a in (alg, dual)]
+    assert continuity[0] == continuity[1]
+    assert bl_named_radius_lemmas(dual) == bl_named_radius_lemmas(alg)
 
 
 class TestListingAxioms:

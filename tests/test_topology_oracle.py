@@ -36,12 +36,22 @@ MUTANTS_PER_BASE = 6
 
 def oracle_radii(alg):
     if alg.signature is Signature.BL:  # strongly less than 1
-        return [a for a in alg.elements() if all(b == alg.top for b in alg.elements() if alg.join(a, b) == alg.top)]
-    return [a for a in alg.elements() if all(b == alg.bottom for b in alg.elements() if alg.meet(a, b) == alg.bottom)]
+        return [a for a in alg.elements() if all(b == alg.top for b in alg.elements() if alg.join[a][b] == alg.top)]
+    return [a for a in alg.elements() if all(b == alg.bottom for b in alg.elements() if alg.meet[a][b] == alg.bottom)]
 
 
 def oracle_inside(alg, radius, value):
-    return alg.lt(radius, value) if alg.signature is Signature.BL else alg.lt(value, radius)
+    below, above = (radius, value) if alg.signature is Signature.BL else (value, radius)
+    return below != above and alg.leq[below][above]
+
+
+def oracle_distance(alg, a, b):
+    """(a -> b) * (b -> a), from the algebra's own tables."""
+    return alg.monoid[alg.residuum[a][b]][alg.residuum[b][a]]
+
+
+def oracle_pair_distance(alg, p, q):
+    return alg.monoid[oracle_distance(alg, p[0], q[0])][oracle_distance(alg, p[1], q[1])]
 
 
 def oracle_balls(alg, points, distance):
@@ -64,10 +74,10 @@ def oracle_preimage(alg, table, open_mask):
 class Oracle:
     def __init__(self, alg):
         self.alg = alg
-        self.balls = oracle_balls(alg, list(alg.elements()), alg.bires)
+        self.balls = oracle_balls(alg, list(alg.elements()), functools.partial(oracle_distance, alg))
         self.opens = {m for m in range(1 << alg.n) if oracle_is_open(self.balls, m)}
         pairs = list(itertools.product(alg.elements(), repeat=2))
-        self.pair_balls = oracle_balls(alg, pairs, alg.pair_bires)
+        self.pair_balls = oracle_balls(alg, pairs, functools.partial(oracle_pair_distance, alg))
 
     def continuous(self, table):
         return all(oracle_is_open(self.pair_balls, oracle_preimage(self.alg, table, m)) for m in self.opens)
@@ -84,7 +94,7 @@ def product(a: FiniteAlgebra, b: FiniteAlgebra) -> FiniteAlgebra:
 
     return FiniteAlgebra(
         [f"{a.labels[i]}|{b.labels[j]}" for i, j in pairs],
-        [[a.le(i1, i2) and b.le(j1, j2) for i2, j2 in pairs] for i1, j1 in pairs],
+        [[a.leq[i1][i2] and b.leq[j1][j2] for i2, j2 in pairs] for i1, j1 in pairs],
         table(a.monoid, b.monoid),
         table(a.residuum, b.residuum),
         Signature.BL,
