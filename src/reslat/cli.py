@@ -53,9 +53,9 @@ FAMILY_NAMES = ["lukasiewicz", "goedel", "product", "drastic"]
 RESIDUATED_NAMES = ["lukasiewicz", "goedel", "product"]
 
 # The most valuations (and grid points) one ``eval --sweep`` evaluates.  A
-# two-atom sweep runs at 20k-35k valuations/s on a shared 2-core x86 host, so
-# one at the limit ends within seconds; the largest sweep the tests and the
-# benchmark run (33^2) is 120 times smaller.
+# two-atom sweep runs at 120k-150k valuations/s on a shared 2-core x86 host,
+# so one at the limit ends in about a second; a memory test runs 362^2, and
+# the benchmark's largest sweep (33^2) is 120 times smaller.
 MAX_SWEEP = 1 << 17
 
 # The grid denominator of a bare ``eval --t-algebra ... --sweep``.

@@ -18,8 +18,10 @@ positioned syntax error.
 
 One walk, ``interpret``, gives every connective its meaning: it extends an
 atom assignment homomorphically over 0, ``&`` and ``->`` and reads the sugar
-by these definitions.  Desugaring, ``atoms``, and evaluation over a t-norm on
-the unit interval or over the tables of a finite algebra all run through it.
+by these definitions.  Desugaring, ``atoms`` and evaluation run through it.
+Evaluation walks once per prefix of all atoms but the last, each atom a row
+of ids along the last atom's values, and ``&`` and ``->`` map whole rows: by
+reslat.tables over a t-norm family, by the DBL-form tables of a finite algebra.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import itertools
 import re
 from fractions import Fraction
 from functools import partial
-from operator import itemgetter
+from operator import getitem, itemgetter
 
 from .errors import (
     DrasticNotResiduated,
@@ -38,8 +40,8 @@ from .errors import (
     UnknownToken,
     cut,
 )
-from .norms import NormFamily, NormSide, apply_norm, residuum_form
-from .reports import LawReport, Violation
+from .norms import NormFamily, NormSide, closed_form, residuum_form
+from .reports import LawReport
 from .unitval import ONE, ZERO, GridSpec, UnitValue, parse_unit
 
 
@@ -142,7 +144,9 @@ def interpret(f: Formula, atom, bottom, star, arrow):
                 return star(arrow(a, b), arrow(b, a))
         raise TypeError(f"not a formula: {node!r}")
 
-    return run(f)
+    value = run(f)
+    del run  # run holds itself: without the cycle, the operations are freed on return
+    return value
 
 
 def desugar(f: Formula) -> Formula:
@@ -366,52 +370,51 @@ def evaluate(f: Formula, algebra, valuation):
     ``algebra`` is either a non-drastic t-norm family (values are
     UnitValues) or a FiniteAlgebra (values are carrier labels).
     """
-    return _evaluator(algebra)(f, valuation)
+    read, bottom, _, star, arrow, show = _operations(algebra)
+    domains = {}
+    for name in atoms(f):
+        if name not in valuation:
+            raise UnboundAtom(f"atom {name!r} has no value")
+        domains[name] = [read(valuation[name])]
+    (value,) = _walk(f, domains, bottom, star, arrow)
+    return show(value)
 
 
-def _finite_context(algebra):
-    """The DBL-form context of ``algebra`` if it is a FiniteAlgebra, else
-    None.  A NormFamily is ruled out first, so evaluating over [0,1] never
-    imports the finite layer."""
-    if isinstance(algebra, NormFamily):
-        return None
-    from .finite import FiniteAlgebra, dbl_context
+def _operations(algebra):
+    """``(read, bottom, top, star, arrow, show)`` of ``algebra`` on ids: a
+    value's id, the ids of 0 and 1, ``&`` and ``->`` of two rows of ids entry
+    by entry, and an id's value.  A t-norm family's ids are a ValueTable's,
+    whose engine maps rows on the closed forms; a finite algebra's are its
+    carrier's, read in its DBL form, where 0 is ``one`` (it absorbs ``&``)
+    and 1 is ``zero``.  Over [0,1] the finite layer is never imported."""
+    if not isinstance(algebra, NormFamily):
+        from .finite import FiniteAlgebra, dbl_context
 
-    return dbl_context(algebra) if isinstance(algebra, FiniteAlgebra) else None
-
-
-def _evaluator(algebra):
-    """The evaluator over ``algebra``: (formula, valuation) -> value.
-
-    On a finite algebra, 0 is the element that absorbs ``&``: the bottom of
-    a BL-algebra, the top of a DBL-algebra, ``one`` of the DBL form."""
-    ctx = _finite_context(algebra)
-    finite = ctx is not None
-    if finite:
-        read, operations = algebra.index, (ctx.one, lambda a, b: ctx.star[a][b], lambda a, b: ctx.res[a][b])
-    else:
-        if not isinstance(algebra, NormFamily):
+        if not isinstance(algebra, FiniteAlgebra):
             raise TypeError(f"unsupported algebra: {algebra!r}")
-        if algebra.side is not NormSide.TNORM:
-            raise ValueError("formula evaluation needs the t-norm side of a family")
-        if not algebra.is_residuated:
-            raise DrasticNotResiduated("cannot evaluate '->' over the drastic t-norm")
-        operations = ZERO, partial(apply_norm, algebra), residuum_form(algebra)
+        ctx = dbl_context(algebra)
+        row = lambda table: lambda xs, ys: list(map(getitem, map(table.__getitem__, xs), ys))
+        return algebra.index, ctx.one, ctx.zero, row(ctx.star), row(ctx.res), algebra.labels.__getitem__
+    if algebra.side is not NormSide.TNORM:
+        raise ValueError("formula evaluation needs the t-norm side of a family")
+    if not algebra.is_residuated:
+        raise DrasticNotResiduated("cannot evaluate '->' over the drastic t-norm")
+    from .tables import ValueTable
 
-        def read(value):
-            return value if isinstance(value, UnitValue) else UnitValue(Fraction(value))
+    table = ValueTable(())
+    read = lambda value: table.intern(value if isinstance(value, UnitValue) else UnitValue(Fraction(value)))
+    star, arrow = partial(table.map, closed_form(algebra)), partial(table.map, residuum_form(algebra))
+    return read, read(ZERO), read(ONE), star, arrow, table.values.__getitem__
 
-    def run(f, valuation):
-        def atom(name):
-            try:
-                return read(valuation[name])
-            except KeyError:
-                raise UnboundAtom(f"atom {name!r} has no value") from None
 
-        value = interpret(f, atom, *operations)
-        return algebra.labels[value] if finite else value
-
-    return run
+def _walk(f: Formula, domains: dict, bottom, star, arrow):
+    """The ids of ``f``, in itertools.product order, as each atom runs over its
+    ids in ``domains`` (in ``atoms`` order): one walk per prefix, on rows."""
+    *head, last = domains.values() or [[None]]  # no atoms: one valuation
+    n = len(last)
+    for prefix in itertools.product(*head):
+        rows = dict(zip(domains, [[i] * n for i in prefix] + [last]))
+        yield from interpret(f, rows.__getitem__, [bottom] * n, star, arrow)
 
 
 def parse_valuation(text: str, finite: bool = False) -> dict:
@@ -442,25 +445,20 @@ def parse_valuation(text: str, finite: bool = False) -> dict:
 def sweep_values(f: Formula, algebra, domain) -> dict:
     """Evaluate over every total valuation with values from ``domain``;
     returns {valuation tuple: value} with deterministic ordering."""
-    names, run = atoms(f), _evaluator(algebra)
-    return {combo: run(f, dict(zip(names, combo))) for combo in itertools.product(domain, repeat=len(names))}
+    read, bottom, _, star, arrow, show = _operations(algebra)
+    names = atoms(f)
+    values = _walk(f, dict.fromkeys(names, list(map(read, domain))), bottom, star, arrow)
+    return dict(zip(itertools.product(domain, repeat=len(names)), map(show, values)))
 
 
 def check_prelinearity_tautology(algebra, g: GridSpec | None = None) -> LawReport:
     """(p -> q) | (q -> p) must evaluate to 1, the unit of ``&``, under every
     valuation: grid valuations for t-norm families, carrier valuations for
     finite algebras (there 1 is ``zero`` of the DBL form)."""
-    formula = parse("(p -> q) | (q -> p)")
-    ctx = _finite_context(algebra)
-    if ctx is not None:
-        domain = algebra.labels
-        top = algebra.labels[ctx.zero]
-    else:
-        domain = (g or GridSpec()).points()
-        top = ONE
-    report = LawReport("prelinearity")
-    for combo, value in sweep_values(formula, algebra, domain).items():
-        report.checked += 1
-        if value != top:
-            report.register(Violation("prelinearity", combo, value, top))
+    read, bottom, top, star, arrow, show = _operations(algebra)
+    domain = (g or GridSpec()).points() if isinstance(algebra, NormFamily) else algebra.labels
+    n = len(domain)
+    report = LawReport("prelinearity", n * n)
+    values = _walk(parse("(p -> q) | (q -> p)"), dict.fromkeys("pq", list(map(read, domain))), bottom, star, arrow)
+    report.register_row(values, itertools.repeat(top), lambda k: (domain[k // n], domain[k % n]), show)
     return report

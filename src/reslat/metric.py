@@ -99,16 +99,17 @@ def d_bigstar(alg: SAlgebra, a: PairValue, b: PairValue) -> UnitValue:
 
 def weaker_than_lukasiewicz(alg: SAlgebra, g: GridSpec) -> bool:
     """True if the s-norm is pointwise <= min(1, x+y) on the grid."""
-    star, luk = alg.star, closed_form(NormFamily.s_norm(NormKind.LUKASIEWICZ))
-    return all(star(x, y) <= luk(x, y) for x, y in itertools.product(g.points(), repeat=2))
+    table, luk = ValueTable(g.points()), closed_form(NormFamily.s_norm(NormKind.LUKASIEWICZ))
+    return all(map(table.all_le, table.square(alg.star), table.square(luk)))
 
 
 def d_star_closed_form_check(alg: SAlgebra, g: GridSpec) -> LawReport:
-    """Definitional distance against the closed form on all grid pairs."""
-    report = LawReport("d-closed-form")
-    for a, b in itertools.product(g.points(), repeat=2):
-        report.checked += 1
-        lhs, rhs = d_star(alg, a, b), d_star_closed_form(alg, a, b)
+    """Definitional distance, from the distance square, against the closed form on all grid pairs."""
+    pts, table = g.points(), ValueTable(g.points())
+    report, values = LawReport("d-closed-form", len(pts) ** 2), table.values
+    dist = itertools.chain.from_iterable(_distance_square(table, alg))
+    for (a, b), d in zip(itertools.product(pts, repeat=2), dist):
+        lhs, rhs = values[d], d_star_closed_form(alg, a, b)
         if lhs != rhs:
             report.register(Violation("d-closed-form", (a, b), lhs, rhs))
     return report

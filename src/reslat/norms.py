@@ -28,9 +28,9 @@ from .unitval import GridSpec, UnitValue
 # The largest grid denominator ``reslat norms`` runs the residuum oracle on.
 MAX_ORACLE_GRID = 16
 
-# The grid checkers import reslat.tables when they run (an ``eval`` needs
-# only the scalar forms), and share squares through an optional ValueTable
-# of their grid: ``reslat norms`` passes one table to all of them.
+# The grid checkers import reslat.tables when they run (``eval --algebra``
+# needs only the family types), and share squares through an optional
+# ValueTable of their grid: ``reslat norms`` passes one table to all of them.
 
 
 class NormKind(Enum):
@@ -195,16 +195,16 @@ def residuum_oracle(f: NormFamily, x: UnitValue, y: UnitValue, g: GridSpec) -> U
     """
     if not f.is_residuated:
         raise DrasticNotResiduated("the drastic norms are not continuous; no residuum exists")
-    denom = _oracle_denominator(f, x, y, g)
+    denom, norm = _oracle_denominator(f, x, y, g), closed_form(f)
     if f.side is NormSide.SNORM:
         for k in range(denom + 1):
             c = UnitValue(k, denom)
-            if apply_norm(f, c, x) >= y:
+            if norm(c, x) >= y:
                 return c
         raise AssertionError("unreachable: S(1, x) = 1 >= y")
     for k in range(denom, -1, -1):
         c = UnitValue(k, denom)
-        if apply_norm(f, c, x) <= y:
+        if norm(c, x) <= y:
             return c
     raise AssertionError("unreachable: T(0, x) = 0 <= y")
 
@@ -246,10 +246,10 @@ def adjointness_check(f: NormFamily, g: GridSpec, table=None) -> LawReport:
 
 def oracle_agreement_check(f: NormFamily, g: GridSpec) -> LawReport:
     """Closed-form residuum against the scanning oracle on all grid pairs."""
-    report = LawReport("residuum-oracle")
+    report, res = LawReport("residuum-oracle"), residuum_form(f)
     for x, y in itertools.product(g.points(), repeat=2):
         report.checked += 1
-        got, expected = residuum(f, x, y), residuum_oracle(f, x, y, g)
+        got, expected = res(x, y), residuum_oracle(f, x, y, g)
         if got != expected:
             report.register(Violation("residuum-oracle", (x, y), got, expected))
     return report

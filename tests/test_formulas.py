@@ -2,6 +2,7 @@ import collections
 import copy
 import itertools
 import pickle
+import random
 from fractions import Fraction
 
 import pytest
@@ -17,7 +18,7 @@ from reslat.errors import (
     UnboundAtom,
     UnknownToken,
 )
-from reslat.finite import dualize_algebra
+from reslat.finite import FiniteAlgebra, Signature, dualize_algebra
 from reslat.formulas import (
     Atom,
     Bottom,
@@ -294,30 +295,55 @@ class TestEvaluation:
             evaluate(parse("p"), NormFamily.s_norm(NormKind.PRODUCT), {"p": u(1)})
 
 
-def semantic_value(f, family, valuation):
+def semantic_value(f, algebra, valuation, lattice=True):
     """Reference: the formula's value by the lattice semantics of the sugar
-    (meet = min, join = max), walking the formula before desugaring."""
-    star = lambda x, y: apply_norm(family, x, y)
-    res = lambda x, y: residuum(family, x, y)
+    (meet = min, join = max), walking the formula before desugaring, one
+    valuation at a time.  ``algebra`` is a t-norm family or a finite algebra,
+    read in BL terms from its own tables: 0 absorbs ``&``, 1 is its unit, and
+    meet and join are the lattice's in the BL order (the order of a BL
+    signature, its reverse for a DBL one).  Without ``lattice``, meet, join
+    and 1 are read by their definitions in ``&``, ``->`` and 0 instead, as an
+    algebra with a broken table needs."""
+    if isinstance(algebra, NormFamily):
+        zero, one, meet, join = ZERO, ONE, min, max
+        star = lambda x, y: apply_norm(algebra, x, y)
+        res = lambda x, y: residuum(algebra, x, y)
+    else:
+        labels, index = algebra.labels, algebra.index
+        table = lambda rows: lambda x, y: labels[rows[index(x)][index(y)]]
+        star, res = table(algebra.monoid), table(algebra.residuum)
+        zero, one = labels[algebra.bottom], labels[algebra.top]
+        meet, join = table(algebra.meet), table(algebra.join)
+        if algebra.signature is not Signature.BL:
+            zero, one, meet, join = one, zero, join, meet
+    if not lattice:
+        one = res(zero, zero)
+        meet = lambda x, y: star(x, res(x, y))
+        join = lambda x, y: meet(res(res(x, y), y), res(res(y, x), x))
+    return _semantic(f, (zero, one, star, res, meet, join), valuation)
+
+
+def _semantic(f, ops, valuation):
+    zero, one, star, res, meet, join = ops
     match f:
         case Atom(name):
             return valuation[name]
         case Bottom():
-            return ZERO
+            return zero
         case Top():
-            return ONE
+            return one
         case Neg(a):
-            return res(semantic_value(a, family, valuation), ZERO)
-    a, b = semantic_value(f.lhs, family, valuation), semantic_value(f.rhs, family, valuation)
+            return res(_semantic(a, ops, valuation), zero)
+    a, b = _semantic(f.lhs, ops, valuation), _semantic(f.rhs, ops, valuation)
     match f:
         case Conj():
             return star(a, b)
         case Impl():
             return res(a, b)
         case Meet():
-            return min(a, b)
+            return meet(a, b)
         case Join():
-            return max(a, b)
+            return join(a, b)
     return star(res(a, b), res(b, a))
 
 
@@ -329,11 +355,27 @@ small_formulas = st.recursive(
 
 
 @pytest.fixture
-def norm_calls(monkeypatch):
-    """The arguments of each ``apply_norm`` call that evaluation makes."""
-    calls, norm = [], formulas_module.apply_norm
-    monkeypatch.setattr(formulas_module, "apply_norm", lambda *args: calls.append(args) or norm(*args))
+def row_calls(monkeypatch):
+    """The length of each row that evaluation maps through ``&`` and
+    through ``->``, keyed by "star" and "arrow"."""
+    calls, operations = collections.defaultdict(list), formulas_module._operations
+
+    def counted(algebra):
+        read, bottom, top, star, arrow, show = operations(algebra)
+        count = lambda key, op: lambda xs, ys: calls[key].append(len(xs)) or op(xs, ys)
+        return read, bottom, top, count("star", star), count("arrow", arrow), show
+
+    monkeypatch.setattr(formulas_module, "_operations", counted)
     return calls
+
+
+def star_mutants(alg, rng, count=2):
+    """``count`` copies of ``alg``, each with one ``&`` entry replaced by another element."""
+    for _ in range(count):
+        i, j = rng.randrange(alg.n), rng.randrange(alg.n)
+        monoid = [list(row) for row in alg.monoid]
+        monoid[i][j] = rng.choice([v for v in alg.elements() if v != monoid[i][j]])
+        yield FiniteAlgebra(alg.labels, alg.leq, monoid, alg.residuum, alg.signature, alg.bottom, alg.top)
 
 
 class TestDagEvaluation:
@@ -358,17 +400,20 @@ class TestDagEvaluation:
             assert evaluate(core, alg, valuation) == evaluate(ast, alg, valuation)
 
     @pytest.mark.parametrize("family", T_ALGS, ids=lambda f: f.kind.value)
-    def test_join_chain_applies_the_norm_once_per_join(self, family, norm_calls):
+    def test_join_chain_maps_six_rows_per_join(self, family, row_calls):
         joins = 40
         chain = parse(" | ".join(["p"] + [f"q{k}" for k in range(joins)]))
         valuation = {"p": u(1, 3), **{f"q{k}": u(k, 2 * joins) for k in range(joins)}}
         assert evaluate(chain, family, valuation) == max(valuation.values())
-        assert len(norm_calls) == joins  # one conjunction node per lowered join
+        # one conjunction and five implications per lowered join, on one-entry rows
+        assert row_calls == {"star": [1] * joins, "arrow": [1] * (5 * joins)}
 
     @pytest.mark.parametrize("family", T_ALGS, ids=lambda f: f.kind.value)
-    def test_sweep_applies_the_norm_once_per_valuation(self, family, norm_calls):
+    def test_sweep_walks_once_per_prefix(self, family, row_calls):
         results = sweep_values(parse("p | q"), family, GridSpec(4).points())
-        assert len(results) == len(norm_calls) == 25  # the one conjunction of the lowered join
+        assert len(results) == 25
+        # five walks, one per value of p, each along the five values of q
+        assert row_calls == {"star": [5] * 5, "arrow": [5] * 25}
 
     @pytest.mark.parametrize(
         "text, first", [("(q ^ p) <-> r", "q"), ("!(p | r) -> q", "r"), ("1 -> p & (r <-> q)", "r"), ("s ^ (r | p)", "s")]
@@ -383,6 +428,50 @@ class TestDagEvaluation:
         assert first == next(name for name in atoms(f) if name != "p")
         with pytest.raises(UnboundAtom, match=f"^atom '{first}' has no value$"):
             evaluate(f, algebra, valuation)
+
+
+@pytest.fixture(scope="module")
+def finite_cases(fixture_algebras):
+    """Each fixture and its order dual, read by the lattice semantics, and
+    two seeded star mutants of each, read by the definitions of the sugar."""
+    rng, cases = random.Random(20191025), []
+    for alg in fixture_algebras.values():
+        for base in (alg, dualize_algebra(alg)):
+            cases += [(base, True), *((mutant, False) for mutant in star_mutants(base, rng))]
+    return cases
+
+
+off_grid = st.fractions(min_value=0, max_value=1, max_denominator=10**6).map(UnitValue)
+
+
+class TestRowsAgreeWithTheReference:
+    @settings(deadline=None)
+    @given(small_formulas, st.lists(off_grid, min_size=3, max_size=3))
+    def test_assign_off_the_grid(self, ast, values):
+        valuation = dict(zip("pqr", values))
+        for family in T_ALGS:
+            assert evaluate(ast, family, valuation) == semantic_value(ast, family, valuation)
+
+    @settings(deadline=None, max_examples=40)
+    @given(small_formulas, st.integers(2, 6))
+    def test_grid_sweeps(self, ast, denominator):
+        points, names = GridSpec(denominator).points(), atoms(ast)
+        for family in T_ALGS:
+            results = sweep_values(ast, family, points)
+            assert list(results) == list(itertools.product(points, repeat=len(names)))
+            for combo, value in results.items():
+                assert value == semantic_value(ast, family, dict(zip(names, combo)))
+
+    @settings(deadline=None, max_examples=40)
+    @given(small_formulas)
+    def test_carrier_sweeps_and_assignments(self, finite_cases, ast):
+        names = atoms(ast)
+        for alg, lattice in finite_cases:
+            results = sweep_values(ast, alg, alg.labels)
+            assert list(results) == list(itertools.product(alg.labels, repeat=len(names)))
+            for combo, value in results.items():
+                valuation = dict(zip(names, combo))
+                assert value == semantic_value(ast, alg, valuation, lattice) == evaluate(ast, alg, valuation)
 
 
 class TestSemanticProperties:

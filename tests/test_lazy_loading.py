@@ -81,8 +81,8 @@ NEVER_EXECUTED = [
     (["algebra", "check", "l4.alg"], {"formulas", "metric", "norms", "tables", "unitval"}),
     (["algebra", "topology", "l4.alg"], {"formulas", "metric", "norms", "tables", "unitval"}),
     (["algebra", "dualize", "l4.alg"], {"formulas", "metric", "norms", "tables", "topology", "unitval"}),
-    (["eval", "p -> q", "--t-algebra", "product", "--assign", "p=1/2,q=1/3"], {"finite", "laws", "metric", "tables", "topology"}),
-    (["eval", "(p->q)|(q->p)", "--t-algebra", "goedel", "--sweep", "4"], {"finite", "laws", "metric", "tables", "topology"}),
+    (["eval", "p -> q", "--t-algebra", "product", "--assign", "p=1/2,q=1/3"], {"finite", "laws", "metric", "topology"}),
+    (["eval", "(p->q)|(q->p)", "--t-algebra", "goedel", "--sweep", "4"], {"finite", "laws", "metric", "topology"}),
     (["norms", "--family", "goedel", "--grid", "4"], {"finite", "formulas", "laws", "metric", "topology"}),
     (["metric", "--family", "goedel", "--grid", "4", "--grid4", "2"], {"finite", "formulas", "topology"}),
 ]

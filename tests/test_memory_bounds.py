@@ -6,7 +6,9 @@ counts only its own pages.  Going from grid 32 to grid 64 multiplies the
 tuples a command checks by about eight, so a table that grew with them
 (a memo of every star of two distances, or of every third-level product)
 shows here as megabytes.  The law sweep keeps a memo of every pair it
-looks up, so its bound is looser.  Skipped where ``/proc/self/status`` is absent.
+looks up, so its bound is looser.  A formula sweep at the valuation limit
+keeps its {valuation: value} dict and the rows of one prefix at a time.
+Skipped where ``/proc/self/status`` is absent.
 """
 
 import os
@@ -61,3 +63,12 @@ def test_peak_memory_of_the_law_sweep_grows_little_from_laws_grid_12_to_24():
     argv = ["metric", "--family", "product", "--grid", "4", "--grid4", "2", "--laws", "d1..d15"]
     small, large = peak_kb(*argv, "--laws-grid", "12"), peak_kb(*argv, "--laws-grid", "24")
     assert large - small < 8 * 1024, f"{small} kB at laws grid 12, {large} kB at laws grid 24"
+
+
+def test_peak_memory_of_a_formula_sweep_at_the_valuation_limit():
+    # 362^2 = 131,044 valuations, just under cli.MAX_SWEEP.  The result dict
+    # costs about 100 B per valuation; columns over every valuation, one per
+    # node of the formula, would cost about three times more.
+    argv = ["eval", "(p -> q) | (q -> p)", "--t-algebra", "product", "--format", "json", "--sweep"]
+    small, large = peak_kb(*argv, "2"), peak_kb(*argv, "361")
+    assert large - small < 131_044 * 256 // 1024, f"{small} kB at --sweep 2, {large} kB at --sweep 361"
