@@ -11,7 +11,8 @@ Core connectives are bottom, strong conjunction ``&``, and implication
 
 Concrete syntax, tightest to loosest: ``!`` (prefix), ``&`` (left), ``^`` and
 ``|`` (one tier, left), ``->`` (right) with ``<->`` at the same tier but
-non-associative.  Atoms match [a-z][a-zA-Z0-9_]*.  A formula nests at most
+non-associative; the tokenizer, parser and printer read it from one table,
+``_BINARY``.  Atoms match [a-z][a-zA-Z0-9_]*.  A formula nests at most
 ``_Parser.MAX_DEPTH`` levels deep: each parenthesis, prefix ``!`` and binary
 operator counts one level on the path to an atom, and deeper input is a
 positioned syntax error.
@@ -168,11 +169,23 @@ def _ignore(a, b):
 
 # -- tokenizer / parser --------------------------------------------------------
 
+# Each binary connective once, by token kind: its node, its symbol, its level
+# (a higher level binds tighter; ``!`` binds tighter still) and how a chain of
+# it groups: "left", "right", or None for a connective that does not chain.
+_BINARY = {
+    "conj": (Conj, "&", 3, "left"),
+    "meet": (Meet, "^", 2, "left"),
+    "join": (Join, "|", 2, "left"),
+    "impl": (Impl, "->", 1, "right"),
+    "iff": (Iff, "<->", 1, None),
+}
+_LEVEL = {node: level for node, _, level, _ in _BINARY.values()} | {Neg: 4, Atom: 5, Bottom: 5, Top: 5}
+_TIGHTEST = _LEVEL[Neg] - 1  # the tightest binary level: its operands are prefix formulas
+
 _ATOM = re.compile(r"[a-z][a-zA-Z0-9_]*")
 _TOKEN_RE = re.compile(
-    rf"(?P<ws>\s+)|(?P<atom>{_ATOM.pattern})|(?P<iff><->)|(?P<impl>->)"
-    r"|(?P<zero>0)|(?P<one>1)|(?P<lparen>\()|(?P<rparen>\))"
-    r"|(?P<neg>!)|(?P<conj>&)|(?P<meet>\^)|(?P<join>\|)"
+    rf"(?P<ws>\s+)|(?P<atom>{_ATOM.pattern})|(?P<zero>0)|(?P<one>1)|(?P<lparen>\()|(?P<rparen>\))|(?P<neg>!)|"
+    + "|".join(f"(?P<{kind}>{re.escape(symbol)})" for kind, (_, symbol, _, _) in _BINARY.items())
 )
 
 
@@ -207,9 +220,10 @@ def _tokenize(text: str) -> list[_Token]:
 
 class _Parser:
     # Deepest syntax tree accepted.  Parsing one level costs up to five
-    # interpreter frames (a parenthesis), printing two and ``interpret`` one,
-    # so a formula at the limit stays well inside the default recursion
-    # limit of 1000.
+    # interpreter frames (a parenthesis: one chain per binary level, the
+    # prefix and the primary), printing two and ``interpret`` one, so a
+    # formula at the limit stays well inside the default recursion limit
+    # of 1000.
     MAX_DEPTH = 100
 
     def __init__(self, tokens: list[_Token]):
@@ -221,75 +235,60 @@ class _Parser:
     def current(self) -> _Token:
         return self.tokens[self.pos]
 
-    def advance(self) -> _Token:
-        tok = self.current
-        self.pos += 1
-        return tok
-
     def error(self, message: str, cls=FormulaSyntaxError):
         tok = self.current
         raise cls(message, tok.line, tok.column)
 
     def nest(self) -> None:
-        """One level deeper, for the operator or parenthesis at the current token."""
+        """Step past the operator or parenthesis at the current token, one level deeper."""
         if self.depth == self.MAX_DEPTH:
             self.error(f"formula nested deeper than {self.MAX_DEPTH} levels")
         self.depth += 1
+        self.pos += 1
+
+    def unexpected(self):
+        """Refuse the current token where an operand, or the end, should be."""
+        kind = self.current.kind
+        if kind == "eof":
+            self.error("unexpected end of input")
+        if kind == "rparen":
+            self.error("unmatched closing parenthesis", UnbalancedParens)
+        self.error(f"unexpected {self.current.text!r}")
 
     def parse(self) -> Formula:
-        f = self.implication()
-        if self.current.kind == "rparen":
-            self.error("unmatched closing parenthesis", UnbalancedParens)
+        f = self.chain(1)
         if self.current.kind != "eof":
-            self.error(f"unexpected {self.current.text!r}")
+            self.unexpected()
         return f
 
-    def implication(self) -> Formula:
-        left = self.junction()
-        if self.current.kind == "impl":
-            self.nest()
-            self.advance()
-            right = self.implication()
-            self.depth -= 1
-            return Impl(left, right)
-        if self.current.kind == "iff":
-            self.nest()
-            self.advance()
-            right = self.junction()
-            self.depth -= 1
-            if self.current.kind in ("impl", "iff"):
-                self.error("'<->' is non-associative; use parentheses")
-            return Iff(left, right)
-        return left
+    def connective(self, level: int):
+        """The connective of ``level`` at the current token, or None."""
+        entry = _BINARY.get(self.current.kind)
+        return entry if entry is not None and entry[2] == level else None
 
-    # A left-associative chain of k operators is a tree k levels deep, so
-    # each operator of a chain counts as one level until the chain ends.
-
-    def junction(self) -> Formula:
+    def chain(self, level: int) -> Formula:
+        """Operands joined by the connectives of ``level``, grouped by the
+        connective's associativity; an operand is a chain one level tighter,
+        or at the tightest level a prefix formula.  A left-associative chain
+        of k operators is a tree k levels deep, so each operator of a chain
+        counts as one level until the chain ends."""
         depth = self.depth
-        left = self.conjunction()
-        while self.current.kind in ("meet", "join"):
+        left = self.chain(level + 1) if level < _TIGHTEST else self.unary()
+        while (entry := self.connective(level)) is not None:
+            node, symbol, _, assoc = entry
             self.nest()
-            op = self.advance().kind
-            right = self.conjunction()
-            left = Meet(left, right) if op == "meet" else Join(left, right)
-        self.depth = depth
-        return left
-
-    def conjunction(self) -> Formula:
-        depth = self.depth
-        left = self.unary()
-        while self.current.kind == "conj":
-            self.nest()
-            self.advance()
-            left = Conj(left, self.unary())
+            if assoc == "right":  # the rest of the chain is the right operand
+                left = node(left, self.chain(level))
+                continue
+            left = node(left, self.chain(level + 1) if level < _TIGHTEST else self.unary())
+            if assoc is None and self.connective(level) is not None:
+                self.error(f"{symbol!r} is non-associative; use parentheses")
         self.depth = depth
         return left
 
     def unary(self) -> Formula:
         if self.current.kind == "neg":
             self.nest()
-            self.advance()
             arg = self.unary()
             self.depth -= 1
             return Neg(arg)
@@ -298,28 +297,23 @@ class _Parser:
     def primary(self) -> Formula:
         tok = self.current
         if tok.kind == "atom":
-            self.advance()
+            self.pos += 1
             return Atom(tok.text)
         if tok.kind == "zero":
-            self.advance()
+            self.pos += 1
             return Bottom()
         if tok.kind == "one":
-            self.advance()
+            self.pos += 1
             return Top()
         if tok.kind == "lparen":
             self.nest()
-            self.advance()
-            inner = self.implication()
+            inner = self.chain(1)
             if self.current.kind != "rparen":
                 self.error("expected ')'", UnbalancedParens)
-            self.advance()
+            self.pos += 1
             self.depth -= 1
             return inner
-        if tok.kind == "eof":
-            self.error("unexpected end of input")
-        if tok.kind == "rparen":
-            self.error("unmatched closing parenthesis", UnbalancedParens)
-        self.error(f"unexpected {tok.text!r}")
+        self.unexpected()
 
 
 def parse(text: str) -> Formula:
@@ -327,7 +321,7 @@ def parse(text: str) -> Formula:
     return _Parser(_tokenize(text)).parse()
 
 
-_LEVEL = {Impl: 1, Iff: 1, Join: 2, Meet: 2, Conj: 3, Neg: 4, Atom: 5, Bottom: 5, Top: 5}
+_PRINT = {node: (symbol, level, assoc) for node, symbol, level, assoc in _BINARY.values()}
 
 
 def to_text(f: Formula) -> str:
@@ -346,17 +340,11 @@ def to_text(f: Formula) -> str:
             case Top():
                 return "1"
             case Neg(arg):
-                return f"!{wrap(arg, 4)}"
-            case Conj(l, r):
-                return f"{wrap(l, 3)} & {wrap(r, 4)}"
-            case Meet(l, r):
-                return f"{wrap(l, 2)} ^ {wrap(r, 3)}"
-            case Join(l, r):
-                return f"{wrap(l, 2)} | {wrap(r, 3)}"
-            case Impl(l, r):
-                return f"{wrap(l, 2)} -> {wrap(r, 1)}"
-            case Iff(l, r):
-                return f"{wrap(l, 2)} <-> {wrap(r, 2)}"
+                return f"!{wrap(arg, _LEVEL[Neg])}"
+            case _Binary(l, r) if type(node) in _PRINT:
+                # An operand of the same level stays bare only on the side its chain groups.
+                symbol, level, assoc = _PRINT[type(node)]
+                return f"{wrap(l, level + (assoc != 'left'))} {symbol} {wrap(r, level + (assoc != 'right'))}"
         raise TypeError(f"not a formula: {node!r}")
 
     return render(f)

@@ -19,7 +19,7 @@ import itertools
 from enum import Enum
 from functools import lru_cache
 from math import lcm
-from operator import itemgetter, le
+from operator import ge, itemgetter, le
 
 from .errors import DrasticNotResiduated
 from .reports import LawReport, Violation
@@ -196,17 +196,14 @@ def residuum_oracle(f: NormFamily, x: UnitValue, y: UnitValue, g: GridSpec) -> U
     if not f.is_residuated:
         raise DrasticNotResiduated("the drastic norms are not continuous; no residuum exists")
     denom, norm = _oracle_denominator(f, x, y, g), closed_form(f)
-    if f.side is NormSide.SNORM:
-        for k in range(denom + 1):
-            c = UnitValue(k, denom)
-            if norm(c, x) >= y:
-                return c
-        raise AssertionError("unreachable: S(1, x) = 1 >= y")
-    for k in range(denom, -1, -1):
+    # The t-side is the s-side read in the reverse order.
+    snorm_side = f.side is NormSide.SNORM
+    bound = ge if snorm_side else le
+    for k in range(denom + 1) if snorm_side else range(denom, -1, -1):
         c = UnitValue(k, denom)
-        if norm(c, x) <= y:
+        if bound(norm(c, x), y):
             return c
-    raise AssertionError("unreachable: T(0, x) = 0 <= y")
+    raise AssertionError("unreachable: S(1, x) = 1 >= y and T(0, x) = 0 <= y")
 
 
 def adjointness_check(f: NormFamily, g: GridSpec, table=None) -> LawReport:
@@ -232,13 +229,12 @@ def adjointness_check(f: NormFamily, g: GridSpec, table=None) -> LawReport:
     ranked = (lambda rows: rows) if rank is None else lambda rows: [list(map(rank.__getitem__, row)) for row in rows]
     res_r, nrm_r, (grid_r,) = ranked(res), ranked(nrm), ranked([rng])
     snorm_side = f.side is NormSide.SNORM
+    # The t-side's order is the s-side's reversed: one comparison for both.
+    below = le if snorm_side else ge
     # One row per (a, b), over c.
     for a, b in () if residuated(res_r, nrm_r, grid_r, snorm_side) else itertools.product(rng, repeat=2):
         a_row, n_row = [grid_r[a]] * m, [nrm_r[a][b]] * m
-        if snorm_side:
-            left, right = list(map(le, res_r[b], a_row)), list(map(le, grid_r, n_row))
-        else:
-            left, right = list(map(le, a_row, res_r[b])), list(map(le, n_row, grid_r))
+        left, right = list(map(below, res_r[b], a_row)), list(map(below, grid_r, n_row))
         if left != right:
             report.register_row(left, right, lambda c: (pts[a], pts[b], pts[c]), bool, note="biconditional mismatch")
     return report

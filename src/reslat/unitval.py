@@ -24,7 +24,9 @@ class UnitValue(Fraction):
     bring it back into the interval, with its range check.
     """
 
-    __slots__ = ()
+    # Fraction.__hash__ takes a modular inverse in Python on every call; a
+    # sweep hashes the same few values often, so a value keeps its first hash.
+    __slots__ = ("_hash",)
 
     def __new__(cls, numerator=0, denominator=None):
         # Two ints with a positive denominator, as the closed forms build
@@ -47,6 +49,13 @@ class UnitValue(Fraction):
             check_digits(self, "value outside [0, 1]")
             raise ValueError(f"value {Fraction(self)} outside [0, 1]")
         return self
+
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = value = Fraction.__hash__(self)
+            return value
 
     def complement(self) -> "UnitValue":
         """1 - self."""

@@ -26,9 +26,10 @@ SRC_DIR = ROOT / "src"
 FIXTURES = ROOT / "fixtures"
 
 # Prints, as JSON, the reslat modules whose bodies ran while it imported
-# reslat (or reslat.cli) or ran ``python -m reslat ARGV``, and which
-# reslat modules, and which of ``fractions``, ``dataclasses`` and
-# ``inspect``, are in sys.modules afterwards.
+# reslat (or reslat.cli), ran ``python -m reslat ARGV`` or ran the
+# benchmark's set-up probe on a spec, and which reslat modules, and which of
+# ``fractions``, ``dataclasses`` and ``inspect``, are in sys.modules
+# afterwards.
 PROBE = """
 import json, runpy, sys
 executed = set()
@@ -43,6 +44,13 @@ if mode == "run":
         runpy.run_module("reslat", run_name="__main__", alter_sys=True)
     except SystemExit:
         pass
+elif mode == "setup":
+    import importlib.util
+    sys.dont_write_bytecode = True  # read the probe; write nothing next to it
+    spec = importlib.util.spec_from_file_location("perfbench_setup_probe", argv[0])
+    setup_probe = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(setup_probe)
+    assert setup_probe.main(*argv[1:]) == 0
 else:
     __import__(mode)
 with open(out, "w", encoding="utf-8") as handle:
@@ -121,6 +129,16 @@ def test_import_cli_registers_every_traced_module(tmp_path):
     # Registered, not run: only the package, the CLI and its exception types.
     assert doc["executed"] == {"__init__", "cli", "errors"}
     assert not doc["dataclasses"] and not doc["inspect"]
+
+
+def test_setup_probe_executes_the_loading_modules_only(tmp_path):
+    # The benchmark's set-up probe runs on every workload, so a module that
+    # joins this set shows in every workload's set-up time.
+    (tmp_path / "l4.alg").write_text((FIXTURES / "l4.alg").read_text(encoding="utf-8"), encoding="utf-8")
+    spec = {"algebras": ["l4.alg"], "formulas": ["(p -> q) | (q -> p)"], "valuations": ["p=1/2,q=1/3"], "grids": [4]}
+    (tmp_path / "setup.json").write_text(json.dumps(spec), encoding="utf-8")
+    doc = probe(tmp_path, "setup", str(ROOT / "perfbench" / "setup_probe.py"), "setup.json", str(SRC_DIR))
+    assert doc["executed"] == {"__init__", "errors", "finite", "laws", "reports", "formulas", "norms", "unitval"}
 
 
 # The package's exports, by module, as they were when the package imported

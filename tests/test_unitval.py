@@ -1,3 +1,5 @@
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -110,3 +112,38 @@ def test_int_pair_refusals():
     too_long = "value outside [0, 1] has a numerator of more than 4300 digits"
     assert construction(lambda: UnitValue(10**5000, 1)) == (ValueError, too_long)
     assert construction(lambda: UnitValue(True, 2))[1] is UnitValue  # bool is not an int here
+
+
+unit_fractions = st.fractions(min_value=0, max_value=1)
+
+
+@given(unit_fractions)
+def test_hash_is_the_fractions_and_is_kept(f):
+    v = UnitValue(f)
+    assert hash(v) == hash(f) == hash(v)  # the second call reads the kept hash
+    assert {f: "key"}[v] == "key" and {v: "key"}[f] == "key"
+    for copied in (copy.copy(v), copy.deepcopy(v), pickle.loads(pickle.dumps(v))):
+        assert (copied, type(copied), hash(copied)) == (v, UnitValue, hash(f))
+
+
+def test_hash_of_ints_and_floats():
+    for x in (0, 1):
+        assert hash(UnitValue(x)) == hash(x) == hash(float(x))
+    assert hash(UnitValue(1, 2)) == hash(0.5) and {0.5: "half"}[UnitValue(1, 2)] == "half"
+
+
+def test_instances_have_no_dict():
+    v = UnitValue(1, 3)
+    hash(v)
+    assert not hasattr(v, "__dict__")
+    with pytest.raises(AttributeError):
+        v.extra = 1
+
+
+def test_a_value_computes_its_hash_once(monkeypatch):
+    calls = []
+    fraction_hash = Fraction.__hash__
+    monkeypatch.setattr(Fraction, "__hash__", lambda self: calls.append(self) or fraction_hash(self))
+    v = UnitValue(2, 7)
+    assert [hash(v) for _ in range(3)] == [fraction_hash(Fraction(2, 7))] * 3
+    assert calls == [v]
