@@ -1,63 +1,85 @@
-"""Builders for the finite algebra fixtures that ship with the repository.
+"""Builders for finite algebras, and the fixtures that ship with the repository.
 
-Tables are derived from closed forms (Lukasiewicz / Goedel chains, Boolean
-algebras), then self-validated against the axiom and derived-law checkers
+Every finite BL-chain is an ordinal sum of finite Lukasiewicz chains
+(Agliano and Montagna, 2003), so :func:`ordinal_sum` builds them all.
+Products and single-entry mutants are built from finite algebras.  The
+shipped fixtures self-validate against the axiom and derived-law checkers
 before being written out.  The deliberately corrupted chain skips
 validation; it exists so that the checkers have something to catch.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import sys
 from fractions import Fraction
 from pathlib import Path
 
 from .errors import TheoremViolation
-from .finite import algebra_from_document, check_axioms, check_derived_laws
+from .finite import FiniteAlgebra, algebra_from_document, check_axioms, check_derived_laws
 from .reports import all_ok
 
 
-def _chain_document(values: list[Fraction], star, arrow) -> dict:
-    labels = [str(v) for v in values]
-    pairs = [
-        [labels[i], labels[j]]
-        for i in range(len(values))
-        for j in range(len(values))
-        if i != j and values[i] <= values[j]
-    ]
+def ordinal_sum(sizes) -> dict:
+    """The BL-chain that stacks Lukasiewicz chains of ``sizes[0]``,
+    ``sizes[1]``, ... elements from the bottom up, neighbours sharing one
+    element.  Its ``n`` elements are ``k/(n-1)``; each ``x > 0`` lies in the
+    summand ``(lo, hi]`` that holds it, and 0 in the first.  The star is
+    Lukasiewicz inside a summand and the meet across summands."""
+    if not sizes:
+        raise ValueError("an ordinal sum needs at least one summand")
+    if min(sizes) < 2:
+        raise ValueError(f"each summand needs at least 2 elements, not {min(sizes)}")
+    lo_of, hi_of = [0], [sizes[0] - 1]  # the summand (lo, hi] of each carrier index
+    for size in sizes:
+        lo = len(lo_of) - 1
+        lo_of += [lo] * (size - 1)
+        hi_of += [lo + size - 1] * (size - 1)
+    top = len(lo_of) - 1
+
+    def star(x, y):
+        lo, hi = lo_of[max(x, y)], hi_of[max(x, y)]
+        return max(lo, x + y - hi) if min(x, y) >= lo else min(x, y)
+
+    def arrow(x, y):
+        if x <= y:
+            return top
+        return hi_of[x] - x + y if y >= lo_of[x] else y
+
+    labels = [str(Fraction(k, top)) for k in range(top + 1)]
+    elements = range(top + 1)
     return {
         "signature": "BL",
         "carrier": labels,
         "bottom": labels[0],
         "top": labels[-1],
-        "leq": pairs,
-        "star": [[str(star(x, y)) for y in values] for x in values],
-        "arrow": [[str(arrow(x, y)) for y in values] for x in values],
+        "leq": [[labels[i], labels[j]] for i in elements for j in elements if i < j],
+        "star": [[labels[star(x, y)] for y in elements] for x in elements],
+        "arrow": [[labels[arrow(x, y)] for y in elements] for x in elements],
     }
+
+
+def _chain_size(size: int) -> int:
+    if size < 2:
+        raise ValueError(f"a chain needs at least 2 elements, not {size}")
+    return size
 
 
 def lukasiewicz_chain(size: int) -> dict:
     """Equally spaced chain 0, 1/(size-1), ..., 1 with the Lukasiewicz tables."""
-    values = [Fraction(k, size - 1) for k in range(size)]
-    return _chain_document(
-        values,
-        star=lambda x, y: max(Fraction(0), x + y - 1),
-        arrow=lambda x, y: min(Fraction(1), 1 - x + y),
-    )
+    return ordinal_sum([_chain_size(size)])
 
 
 def goedel_chain(size: int) -> dict:
-    values = [Fraction(k, size - 1) for k in range(size)]
-    return _chain_document(
-        values,
-        star=min,
-        arrow=lambda x, y: Fraction(1) if x <= y else y,
-    )
+    """Equally spaced chain 0, 1/(size-1), ..., 1 with the Goedel tables."""
+    return ordinal_sum([2] * (_chain_size(size) - 1))
 
 
 def boolean_algebra(bits: int) -> dict:
     """The powerset algebra on ``bits`` generators, with * = meet."""
+    if not 1 <= bits <= 8:
+        raise ValueError(f"a Boolean algebra needs 1 to 8 generators, not {bits}")
     names = "abcdefgh"[:bits]
     elements = []
     for mask in range(1 << bits):
@@ -88,6 +110,36 @@ def boolean_algebra(bits: int) -> dict:
         "star": [[label(x & y) for y in elements] for x in elements],
         "arrow": [[label((full - x) | y) for y in elements] for x in elements],
     }
+
+
+def product(a: FiniteAlgebra, b: FiniteAlgebra) -> FiniteAlgebra:
+    """Direct product of two algebras of one signature, with componentwise
+    order and tables; pair (i, j) has index i * b.n + j and label "x|y"."""
+    if a.signature is not b.signature:
+        raise ValueError(f"cannot multiply a {a.signature.value}-algebra by a {b.signature.value}-algebra")
+    pairs = list(itertools.product(a.elements(), b.elements()))
+
+    def table(ta, tb):
+        return [[ta[i1][i2] * b.n + tb[j1][j2] for i2, j2 in pairs] for i1, j1 in pairs]
+
+    return FiniteAlgebra(
+        [f"{a.labels[i]}|{b.labels[j]}" for i, j in pairs],
+        [[a.leq[i1][i2] and b.leq[j1][j2] for i2, j2 in pairs] for i1, j1 in pairs],
+        table(a.monoid, b.monoid),
+        table(a.residuum, b.residuum),
+        a.signature,
+        a.bottom * b.n + b.bottom,
+        a.top * b.n + b.top,
+    )
+
+
+def mutant(alg: FiniteAlgebra, table: str, i: int, j: int, rng) -> FiniteAlgebra:
+    """``alg`` with entry (i, j) of its ``"monoid"`` or ``"residuum"`` table
+    replaced by ``rng.choice`` of the other elements, in carrier order."""
+    rows = [list(row) for row in getattr(alg, table)]
+    rows[i][j] = rng.choice([v for v in alg.elements() if v != rows[i][j]])
+    tables = {"monoid": alg.monoid, "residuum": alg.residuum, table: rows}
+    return FiniteAlgebra(alg.labels, alg.leq, tables["monoid"], tables["residuum"], alg.signature, alg.bottom, alg.top)
 
 
 def corrupt_lukasiewicz_4() -> dict:

@@ -15,12 +15,12 @@ from fractions import Fraction
 
 import pytest
 
+from reslat import fixtures
 from reslat.finite import algebra_from_document, check_axioms, check_derived_laws, dualize_algebra
-from reslat.fixtures import goedel_chain, lukasiewicz_chain
 from reslat.metric import SAlgebra, dbl_axioms_check, dbl_laws_check
 from reslat.unitval import GridSpec, UnitValue
 
-CHAINS = {"lukasiewicz": lukasiewicz_chain, "goedel": goedel_chain}
+CHAINS = {"lukasiewicz": fixtures.lukasiewicz_chain, "goedel": fixtures.goedel_chain}
 
 
 def chain_from_the_top(family: str, n: int) -> dict:
@@ -28,16 +28,6 @@ def chain_from_the_top(family: str, n: int) -> dict:
     doc = CHAINS[family](n + 1)
     flipped = lambda rows: [row[::-1] for row in rows[::-1]]
     return {**doc, "carrier": doc["carrier"][::-1], "star": flipped(doc["star"]), "arrow": flipped(doc["arrow"])}
-
-
-def star_mutant(doc: dict, seed: int) -> tuple[int, int, int]:
-    """Change one star entry of ``doc`` in place to a different element;
-    return its row, column and new value as carrier indices."""
-    rng, carrier = random.Random(seed), doc["carrier"]
-    i, j = rng.randrange(len(carrier)), rng.randrange(len(carrier))
-    k = rng.choice([k for k, label in enumerate(carrier) if label != doc["star"][i][j]])
-    doc["star"][i][j] = carrier[k]
-    return i, j, k
 
 
 def as_grid_document(reports) -> list[dict]:
@@ -55,15 +45,18 @@ def as_grid_document(reports) -> list[dict]:
 @pytest.mark.parametrize("n", [4, 8])
 @pytest.mark.parametrize("family", sorted(CHAINS))
 def test_closed_grid_and_finite_chain_give_the_same_reports(monkeypatch, family, n, mutant):
-    doc = chain_from_the_top(family, n)
+    chain = algebra_from_document(chain_from_the_top(family, n))
     alg = SAlgebra.of(family)
     if mutant is not None:
-        i, j, k = star_mutant(doc, seed=1000 * n + mutant)
+        rng = random.Random(1000 * n + mutant)
+        i, j = rng.randrange(chain.n), rng.randrange(chain.n)
+        chain = fixtures.mutant(chain, "monoid", i, j, rng)
+        k = chain.monoid[i][j]
         star, point = alg.star, (UnitValue(i, n), UnitValue(j, n))
         patched = lambda x, y: UnitValue(k, n) if (x, y) == point else star(x, y)
         # The grid law context reads the s-norm through SAlgebra.star.
         monkeypatch.setattr(SAlgebra, "star", property(lambda self: patched))
-    finite = dualize_algebra(algebra_from_document(doc))
+    finite = dualize_algebra(chain)
     g = GridSpec(n)
     axioms, laws = check_axioms(finite), check_derived_laws(finite)
     assert as_grid_document(axioms) == [report.to_dict() for report in dbl_axioms_check(alg, g)]

@@ -2,6 +2,7 @@ import collections
 import itertools
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -20,7 +21,15 @@ from reslat.finite import (
     loads_algebra,
     pair_biresiduum,
 )
-from reslat.fixtures import build_all, boolean_algebra, goedel_chain, lukasiewicz_chain
+from reslat.fixtures import (
+    boolean_algebra,
+    build_all,
+    goedel_chain,
+    lukasiewicz_chain,
+    ordinal_sum,
+    product,
+    write_fixture_files,
+)
 from reslat.laws import as_bl
 from reslat.reports import all_ok
 
@@ -256,11 +265,61 @@ class TestBiresiduum:
                     assert alg.leq[pair][alg.index(moved)]
 
 
+def closed_form_chain(size, star, arrow):
+    """The chain 0, 1/(size-1), ..., 1 with tables from closed forms in Fraction."""
+    values = [Fraction(k, size - 1) for k in range(size)]
+    labels = [str(v) for v in values]
+    return {
+        "signature": "BL",
+        "carrier": labels,
+        "bottom": labels[0],
+        "top": labels[-1],
+        "leq": [[str(x), str(y)] for x in values for y in values if x < y],
+        "star": [[str(star(x, y)) for y in values] for x in values],
+        "arrow": [[str(arrow(x, y)) for y in values] for x in values],
+    }
+
+
 class TestFixtureBuilders:
     def test_shipped_files_match_builders(self, fixtures_dir):
         for stem, doc in build_all().items():
             on_disk = json.loads((fixtures_dir / f"{stem}.alg").read_text())
             assert on_disk == doc, stem
+
+    def test_written_files_reproduce_the_shipped_bytes(self, fixtures_dir, tmp_path):
+        written = write_fixture_files(tmp_path)
+        assert sorted(path.name for path in written) == sorted(path.name for path in fixtures_dir.glob("*.alg"))
+        for path in written:
+            assert path.read_bytes() == (fixtures_dir / path.name).read_bytes(), path.name
+
+    @pytest.mark.parametrize("size", range(2, 25))
+    def test_ordinal_sums_give_the_textbook_chains(self, size):
+        luk = closed_form_chain(size, lambda x, y: max(Fraction(0), x + y - 1), lambda x, y: min(Fraction(1), 1 - x + y))
+        goedel = closed_form_chain(size, min, lambda x, y: Fraction(1) if x <= y else y)
+        assert lukasiewicz_chain(size) == luk
+        assert goedel_chain(size) == goedel
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: lukasiewicz_chain(1), "a chain needs at least 2 elements, not 1"),
+            (lambda: lukasiewicz_chain(0), "a chain needs at least 2 elements, not 0"),
+            (lambda: goedel_chain(1), "a chain needs at least 2 elements, not 1"),
+            (lambda: boolean_algebra(0), "a Boolean algebra needs 1 to 8 generators, not 0"),
+            (lambda: boolean_algebra(9), "a Boolean algebra needs 1 to 8 generators, not 9"),
+            (lambda: ordinal_sum([]), "an ordinal sum needs at least one summand"),
+            (lambda: ordinal_sum([3, 1, 2]), "each summand needs at least 2 elements, not 1"),
+        ],
+        ids=["luk-1", "luk-0", "goedel-1", "bool-0", "bool-9", "sum-empty", "sum-of-one"],
+    )
+    def test_builders_refuse_what_they_cannot_build(self, build, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            build()
+
+    def test_product_refuses_two_signatures(self):
+        chain = algebra_from_document(lukasiewicz_chain(3))
+        with pytest.raises(ValueError, match="^cannot multiply a BL-algebra by a DBL-algebra$"):
+            product(chain, dualize_algebra(chain))
 
     def test_chain_builders_self_validate(self):
         for doc in (lukasiewicz_chain(2), lukasiewicz_chain(4), goedel_chain(3), boolean_algebra(2)):
@@ -302,14 +361,6 @@ def loaded_bounds(labels, leq, bottom, top):
     return alg.meet, alg.join
 
 
-def product_order(a, b):
-    """The labels, order, bottom and top of the direct product of two orders."""
-    pairs = list(itertools.product(a.elements(), b.elements()))
-    labels = [f"{a.labels[i]}|{b.labels[j]}" for i, j in pairs]
-    leq = [[a.leq[i1][i2] and b.leq[j1][j2] for i2, j2 in pairs] for i1, j1 in pairs]
-    return labels, leq, a.bottom * b.n + b.bottom, a.top * b.n + b.top
-
-
 def random_order(rng, n):
     """The order by inclusion on n random subsets of {0, .., 4}, the empty
     set and the full set among them, listed in a random carrier order; many
@@ -331,8 +382,8 @@ class TestBounds:
     def test_products(self, fixture_algebras):
         bases = list(fixture_algebras.values()) + [algebra_from_document(goedel_chain(3))]
         for a, b in itertools.product(bases, repeat=2):
-            labels, leq, bottom, top = product_order(a, b)
-            assert loaded_bounds(labels, leq, bottom, top) == ref_bounds(labels, leq)
+            p = product(a, b)
+            assert loaded_bounds(p.labels, p.leq, p.bottom, p.top) == ref_bounds(p.labels, p.leq)
 
     def test_a_pair_without_meet_and_join_is_refused_for_its_meet(self):
         # 0 < a, b < x, y < e, f < 1, each level below all of the next.

@@ -24,20 +24,14 @@ import pytest
 
 from reslat.cli import main
 from reslat.finite import FiniteAlgebra, algebra_from_document, algebra_to_document, dualize_algebra
-from reslat.fixtures import boolean_algebra, goedel_chain, lukasiewicz_chain
-
-from test_topology_oracle import product
+from reslat.fixtures import boolean_algebra, goedel_chain, lukasiewicz_chain, mutant, product
 
 
 def mutants(name: str, alg: FiniteAlgebra, rng: random.Random):
     """Two star and two arrow tables, each with one entry replaced by another element."""
     for field in ("monoid", "monoid", "residuum", "residuum"):
         i, j = rng.randrange(alg.n), rng.randrange(alg.n)
-        tables = {"monoid": [list(r) for r in alg.monoid], "residuum": [list(r) for r in alg.residuum]}
-        tables[field][i][j] = rng.choice([v for v in alg.elements() if v != tables[field][i][j]])
-        yield f"{name}~{field}-{i}-{j}", FiniteAlgebra(
-            alg.labels, alg.leq, tables["monoid"], tables["residuum"], alg.signature, alg.bottom, alg.top
-        )
+        yield f"{name}~{field}-{i}-{j}", mutant(alg, field, i, j, rng)
 
 
 def build_algebras() -> dict[str, FiniteAlgebra]:

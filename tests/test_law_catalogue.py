@@ -10,6 +10,7 @@ import pytest
 
 from reslat import laws
 from reslat.finite import Signature, algebra_from_document, dbl_context, dualize_algebra
+from reslat.fixtures import mutant
 from reslat.laws import D_LAWS, check_signature_axioms, run_catalogue
 from reslat.metric import _grid_context, dbl_axioms_check, dbl_laws_check
 from reslat.reports import LawReport, Violation
@@ -87,13 +88,8 @@ def mutants(seed=20190909, per_table=3):
     for name, alg in documents().items():
         for table in ("monoid", "residuum"):
             for _ in range(per_table):
-                rows = [list(row) for row in getattr(alg, table)]
                 i, j = rng.randrange(alg.n), rng.randrange(alg.n)
-                rows[i][j] = rng.choice([v for v in range(alg.n) if v != rows[i][j]])
-                tables = {"monoid": alg.monoid, "residuum": alg.residuum, table: rows}
-                out[f"{name}~{table}-{i}-{j}"] = type(alg)(
-                    alg.labels, alg.leq, tables["monoid"], tables["residuum"], alg.signature, alg.bottom, alg.top
-                )
+                out[f"{name}~{table}-{i}-{j}"] = mutant(alg, table, i, j, rng)
     return out
 
 

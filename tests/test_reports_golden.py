@@ -24,7 +24,7 @@ from reslat.finite import (
     dualize_algebra,
     load_algebra,
 )
-from reslat.fixtures import goedel_chain, lukasiewicz_chain
+from reslat.fixtures import goedel_chain, lukasiewicz_chain, mutant
 from reslat.metric import SAlgebra, dbl_axioms_check, dbl_laws_check
 from reslat.topology import check_radius_lemmas
 from reslat.unitval import GridSpec
@@ -42,11 +42,7 @@ def mutants(name: str, alg: FiniteAlgebra, rng: random.Random):
     for field in ("monoid", "residuum"):
         for _ in range(MUTANTS_PER_TABLE):
             i, j = rng.randrange(alg.n), rng.randrange(alg.n)
-            tables = {"monoid": [list(r) for r in alg.monoid], "residuum": [list(r) for r in alg.residuum]}
-            tables[field][i][j] = rng.choice([v for v in alg.elements() if v != tables[field][i][j]])
-            yield f"{name}~{field}-{i}-{j}", FiniteAlgebra(
-                alg.labels, alg.leq, tables["monoid"], tables["residuum"], alg.signature, alg.bottom, alg.top
-            )
+            yield f"{name}~{field}-{i}-{j}", mutant(alg, field, i, j, rng)
 
 
 def build_algebras() -> dict[str, FiniteAlgebra]:

@@ -17,7 +17,7 @@ import random
 import pytest
 
 from reslat.finite import FiniteAlgebra, Signature, algebra_from_document, dualize_algebra, load_algebra
-from reslat.fixtures import goedel_chain, lukasiewicz_chain
+from reslat.fixtures import goedel_chain, lukasiewicz_chain, mutant, product
 from reslat.topology import (
     admissible_radii,
     ball,
@@ -85,34 +85,12 @@ class Oracle:
 
 # -- cases ---------------------------------------------------------------------
 
-def product(a: FiniteAlgebra, b: FiniteAlgebra) -> FiniteAlgebra:
-    """Direct product of two BL-algebras; pair (i, j) has index i * b.n + j."""
-    pairs = list(itertools.product(a.elements(), b.elements()))
-
-    def table(ta, tb):
-        return [[ta[i1][i2] * b.n + tb[j1][j2] for i2, j2 in pairs] for i1, j1 in pairs]
-
-    return FiniteAlgebra(
-        [f"{a.labels[i]}|{b.labels[j]}" for i, j in pairs],
-        [[a.leq[i1][i2] and b.leq[j1][j2] for i2, j2 in pairs] for i1, j1 in pairs],
-        table(a.monoid, b.monoid),
-        table(a.residuum, b.residuum),
-        Signature.BL,
-        a.bottom * b.n + b.bottom,
-        a.top * b.n + b.top,
-    )
-
-
 def mutants(name: str, alg: FiniteAlgebra, rng: random.Random):
     """Single off-diagonal star or arrow entries replaced by another element."""
     for _ in range(MUTANTS_PER_BASE):
         field = rng.choice(["monoid", "residuum"])
         i, j = rng.sample(range(alg.n), 2)
-        tables = {"monoid": [list(r) for r in alg.monoid], "residuum": [list(r) for r in alg.residuum]}
-        tables[field][i][j] = rng.choice([v for v in alg.elements() if v != tables[field][i][j]])
-        yield f"{name}~{field}-{i}-{j}", FiniteAlgebra(
-            alg.labels, alg.leq, tables["monoid"], tables["residuum"], alg.signature, alg.bottom, alg.top
-        )
+        yield f"{name}~{field}-{i}-{j}", mutant(alg, field, i, j, rng)
 
 
 def build_cases() -> dict[str, FiniteAlgebra]:
