@@ -23,8 +23,9 @@ from enum import Enum
 from pathlib import Path
 
 from .errors import NotALattice, NotAPartialOrder, ParseError, TableOutOfRange, cut
-from .laws import D_LAWS, LawContext, as_bl, check_signature_axioms, run_catalogue
-from .reports import LawReport
+
+# Loading an algebra runs no law code: the functions that read an algebra as
+# a law context import reslat.laws when they run.
 
 
 class Signature(Enum):
@@ -241,6 +242,8 @@ def dbl_context(alg: FiniteAlgebra) -> LawContext:
     absorbing element ``one``.  Each call builds a fresh context, whose
     tables are lists: a C ``map`` calls a list's bound ``__getitem__``
     faster than a tuple's."""
+    from .laws import LawContext
+
     fmt = lambda v: str(v) if isinstance(v, bool) else alg.labels[v]
     star, res, meet, join, le = (list(map(list, t)) for t in (alg.monoid, alg.residuum, alg.meet, alg.join, alg.leq))
     if alg.signature is Signature.DBL:
@@ -251,6 +254,8 @@ def dbl_context(alg: FiniteAlgebra) -> LawContext:
 def check_axioms(alg: FiniteAlgebra) -> list[LawReport]:
     """The five signature axioms, exhaustively over the carrier: DBL1..DBL5,
     or BL1..BL5 as DBL1..DBL5 on the order dual."""
+    from .laws import as_bl, check_signature_axioms
+
     bl = alg.signature is Signature.BL
     reports = check_signature_axioms(dbl_context(alg), bl)
     return as_bl(reports) if bl else reports
@@ -263,6 +268,8 @@ def check_derived_laws(alg: FiniteAlgebra, ids=None) -> list[LawReport]:
 
     The arity-4 laws sweep n^4 tuples; carriers up to n = 24 stay practical.
     """
+    from .laws import D_LAWS, as_bl, run_catalogue
+
     if alg.signature is Signature.DBL:
         return run_catalogue(dbl_context(alg), D_LAWS, ids)
     if ids is not None:

@@ -41,8 +41,6 @@ from .errors import (
     UnknownToken,
     cut,
 )
-from .norms import NormFamily, NormSide, closed_form, residuum_form
-from .reports import LawReport
 from .unitval import ONE, ZERO, GridSpec, UnitValue, parse_unit
 
 
@@ -374,7 +372,10 @@ def _operations(algebra):
     by entry, and an id's value.  A t-norm family's ids are a ValueTable's,
     whose engine maps rows on the closed forms; a finite algebra's are its
     carrier's, read in its DBL form, where 0 is ``one`` (it absorbs ``&``)
-    and 1 is ``zero``.  Over [0,1] the finite layer is never imported."""
+    and 1 is ``zero``.  Over [0,1] the finite layer is never imported, and
+    parsing a formula imports neither layer."""
+    from .norms import NormFamily, NormSide, closed_form, residuum_form
+
     if not isinstance(algebra, NormFamily):
         from .finite import FiniteAlgebra, dbl_context
 
@@ -443,6 +444,9 @@ def check_prelinearity_tautology(algebra, g: GridSpec | None = None) -> LawRepor
     """(p -> q) | (q -> p) must evaluate to 1, the unit of ``&``, under every
     valuation: grid valuations for t-norm families, carrier valuations for
     finite algebras (there 1 is ``zero`` of the DBL form)."""
+    from .norms import NormFamily
+    from .reports import LawReport
+
     read, bottom, top, star, arrow, show = _operations(algebra)
     domain = (g or GridSpec()).points() if isinstance(algebra, NormFamily) else algebra.labels
     n = len(domain)

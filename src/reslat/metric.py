@@ -29,7 +29,7 @@ from .errors import InvalidRadius
 from .laws import D_LAWS, LawContext, LazyTable, check_signature_axioms, run_catalogue
 from .norms import NormFamily, NormKind, NormSide, closed_form, residuum_form
 from .reports import LawReport, Violation
-from .tables import ValueTable, kernel_of, kernel_row, picker, positions
+from .tables import ValueTable, kernel_of, kernel_row, positions, row_kind
 from .unitval import ONE, ZERO, GridSpec, UnitValue
 
 # The largest grid denominator ``reslat metric`` checks the signature axioms on.
@@ -80,16 +80,21 @@ def d_star(alg: SAlgebra, a: UnitValue, b: UnitValue) -> UnitValue:
     return alg.star(alg.res(a, b), alg.res(b, a))
 
 
+# The per-family closed form of the induced distance, as an integer kernel on
+# x = a/b and y = c/d (see reslat.norms): |x - y| (Lukasiewicz); 0 if x == y,
+# else max(x, y) (Goedel); 0 if x == y, else |x - y| / (1 - min(x, y)) (product).
+_DISTANCE_KERNELS = {
+    NormKind.LUKASIEWICZ: lambda a, b, c, d: (abs(a * d - c * b), b * d),
+    NormKind.GOEDEL: lambda a, b, c, d: (0, 1) if a * d == c * b else (a, b) if a * d > c * b else (c, d),
+    NormKind.PRODUCT: lambda a, b, c, d: (
+        (0, 1) if a * d == c * b else (c * b - a * d, d * (b - a)) if a * d < c * b else (a * d - c * b, b * (d - c))
+    ),
+}
+
+
 def d_star_closed_form(alg: SAlgebra, a: UnitValue, b: UnitValue) -> UnitValue:
     """Per-family closed form of the induced distance."""
-    kind = alg.norm.kind
-    if kind is NormKind.LUKASIEWICZ:
-        return UnitValue(abs(a - b))
-    if a == b:
-        return ZERO
-    if kind is NormKind.GOEDEL:
-        return max(a, b)
-    return UnitValue(abs(a - b) / (1 - min(a, b)))
+    return UnitValue(*_DISTANCE_KERNELS[alg.norm.kind](a.numerator, a.denominator, b.numerator, b.denominator))
 
 
 def d_bigstar(alg: SAlgebra, a: PairValue, b: PairValue) -> UnitValue:
@@ -104,14 +109,16 @@ def weaker_than_lukasiewicz(alg: SAlgebra, g: GridSpec) -> bool:
 
 
 def d_star_closed_form_check(alg: SAlgebra, g: GridSpec) -> LawReport:
-    """Definitional distance, from the distance square, against the closed form on all grid pairs."""
+    """Definitional distance, from the distance square, against the closed
+    form on all grid pairs: row a of the square against the closed form's
+    kernel on ``(a, b)`` for every b."""
     pts, table = g.points(), ValueTable(g.points())
-    report, values = LawReport("d-closed-form", len(pts) ** 2), table.values
-    dist = itertools.chain.from_iterable(_distance_square(table, alg))
-    for (a, b), d in zip(itertools.product(pts, repeat=2), dist):
-        lhs, rhs = values[d], d_star_closed_form(alg, a, b)
-        if lhs != rhs:
-            report.register(Violation("d-closed-form", (a, b), lhs, rhs))
+    m, kernel = len(pts), _DISTANCE_KERNELS[alg.norm.kind]
+    report = LawReport("d-closed-form", m**2)
+    for a, row in enumerate(_distance_square(table, alg)):
+        closed = table.apply(kernel, [a] * m, range(m))
+        if row != closed:
+            report.register_row(row, closed, lambda b: (pts[a], pts[b]), table.values.__getitem__)
     return report
 
 
@@ -219,51 +226,65 @@ def continuity_inequalities_check(alg: SAlgebra, g: GridSpec) -> list[LawReport]
       z3              (a1->a2)->(b1->b2) <= (b1->a1)*(a2->b2)
 
     where D(a, b) = d(a1, b1) * d(a2, b2).  Each (a1, a2) compares one row
-    per contract over the flattened pairs (b1, b2); only a row that fails is
-    swept again, to register its witnesses in tuple order.  Every row is
-    picked from a square: of the star, the residuum or the distance on the
-    grid, or on the star values, residua or distances the grid takes.
+    per contract over the flattened pairs (b1, b2), and z1, which does not
+    read a2, one row per a1; only a row that fails is swept again, to
+    register its witnesses in tuple order.  Every row is gathered from a
+    square: of the star, the residuum or the distance on the grid, or on the
+    star values, residua or distances the grid takes.  The rows hold order
+    ranks, in the row kind of reslat.tables that the table's size allows.
     """
     pts = g.points()
     n = len(pts)
     rng = range(n)
     table = ValueTable(pts)
-    values, le = table.values, table.le
+    values = table.values
     star_g, res_g, dist_g = table.square(alg.star), table.square(alg.res), _distance_square(table, alg)
     res_t = [list(col) for col in zip(*res_g)]
-    pairs = list(itertools.product(rng, repeat=2))
-    pair_pts = [(pts[b1], pts[b2]) for b1, b2 in pairs]
+    pair_pts = [(pts[b1], pts[b2]) for b1, b2 in itertools.product(rng, repeat=2)]
 
     # The values each square of the grid takes, and the position of each among them.
     (star_ids, star_pos), (res_ids, res_pos), (dist_ids, dist_pos) = map(positions, (star_g, res_g, dist_g))
     dist_of_stars, dist_of_res = _distance_square(table, alg, star_ids), _distance_square(table, alg, res_ids)
     res_of_res, star_of_res = table.square(alg.res, res_ids), table.square(alg.star, res_ids)
     star_of_dist = table.square(alg.star, dist_ids)
-    res_of_res_t = [list(col) for col in zip(*res_of_res)]
-    at_star_b, at_res_b = picker(star_pos, itertools.chain(*star_g)), picker(res_pos, itertools.chain(*res_g))
-    at_dist_row = [picker(dist_pos, row) for row in dist_g]
-    at_res_row, at_res_col = [picker(res_pos, row) for row in res_g], [picker(res_pos, row) for row in res_t]
-    outer = lambda rows, pick: list(itertools.chain.from_iterable(map(pick, rows)))
+    # Every square in order ranks, once the last one is built: on a closed
+    # grid the ids are their own ranks.
+    rank, kind = table.ranks(), row_kind(len(values))
+    order = range(len(values)) if rank is None else sorted(range(len(values)), key=rank.__getitem__)
+    tabulate = lambda rows: [kind.table(row if rank is None else map(rank.__getitem__, row)) for row in rows]
+    dist_of_stars, dist_of_res, res_of_res, res_of_res_t, star_of_res, star_of_dist, res_rows = map(
+        tabulate, (dist_of_stars, dist_of_res, res_of_res, zip(*res_of_res), star_of_res, star_of_dist, res_g)
+    )
+    index = lambda pos, ids: kind.index(map(pos.__getitem__, ids))
+    at_star_b, at_res_b = index(star_pos, itertools.chain(*star_g)), index(res_pos, itertools.chain(*res_g))
+    at_dist_row = [index(dist_pos, row) for row in dist_g]
+    at_res_row, at_res_col = [index(res_pos, row) for row in res_g], [index(res_pos, row) for row in res_t]
+    at_b2 = kind.index(list(rng) * n)
+    concat, all_le, show = kind.concat, kind.all_le, lambda r: values[order[r]]
     reports = [LawReport(law, n**4) for law in ("star-lipschitz", "res-lipschitz", "z1", "z2", "z3")]
+    star_lipschitz, res_lipschitz, z1, z2, z3 = reports
+    args = lambda k: (pts[a1], pts[a2], *pair_pts[k])
     for a1 in rng:
         # star(x, .) for x = d(a1, b1), a1 -> b1 and b1 -> a1, one row per b1.
         big_rows = [star_of_dist[dist_pos[x]] for x in dist_g[a1]]
         z2_rows = [star_of_res[res_pos[x]] for x in res_g[a1]]
         z3_rows = [star_of_res[res_pos[x]] for x in res_t[a1]]
-        z1 = (res_g[a1] * n, list(itertools.chain.from_iterable(pick(row) for pick, row in zip(at_res_row, z2_rows))))
+        z1_rows = at_b2(res_rows[a1]), concat([at(row) for at, row in zip(at_res_row, z2_rows)])
+        z1_holds = all_le(*z1_rows)
         for a2 in rng:
             s_a, r_a = star_pos[star_g[a1][a2]], res_pos[res_g[a1][a2]]
-            big = outer(big_rows, at_dist_row[a2])
+            big = concat(map(at_dist_row[a2], big_rows))
             rows = (
-                (at_star_b(dist_of_stars[s_a]), big),
-                (at_res_b(dist_of_res[r_a]), big),
-                z1,
-                (at_res_b(res_of_res_t[r_a]), outer(z2_rows, at_res_col[a2])),
-                (at_res_b(res_of_res[r_a]), outer(z3_rows, at_res_row[a2])),
+                (star_lipschitz, at_star_b(dist_of_stars[s_a]), big),
+                (res_lipschitz, at_res_b(dist_of_res[r_a]), big),
+                (z2, at_res_b(res_of_res_t[r_a]), concat(map(at_res_col[a2], z2_rows))),
+                (z3, at_res_b(res_of_res[r_a]), concat(map(at_res_row[a2], z3_rows))),
             )
-            for report, (lhs, rhs) in zip(reports, rows):
-                if not table.all_le(lhs, rhs):
-                    report.register_row(lhs, rhs, lambda k: (pts[a1], pts[a2], *pair_pts[k]), values.__getitem__, le)
+            for report, lhs, rhs in rows:
+                if not all_le(lhs, rhs):
+                    report.register_row(lhs, rhs, args, show, operator.le)
+            if not z1_holds:
+                z1.register_row(*z1_rows, args, show, operator.le)
     return reports
 
 

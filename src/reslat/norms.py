@@ -191,18 +191,26 @@ def residuum_oracle(f: NormFamily, x: UnitValue, y: UnitValue, g: GridSpec) -> U
     s-norm side: the least grid point c with S(c, x) >= y (ascending scan);
     t-norm side: the greatest grid point c with T(c, x) <= y (descending).
     The scan grid refines GridSpec by the input denominators so the exact
-    answer is always representable.
+    answer is always representable.  Each candidate ``k/denom`` runs through
+    the norm's integer kernel, and its result is compared with y by
+    cross-multiplication; a result outside [0, 1] is refused by UnitValue.
     """
+    from .tables import kernel_of
+
     if not f.is_residuated:
         raise DrasticNotResiduated("the drastic norms are not continuous; no residuum exists")
-    denom, norm = _oracle_denominator(f, x, y, g), closed_form(f)
+    denom, kernel = _oracle_denominator(f, x, y, g), kernel_of(closed_form(f))
+    a, b, yn, yd = x.numerator, x.denominator, y.numerator, y.denominator
     # The t-side is the s-side read in the reverse order.
     snorm_side = f.side is NormSide.SNORM
     bound = ge if snorm_side else le
     for k in range(denom + 1) if snorm_side else range(denom, -1, -1):
-        c = UnitValue(k, denom)
-        if bound(norm(c, x), y):
-            return c
+        n, d = kernel(k, denom, a, b)
+        if not (d > 0 and 0 <= n <= d):
+            v = UnitValue(n, d)
+            n, d = v.numerator, v.denominator
+        if bound(n * yd, yn * d):
+            return UnitValue(k, denom)
     raise AssertionError("unreachable: S(1, x) = 1 >= y and T(0, x) = 0 <= y")
 
 

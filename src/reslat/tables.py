@@ -27,6 +27,12 @@ The table orders its ids exactly: :meth:`ValueTable.ranks` lists the rank
 of each id in value order, computed again only after an intern, and is
 None while the ids increase with their values, as on a grid.  ``all_le``
 tests a whole row of order pairs in C, on the ids or on their ranks.
+
+A row sweep that gathers and compares many rows of ranks (the continuity
+contracts) picks a row kind once, from the table's size: :class:`RankRows`
+holds lists, and :class:`ByteRows`, for at most 256 ranks, bytes, which it
+gathers with ``bytes.translate`` and compares with one big-integer test.
+Closed-grid associativity compares whole blocks of byte rows with ``==``.
 """
 
 from __future__ import annotations
@@ -34,7 +40,7 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left, bisect_right
 from collections import defaultdict
-from itertools import repeat
+from itertools import chain, repeat
 from math import gcd, lcm
 from operator import floordiv, itemgetter, le, mod, mul, truediv
 from typing import Callable, Iterable
@@ -192,16 +198,52 @@ def residuated(res: list, nrm: list, pts, upper: bool) -> bool:
     )
 
 
+class RankRows:
+    """Rows of order ranks as lists: a row sweep's four operations.
+
+    ``index(positions)`` is the function that gathers the entries at
+    ``positions`` (two or more) from a row ``table(ranks)``, ``concat`` joins
+    gathered rows, and ``all_le`` is ``operator.le`` on every pair of two
+    rows; each does its work in C.
+    """
+
+    index = staticmethod(lambda positions: itemgetter(*positions))
+    table = list
+    concat = staticmethod(lambda parts: list(chain.from_iterable(parts)))
+    all_le = staticmethod(lambda xs, ys: all(map(le, xs, ys)))
+
+
+def _bytes_all_le(xs: bytes, ys: bytes) -> bool:
+    # Lane by lane, with H the byte 0x80 in every lane: (Y | H) - (X & ~H)
+    # borrows across no lane, and its high bit says y mod 128 >= x mod 128.
+    # So x <= y where y's high bit alone is set, or both high bits agree and
+    # that borrow test holds; exact for every byte 0..255.
+    h = int.from_bytes(b"\x80" * len(xs), "big")
+    x, y = int.from_bytes(xs, "big"), int.from_bytes(ys, "big")
+    w = (y | h) - (x & ~h)
+    return ((y & ~x) | (~(x ^ y) & w)) & h == h
+
+
+class ByteRows:
+    """:class:`RankRows` for tables of at most 256 ranks, one byte each: a row
+    table is the row padded to 256 bytes, a gather ``bytes.translate`` and
+    ``all_le`` one big-integer test over all the bytes at once (SWAR)."""
+
+    index = staticmethod(lambda positions: bytes(positions).translate)
+    table = staticmethod(lambda ranks: bytes(ranks).ljust(256, b"\0"))
+    concat = b"".join
+    all_le = staticmethod(_bytes_all_le)
+
+
+def row_kind(ranks: int):
+    """The row kind for a table of ``ranks`` order ranks."""
+    return ByteRows if ranks <= 256 else RankRows
+
+
 def positions(rows) -> tuple[list[int], dict]:
     """The ids the ``rows`` hold, in increasing order, and the position of each."""
     ids = sorted(set().union(*rows))
     return ids, dict(zip(ids, range(len(ids))))
-
-
-def picker(pos: dict, ids) -> Callable:
-    """The function that takes, in C, the entries at ``ids`` (two or more)
-    from a row over the ids that ``pos`` numbers."""
-    return itemgetter(*map(pos.__getitem__, ids))
 
 
 def kernel_row(kernel: Callable, xn, xd, yn, yd) -> tuple[tuple, tuple]:
@@ -226,17 +268,22 @@ def kernel_row(kernel: Callable, xn, xd, yn, yd) -> tuple[tuple, tuple]:
 def associativity_rows(table: ValueTable, fn: Callable, sq: list[list[int]]):
     """None where ``T(T(x, y), z) == T(x, T(y, z))`` for all points x, y, z,
     with T ``fn`` and ``sq`` its square: on a closed grid (every ``T(x, y)``
-    a point) as the square alone decides it, else as :func:`rows_associative`
-    decides it on the kernel of ``fn``.  Otherwise the function ``(x, y) ->
-    (lhs, rhs)``, the two sides as rows of ids over z, read from the square
-    on a closed grid and computed by :meth:`ValueTable.map` off it.
+    a point) of at most 256 points as the square alone decides it, else as
+    :func:`rows_associative` decides it on the kernel of ``fn``.  Otherwise
+    the function ``(x, y) -> (lhs, rhs)``, the two sides as rows of ids over
+    z, read from the square on such a closed grid and computed by
+    :meth:`ValueTable.map` otherwise.
     """
     m = table.n_points
-    if max(map(max, sq)) < m:
-        # Row x of each side at once: (T(T(x, y), z))_y,z picks rows of the
-        # square, and (T(x, T(y, z)))_y,z picks from row x.
-        rows, picks = [tuple(row) for row in sq], [itemgetter(*row) for row in sq]
-        if all(list(itemgetter(*row)(rows)) == [pick(row) for pick in picks] for row in sq):
+    if m <= 256 and max(map(max, sq)) < m:
+        # Row x of each side at once, as bytes over (y, z): (T(T(x, y), z))_y,z
+        # joins rows of the square, and (T(x, T(y, z)))_y,z gathers every row
+        # of the square through row x.
+        rows = list(map(bytes, sq))
+        if all(
+            b"".join(itemgetter(*row)(rows)) == b"".join(map(bytes.translate, rows, repeat(ByteRows.table(row))))
+            for row in sq
+        ):
             return None
         return lambda x, y: (sq[sq[x][y]], list(map(sq[x].__getitem__, sq[y])))
     if rows_associative(table, kernel_of(fn), sq):
@@ -261,7 +308,7 @@ def rows_associative(table: ValueTable, kernel: Callable, sq: list[list[int]]) -
     m = table.n_points
     ids, pos = positions(sq)
     # picks[y] takes (T(x, T(y, z)))_z from the row of T(x, .) over the square's ids.
-    picks = [picker(pos, row) for row in sq]
+    picks = [itemgetter(*map(pos.__getitem__, row)) for row in sq]
     id_num, id_den = [num[i] for i in ids], [den[i] for i in ids]
     pt_num, pt_den = num[:m], den[:m]
     # Every kernel of reslat.norms gives a denominator that divides the

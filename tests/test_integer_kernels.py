@@ -9,6 +9,7 @@ not a value in [0, 1] must be refused as ``UnitValue`` refuses it.
 """
 
 import itertools
+import operator
 import random
 from fractions import Fraction
 
@@ -16,11 +17,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import reslat.metric as metric
+import reslat.norms as norms
+from reslat.metric import SAlgebra, d_star, d_star_closed_form, d_star_closed_form_check
 from reslat.norms import NormFamily, NormKind, NormSide, closed_form, residuum, residuum_form
+from reslat.reports import LawReport, Violation
 from reslat.tables import ValueTable
 from reslat.unitval import GridSpec, UnitValue
 
-from test_grid_tables import square
+from test_grid_tables import Broken, square
 
 FAMILIES = [NormFamily(kind, side) for kind in NormKind for side in NormSide]
 FORMS = [pytest.param(closed_form(f), id=f.describe()) for f in FAMILIES] + [
@@ -202,3 +207,120 @@ def test_ranks_of_ordered_ids_are_the_ids():
     table = ValueTable(GridSpec(5).points())
     assert table.ids_ordered and table.ranks() is None
     assert_ranks_order_like_le(table)
+
+
+# -- the residuum oracle and the distance closed form on integers -------------------
+
+
+def fraction_oracle(f, x, y, g):
+    """The scanning residuum oracle on values: a UnitValue per candidate, the
+    norm on values, and Fraction order."""
+    denom, norm = norms._oracle_denominator(f, x, y, g), norms.closed_form(f)
+    snorm_side = f.side is NormSide.SNORM
+    bound = operator.ge if snorm_side else operator.le
+    for k in range(denom + 1) if snorm_side else range(denom, -1, -1):
+        c = UnitValue(k, denom)
+        if bound(norm(c, x), y):
+            return c
+    raise AssertionError("unreachable: S(1, x) = 1 >= y and T(0, x) = 0 <= y")
+
+
+RESIDUATED_FAMILIES = [f for f in FAMILIES if f.is_residuated]
+
+
+def leaves_the_interval(f):
+    """``f``'s norm on candidates below 1/2, and x + 2 (outside [0, 1]) from 1/2 on."""
+    kernel = closed_form(f).kernel
+    return with_kernel(lambda a, b, c, d: kernel(a, b, c, d) if 2 * a < b else (c + 2 * d, d))
+
+
+def halved(f):
+    """``f``'s norm at half its value: a wrong integer kernel that stays in [0, 1]."""
+    kernel = closed_form(f).kernel
+
+    def half(a, b, c, d):
+        n, d = kernel(a, b, c, d)
+        return n, 2 * d
+
+    return with_kernel(half)
+
+
+def outcome(call):
+    """A call's result as its type, numerator and denominator, or its refusal."""
+    try:
+        value = call()
+    except Exception as exc:  # noqa: BLE001 - the refusal itself is compared
+        return type(exc), str(exc)
+    return type(value), value.numerator, value.denominator
+
+
+@pytest.mark.parametrize("broken", ("valid", "moved", "halved", "outside"))
+@pytest.mark.parametrize("f", RESIDUATED_FAMILIES, ids=NormFamily.describe)
+@pytest.mark.parametrize("n", (4, 7, 16))
+def test_residuum_oracle_scans_as_the_fraction_scan(n, f, broken, patch_norms):
+    g = GridSpec(n)
+    pts = g.points()
+    valid = closed_form(f)
+    if broken == "moved":  # a function on values, without a kernel
+        patch_norms(f, lambda x, y: UnitValue(0) if (x, y) == (pts[2], pts[1]) else valid(x, y))
+    elif broken == "halved":
+        patch_norms(f, halved(f))
+    elif broken == "outside":
+        patch_norms(f, leaves_the_interval(f))
+    outcomes = [
+        (outcome(lambda: norms.residuum_oracle(f, x, y, g)), outcome(lambda: fraction_oracle(f, x, y, g)))
+        for x, y in itertools.product(pts, repeat=2)
+    ]
+    assert all(got == expected for got, expected in outcomes)
+    refused = sum(got[0] is ValueError for got, _ in outcomes)
+    assert (refused > 0) == (broken == "outside")
+    if broken in ("valid", "outside"):
+        assert all(got[0] is UnitValue for got, _ in outcomes if got[0] is not ValueError)
+
+
+def fraction_distance(kind, a, b):
+    """The per-family closed form of the induced distance, in Fraction."""
+    if kind is NormKind.LUKASIEWICZ:
+        return abs(a - b)
+    if a == b:
+        return Fraction(0)
+    if kind is NormKind.GOEDEL:
+        return max(a, b)
+    return abs(a - b) / (1 - min(a, b))
+
+
+units = st.fractions(min_value=0, max_value=1, max_denominator=10**6)
+
+
+@given(st.sampled_from([NormKind.LUKASIEWICZ, NormKind.GOEDEL, NormKind.PRODUCT]), units, units, st.booleans())
+def test_distance_closed_form_is_the_fraction_formula(kind, a, b, equal):
+    a, b = UnitValue(a), UnitValue(a if equal else b)
+    got = d_star_closed_form(SAlgebra.of(kind), a, b)
+    assert type(got) is UnitValue and got == fraction_distance(kind, a, b)
+
+
+def ref_closed_form_check(alg, pts):
+    """The closed-form check pair by pair: the definition against d_star_closed_form."""
+    report = LawReport("d-closed-form")
+    for a, b in itertools.product(pts, repeat=2):
+        report.checked += 1
+        lhs, rhs = d_star(alg, a, b), d_star_closed_form(alg, a, b)
+        if lhs != rhs:
+            report.register(Violation("d-closed-form", (a, b), lhs, rhs))
+    return report
+
+
+@pytest.mark.parametrize("how", ("valid", "closed-form", "norm-entry", "residuum-entry"))
+@pytest.mark.parametrize("kind", [NormKind.LUKASIEWICZ, NormKind.GOEDEL, NormKind.PRODUCT], ids=lambda k: k.value)
+@pytest.mark.parametrize("n", (4, 9))
+def test_distance_closed_form_check_registers_the_same_witnesses(n, kind, how, monkeypatch):
+    pts = GridSpec(n).points()
+    alg = Broken(kind, how, pts)
+    if how == "closed-form":  # the closed form itself off at the pairs (x, y) with x < y
+        kernel = metric._DISTANCE_KERNELS[kind]
+        monkeypatch.setitem(
+            metric._DISTANCE_KERNELS, kind, lambda a, b, c, d: (0, 1) if a * d < c * b else kernel(a, b, c, d)
+        )
+    got = d_star_closed_form_check(alg, GridSpec(n))
+    assert got.to_dict() == ref_closed_form_check(alg, pts).to_dict()
+    assert got.ok == (how == "valid")

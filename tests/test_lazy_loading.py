@@ -88,9 +88,11 @@ def probe(tmp_path, mode, *argv):
 NEVER_EXECUTED = [
     (["algebra", "check", "l4.alg"], {"formulas", "metric", "norms", "tables", "unitval"}),
     (["algebra", "topology", "l4.alg"], {"formulas", "metric", "norms", "tables", "unitval"}),
-    (["algebra", "dualize", "l4.alg"], {"formulas", "metric", "norms", "tables", "topology", "unitval"}),
+    (["algebra", "dualize", "l4.alg"], {"formulas", "laws", "metric", "norms", "reports", "tables", "topology", "unitval"}),
     (["eval", "p -> q", "--t-algebra", "product", "--assign", "p=1/2,q=1/3"], {"finite", "laws", "metric", "topology"}),
     (["eval", "(p->q)|(q->p)", "--t-algebra", "goedel", "--sweep", "4"], {"finite", "laws", "metric", "topology"}),
+    # A refused formula: parsing runs no norm or table code.
+    (["eval", "p ->", "--t-algebra", "product", "--assign", "p=1"], {"finite", "laws", "metric", "norms", "tables", "topology"}),
     (["norms", "--family", "goedel", "--grid", "4"], {"finite", "formulas", "laws", "metric", "topology"}),
     (["metric", "--family", "goedel", "--grid", "4", "--grid4", "2"], {"finite", "formulas", "topology"}),
 ]
@@ -138,7 +140,7 @@ def test_setup_probe_executes_the_loading_modules_only(tmp_path):
     spec = {"algebras": ["l4.alg"], "formulas": ["(p -> q) | (q -> p)"], "valuations": ["p=1/2,q=1/3"], "grids": [4]}
     (tmp_path / "setup.json").write_text(json.dumps(spec), encoding="utf-8")
     doc = probe(tmp_path, "setup", str(ROOT / "perfbench" / "setup_probe.py"), "setup.json", str(SRC_DIR))
-    assert doc["executed"] == {"__init__", "errors", "finite", "laws", "reports", "formulas", "norms", "unitval"}
+    assert doc["executed"] == {"__init__", "errors", "finite", "formulas", "unitval"}
 
 
 # The package's exports, by module, as they were when the package imported
