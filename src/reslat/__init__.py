@@ -19,6 +19,7 @@ _EXPORTS = {
     "errors": """CarrierTooLarge DrasticNotResiduated FormulaSyntaxError InadmissibleRadius InvalidRadius
         NotALattice NotAPartialOrder ParseError ReslatError TableOutOfRange TheoremViolation
         UnbalancedParens UnboundAtom UnknownToken""",
+    "families": "NormFamily NormKind NormSide dualize",
     "finite": """FiniteAlgebra Signature algebra_from_document algebra_to_document biresiduum check_axioms
         check_derived_laws dualize_algebra load_algebra loads_algebra pair_biresiduum""",
     "formulas": """Atom Bottom Conj Formula Iff Impl Join Meet Neg Top atoms check_prelinearity_tautology
@@ -26,14 +27,14 @@ _EXPORTS = {
     "metric": """IntervalBall PairValue SAlgebra continuity_inequalities_check d_bigstar d_star
         d_star_closed_form d_star_closed_form_check dbl_axioms_check dbl_laws_check interval_ball
         metric_axioms_check pair_metric_axioms_check weaker_than_lukasiewicz""",
-    "norms": """NormFamily NormKind NormSide adjointness_check apply_norm dual_check duality_check dualize
-        norm_axioms_check oracle_agreement_check ordering_chain_check residuum residuum_oracle""",
+    "norms": """adjointness_check apply_norm dual_check duality_check norm_axioms_check oracle_agreement_check
+        ordering_chain_check residuum residuum_oracle""",
     "reports": "LawReport Violation all_ok",
     "topology": """Topology admissible_radii ball check_radius_lemmas count_opens enumerate_topology is_open
         product_ball product_is_open verify_operation_continuity""",
     "unitval": "ONE ZERO GridSpec UnitValue format_unit parse_unit",
 }
-_SUBMODULES = (*_EXPORTS, "cli", "fixtures", "laws", "tables")
+_SUBMODULES = (*_EXPORTS, "cli", "commands", "fixtures", "laws", "tables", "valuetable")
 _ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 
 __all__ = list(_ORIGIN)

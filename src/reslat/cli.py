@@ -8,6 +8,9 @@ text, and is refused with exit 2 elsewhere.  Exit codes: 0 when all
 executed checks pass, 1 when a check fails, 2 for usage and precondition
 errors.  A command's output depends only on its arguments and input
 files; ``--help`` prints each grid default.
+
+The handlers of ``norms`` and ``metric`` are in reslat.commands, so that
+``eval`` and ``algebra`` compile neither.
 """
 
 from __future__ import annotations
@@ -39,6 +42,8 @@ def _lazy(name: str):
 # Every layer is registered here, so tools that patch layer functions in
 # ``sys.modules`` (perfbench/tracer.py) find them all after ``import
 # reslat.cli``; a command executes only the layers it calls into.
+commands = _lazy("commands")
+families = _lazy("families")
 finite = _lazy("finite")
 formulas = _lazy("formulas")
 laws = _lazy("laws")
@@ -48,6 +53,7 @@ reports = _lazy("reports")
 tables = _lazy("tables")
 topology = _lazy("topology")
 unitval = _lazy("unitval")
+valuetable = _lazy("valuetable")
 
 FAMILY_NAMES = ["lukasiewicz", "goedel", "product", "drastic"]
 RESIDUATED_NAMES = ["lukasiewicz", "goedel", "product"]
@@ -86,37 +92,6 @@ def _print_json(doc, indent=2) -> None:
     print(json.dumps(doc, indent=indent))
 
 
-def _emit(args, sections, notes=(), extra=None) -> int:
-    ok = all(reports.all_ok(section) for _, section in sections)
-    args.verdict = 0 if ok else 1  # the exit code, also when stdout is closed (see main)
-    if args.format == "json":
-        doc = {
-            "ok": ok,
-            "sections": [
-                {"title": title, "reports": [r.to_dict() for r in section]}
-                for title, section in sections
-            ],
-        }
-        if notes:
-            doc["notes"] = list(notes)
-        if extra:
-            doc.update(extra)
-        _print_json(doc)
-    else:
-        for title, section in sections:
-            print(f"== {title}")
-            for report in section:
-                for line in report.lines():
-                    print(line)
-        for note in notes:
-            print(f"note: {note}")
-        if extra:
-            for key, value in extra.items():
-                print(f"{key}: {value}")
-        print("result: " + ("PASS" if ok else "FAIL"))
-    return args.verdict
-
-
 def _parse_law_selector(selector: str, prefix: str, count: int) -> list[str]:
     selector = selector.strip().lower()
     number = rf"\s*{prefix.lower()}?([0-9]+)\s*"
@@ -136,91 +111,6 @@ def _parse_law_selector(selector: str, prefix: str, count: int) -> list[str]:
     if bad:
         raise ValueError(f"law numbers out of range: {bad}")
     return [f"{prefix}{i}" for i in ids]
-
-
-def cmd_norms(args) -> int:
-    grid = unitval.GridSpec(args.grid)
-    NormKind, NormSide = norms.NormKind, norms.NormSide
-    if args.all:
-        kinds = list(NormKind)
-    else:
-        kinds = [NormKind(args.family)]
-    _refuse_over_budget(norms.tuples_checked(kinds, args.grid))
-    # One table of the grid for the whole run: each norm and residuum square
-    # is built once, and every checker reads it from there.
-    table = tables.ValueTable(grid.points())
-    sections = []
-    notes = []
-    for kind in kinds:
-        for side in (NormSide.TNORM, NormSide.SNORM):
-            family = norms.NormFamily(kind, side)
-            sections.append((f"{family.describe()}: axioms", norms.norm_axioms_check(family, grid, table)))
-        sections.append((f"{kind.value}: duality", [norms.duality_check(kind, grid, table)]))
-        if kind is not NormKind.DRASTIC:
-            family = norms.NormFamily.s_norm(kind)
-            sections.append((f"{kind.value}: adjointness", [norms.adjointness_check(family, grid, table)]))
-            oracle_grid = unitval.GridSpec(min(args.grid, norms.MAX_ORACLE_GRID))
-            sections.append(
-                (f"{kind.value}: residuum vs oracle", [norms.oracle_agreement_check(family, oracle_grid)])
-            )
-            if oracle_grid.denominator != args.grid:
-                notes.append(
-                    f"residuum-oracle sweep capped at denominator {oracle_grid.denominator}"
-                )
-        else:
-            notes.append(
-                "drastic s-norm uses the standard definition: value 1 when both arguments are nonzero"
-            )
-    sections.append(
-        ("ordering chains", [norms.ordering_chain_check(side, grid, table) for side in (NormSide.TNORM, NormSide.SNORM)])
-    )
-    return _emit(args, sections, notes)
-
-
-def cmd_metric(args) -> int:
-    if args.approx and not args.ball:
-        raise ValueError(_APPROX_ONLY)
-    alg = metric.SAlgebra.of(args.family)
-    if args.ball:
-        center_text, _, radius_text = args.ball.partition(",")
-        if not center_text.strip() or not radius_text.strip():
-            raise ValueError("--ball expects CENTER,RADIUS")
-        center, radius = unitval.parse_unit(center_text), unitval.parse_unit(radius_text)
-        ball = metric.interval_ball(alg, center, radius)
-        printed = [("ball end", ball.piece.lo), ("ball end", ball.piece.hi), ("ball center", center), ("ball radius", radius)]
-        for what, value in printed:
-            unitval.check_digits(value, what)
-        agreement = ball.agreement_check()
-        extra = {
-            "ball": ball.describe(),
-            "center": unitval.format_unit(center, args.approx),
-            "radius": unitval.format_unit(radius, args.approx),
-        }
-        return _emit(args, [("ball closed form vs predicate", [agreement])], extra=extra)
-
-    ids = ()
-    if args.laws is not None:
-        # Refuse a bad selector or laws grid before any sweep runs.  Each law
-        # runs once, in catalogue order, and is counted once in the budget.
-        ids = sorted(set(_parse_law_selector(args.laws, "D", 15)), key=lambda law_id: int(law_id[1:]))
-        laws_grid = unitval.GridSpec(args.laws_grid)
-    grid = unitval.GridSpec(args.grid)
-    grid4 = unitval.GridSpec(args.grid4)
-    axioms_grid = unitval.GridSpec(min(args.grid, metric.MAX_AXIOM_GRID))
-    _refuse_over_budget(metric.tuples_checked(args.grid, args.grid4, args.laws_grid, ids))
-    sections = [
-        ("induced distance: closed form", [metric.d_star_closed_form_check(alg, grid)]),
-        ("induced distance: metric axioms", metric.metric_axioms_check(alg, grid)),
-        ("signature axioms on the grid", metric.dbl_axioms_check(alg, axioms_grid)),
-        ("continuity contracts", metric.continuity_inequalities_check(alg, grid4)),
-    ]
-    notes = []
-    if args.laws is not None:
-        consecutive = len(ids) > 1 and int(ids[-1][1:]) - int(ids[0][1:]) == len(ids) - 1
-        title = f"{ids[0]}..{ids[-1]}" if consecutive else ", ".join(ids)
-        sections.append((f"derived laws {title}", metric.dbl_laws_check(alg, laws_grid, ids)))
-        notes.append(f"derived-law sweep at denominator {args.laws_grid}")
-    return _emit(args, sections, notes)
 
 
 def cmd_algebra(args) -> int:
@@ -248,7 +138,7 @@ def cmd_algebra(args) -> int:
         sections.append(("operation continuity", topology.verify_operation_continuity(alg)))
     else:
         notes.append("axioms failed; skipping derived laws, topology, and continuity")
-    return _emit(args, sections, notes)
+    return reports.emit(args, sections, notes)
 
 
 def cmd_eval(args) -> int:
@@ -263,7 +153,7 @@ def cmd_eval(args) -> int:
     if on_carrier:
         algebra = finite.load_algebra(args.algebra)
     else:
-        algebra = norms.NormFamily.from_name(args.t_algebra, norms.NormSide.TNORM)
+        algebra = families.NormFamily.from_name(args.t_algebra, families.NormSide.TNORM)
 
     names = formulas.atoms(formula)
     direct = args.assign is not None or args.assign_file is not None or (not names and args.sweep is None)
@@ -328,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--all", action="store_true")
     norms_cmd.add_argument("--grid", type=int, default=64, metavar="N", help="grid denominator (default: %(default)s)")
     norms_cmd.add_argument("--format", choices=["text", "json"], default="text")
-    norms_cmd.set_defaults(func=cmd_norms)
+    norms_cmd.set_defaults(func=lambda args: commands.cmd_norms(args))
 
     metric_cmd = sub.add_parser("metric", help="induced metric checks and interval balls")
     metric_cmd.add_argument("--family", choices=RESIDUATED_NAMES, required=True)
@@ -339,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     metric_cmd.add_argument("--ball", metavar="CENTER,RADIUS", help="print the ball closed form")
     metric_cmd.add_argument("--format", choices=["text", "json"], default="text")
     metric_cmd.add_argument("--approx", action="store_true")
-    metric_cmd.set_defaults(func=cmd_metric)
+    metric_cmd.set_defaults(func=lambda args: commands.cmd_metric(args))
 
     algebra_cmd = sub.add_parser("algebra", help="finite algebra checks, topology, dualization")
     algebra_cmd.add_argument("action", choices=["check", "topology", "dualize"])

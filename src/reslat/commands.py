@@ -1,0 +1,98 @@
+"""The handlers of ``reslat norms`` and ``reslat metric``.
+
+reslat.cli parses the arguments and calls these handlers through its lazy
+handle on this module, so the other commands compile none of them.  They
+reach the layers through the same lazy handles as reslat.cli, and its sweep
+budget and law selector through the module, so that a patch of
+``reslat.cli`` reaches them.
+"""
+
+from __future__ import annotations
+
+from . import cli
+from .cli import metric, norms, reports, tables, unitval
+
+
+def cmd_norms(args) -> int:
+    grid = unitval.GridSpec(args.grid)
+    NormKind, NormSide = norms.NormKind, norms.NormSide
+    if args.all:
+        kinds = list(NormKind)
+    else:
+        kinds = [NormKind(args.family)]
+    cli._refuse_over_budget(norms.tuples_checked(kinds, args.grid))
+    # One table of the grid for the whole run: each norm and residuum square
+    # is built once, and every checker reads it from there.
+    table = tables.ValueTable(grid.points())
+    sections = []
+    notes = []
+    for kind in kinds:
+        for side in (NormSide.TNORM, NormSide.SNORM):
+            family = norms.NormFamily(kind, side)
+            sections.append((f"{family.describe()}: axioms", norms.norm_axioms_check(family, grid, table)))
+        sections.append((f"{kind.value}: duality", [norms.duality_check(kind, grid, table)]))
+        if kind is not NormKind.DRASTIC:
+            family = norms.NormFamily.s_norm(kind)
+            sections.append((f"{kind.value}: adjointness", [norms.adjointness_check(family, grid, table)]))
+            oracle_grid = unitval.GridSpec(min(args.grid, norms.MAX_ORACLE_GRID))
+            sections.append(
+                (f"{kind.value}: residuum vs oracle", [norms.oracle_agreement_check(family, oracle_grid)])
+            )
+            if oracle_grid.denominator != args.grid:
+                notes.append(
+                    f"residuum-oracle sweep capped at denominator {oracle_grid.denominator}"
+                )
+        else:
+            notes.append(
+                "drastic s-norm uses the standard definition: value 1 when both arguments are nonzero"
+            )
+    sections.append(
+        ("ordering chains", [norms.ordering_chain_check(side, grid, table) for side in (NormSide.TNORM, NormSide.SNORM)])
+    )
+    return reports.emit(args, sections, notes)
+
+
+def cmd_metric(args) -> int:
+    if args.approx and not args.ball:
+        raise ValueError(cli._APPROX_ONLY)
+    alg = metric.SAlgebra.of(args.family)
+    if args.ball:
+        center_text, _, radius_text = args.ball.partition(",")
+        if not center_text.strip() or not radius_text.strip():
+            raise ValueError("--ball expects CENTER,RADIUS")
+        center, radius = unitval.parse_unit(center_text), unitval.parse_unit(radius_text)
+        ball = metric.interval_ball(alg, center, radius)
+        printed = [("ball end", ball.piece.lo), ("ball end", ball.piece.hi), ("ball center", center), ("ball radius", radius)]
+        for what, value in printed:
+            unitval.check_digits(value, what)
+        agreement = ball.agreement_check()
+        extra = {
+            "ball": ball.describe(),
+            "center": unitval.format_unit(center, args.approx),
+            "radius": unitval.format_unit(radius, args.approx),
+        }
+        return reports.emit(args, [("ball closed form vs predicate", [agreement])], extra=extra)
+
+    ids = ()
+    if args.laws is not None:
+        # Refuse a bad selector or laws grid before any sweep runs.  Each law
+        # runs once, in catalogue order, and is counted once in the budget.
+        ids = sorted(set(cli._parse_law_selector(args.laws, "D", 15)), key=lambda law_id: int(law_id[1:]))
+        laws_grid = unitval.GridSpec(args.laws_grid)
+    grid = unitval.GridSpec(args.grid)
+    grid4 = unitval.GridSpec(args.grid4)
+    axioms_grid = unitval.GridSpec(min(args.grid, metric.MAX_AXIOM_GRID))
+    cli._refuse_over_budget(metric.tuples_checked(args.grid, args.grid4, args.laws_grid, ids))
+    sections = [
+        ("induced distance: closed form", [metric.d_star_closed_form_check(alg, grid)]),
+        ("induced distance: metric axioms", metric.metric_axioms_check(alg, grid)),
+        ("signature axioms on the grid", metric.dbl_axioms_check(alg, axioms_grid)),
+        ("continuity contracts", metric.continuity_inequalities_check(alg, grid4)),
+    ]
+    notes = []
+    if args.laws is not None:
+        consecutive = len(ids) > 1 and int(ids[-1][1:]) - int(ids[0][1:]) == len(ids) - 1
+        title = f"{ids[0]}..{ids[-1]}" if consecutive else ", ".join(ids)
+        sections.append((f"derived laws {title}", metric.dbl_laws_check(alg, laws_grid, ids)))
+        notes.append(f"derived-law sweep at denominator {args.laws_grid}")
+    return reports.emit(args, sections, notes)

@@ -22,16 +22,19 @@ atom assignment homomorphically over 0, ``&`` and ``->`` and reads the sugar
 by these definitions.  Desugaring, ``atoms`` and evaluation run through it.
 Evaluation walks once per prefix of all atoms but the last, each atom a row
 of ids along the last atom's values, and ``&`` and ``->`` map whole rows: by
-reslat.tables over a t-norm family, by the DBL-form tables of a finite algebra.
+reslat.valuetable over a t-norm family, by the DBL-form tables of a finite
+algebra.
 """
 
 from __future__ import annotations
 
 import itertools
 import re
+from collections import deque
 from fractions import Fraction
 from functools import partial
 from operator import getitem, itemgetter
+from typing import Iterator
 
 from .errors import (
     DrasticNotResiduated,
@@ -194,14 +197,23 @@ class _Token:
         self.kind, self.text, self.line, self.column = kind, text, line, column
 
 
-def _tokenize(text: str) -> list[_Token]:
-    tokens = []
+def _tokenize(text: str) -> Iterator[_Token]:
+    """The tokens of ``text``, then an ``eof`` token, each made only when the
+    parser reads it.  An unknown character anywhere in the text is refused
+    now, before any token, so it is reported before an earlier syntax error."""
+    # The run of token matches from the start, made in C: it ends where a
+    # character starts no token.
+    last = deque(iter(_TOKEN_RE.scanner(text).match, None), maxlen=1)
+    end = last[0].end() if last else 0
+    if end < len(text):
+        line_start = text.rfind("\n", 0, end) + 1
+        raise UnknownToken(f"unexpected character {text[end]!r}", text.count("\n", 0, end) + 1, end - line_start + 1)
+    return _tokens(text)
+
+
+def _tokens(text: str) -> Iterator[_Token]:
     line, line_start = 1, 0
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise UnknownToken(f"unexpected character {text[pos]!r}", line, pos - line_start + 1)
+    for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
         if kind == "ws":
             chunk = m.group()
@@ -210,10 +222,8 @@ def _tokenize(text: str) -> list[_Token]:
                 line += newlines
                 line_start = m.start() + chunk.rfind("\n") + 1
         else:
-            tokens.append(_Token(kind, m.group(), line, m.start() - line_start + 1))
-        pos = m.end()
-    tokens.append(_Token("eof", "", line, len(text) - line_start + 1))
-    return tokens
+            yield _Token(kind, m.group(), line, m.start() - line_start + 1)
+    yield _Token("eof", "", line, len(text) - line_start + 1)
 
 
 class _Parser:
@@ -224,14 +234,13 @@ class _Parser:
     # of 1000.
     MAX_DEPTH = 100
 
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
-        self.pos = 0
+    def __init__(self, tokens: Iterator[_Token]):
+        self.next_token = tokens.__next__
+        self.current = self.next_token()
         self.depth = 0
 
-    @property
-    def current(self) -> _Token:
-        return self.tokens[self.pos]
+    def advance(self) -> None:
+        self.current = self.next_token()
 
     def error(self, message: str, cls=FormulaSyntaxError):
         tok = self.current
@@ -242,7 +251,7 @@ class _Parser:
         if self.depth == self.MAX_DEPTH:
             self.error(f"formula nested deeper than {self.MAX_DEPTH} levels")
         self.depth += 1
-        self.pos += 1
+        self.advance()
 
     def unexpected(self):
         """Refuse the current token where an operand, or the end, should be."""
@@ -295,20 +304,20 @@ class _Parser:
     def primary(self) -> Formula:
         tok = self.current
         if tok.kind == "atom":
-            self.pos += 1
+            self.advance()
             return Atom(tok.text)
         if tok.kind == "zero":
-            self.pos += 1
+            self.advance()
             return Bottom()
         if tok.kind == "one":
-            self.pos += 1
+            self.advance()
             return Top()
         if tok.kind == "lparen":
             self.nest()
             inner = self.chain(1)
             if self.current.kind != "rparen":
                 self.error("expected ')'", UnbalancedParens)
-            self.pos += 1
+            self.advance()
             self.depth -= 1
             return inner
         self.unexpected()
@@ -374,7 +383,7 @@ def _operations(algebra):
     carrier's, read in its DBL form, where 0 is ``one`` (it absorbs ``&``)
     and 1 is ``zero``.  Over [0,1] the finite layer is never imported, and
     parsing a formula imports neither layer."""
-    from .norms import NormFamily, NormSide, closed_form, residuum_form
+    from .families import NormFamily, NormSide, closed_form, residuum_form
 
     if not isinstance(algebra, NormFamily):
         from .finite import FiniteAlgebra, dbl_context
@@ -388,7 +397,7 @@ def _operations(algebra):
         raise ValueError("formula evaluation needs the t-norm side of a family")
     if not algebra.is_residuated:
         raise DrasticNotResiduated("cannot evaluate '->' over the drastic t-norm")
-    from .tables import ValueTable
+    from .valuetable import ValueTable
 
     table = ValueTable(())
     read = lambda value: table.intern(value if isinstance(value, UnitValue) else UnitValue(Fraction(value)))
@@ -444,7 +453,7 @@ def check_prelinearity_tautology(algebra, g: GridSpec | None = None) -> LawRepor
     """(p -> q) | (q -> p) must evaluate to 1, the unit of ``&``, under every
     valuation: grid valuations for t-norm families, carrier valuations for
     finite algebras (there 1 is ``zero`` of the DBL form)."""
-    from .norms import NormFamily
+    from .families import NormFamily
     from .reports import LawReport
 
     read, bottom, top, star, arrow, show = _operations(algebra)

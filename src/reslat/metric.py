@@ -9,7 +9,7 @@ the Lukasiewicz one this is an ordinary metric.  The pair distance
 the square, and both the s-norm and its residuum move outputs by at most the
 pair distance of their inputs (the Lipschitz-style continuity contracts).
 
-The grid checkers run on reslat.tables.  The distance square is the star
+The grid checkers run on reslat.valuetable and reslat.tables.  The distance square is the star
 of the residuum's square with its transpose; off the grid (product) the
 star-triangle compares rows of the star's kernel with ``d(a, b)`` and
 interns nothing, and the continuity contracts pick each row from a square
@@ -26,11 +26,12 @@ from itertools import repeat
 from math import lcm
 
 from .errors import InvalidRadius
+from .families import NormFamily, NormKind, NormSide, closed_form, residuum_form
 from .laws import D_LAWS, LawContext, LazyTable, check_signature_axioms, run_catalogue
-from .norms import NormFamily, NormKind, NormSide, closed_form, residuum_form
 from .reports import LawReport, Violation
-from .tables import ValueTable, kernel_of, kernel_row, positions, row_kind
+from .tables import ByteRows, positions, row_kind
 from .unitval import ONE, ZERO, GridSpec, UnitValue
+from .valuetable import ValueTable, kernel_of, kernel_row
 
 # The largest grid denominator ``reslat metric`` checks the signature axioms on.
 MAX_AXIOM_GRID = 16
@@ -81,7 +82,7 @@ def d_star(alg: SAlgebra, a: UnitValue, b: UnitValue) -> UnitValue:
 
 
 # The per-family closed form of the induced distance, as an integer kernel on
-# x = a/b and y = c/d (see reslat.norms): |x - y| (Lukasiewicz); 0 if x == y,
+# x = a/b and y = c/d (see reslat.families): |x - y| (Lukasiewicz); 0 if x == y,
 # else max(x, y) (Goedel); 0 if x == y, else |x - y| / (1 - min(x, y)) (product).
 _DISTANCE_KERNELS = {
     NormKind.LUKASIEWICZ: lambda a, b, c, d: (abs(a * d - c * b), b * d),
@@ -128,9 +129,12 @@ def _metric_laws(prefix: str, points, dist, table: ValueTable, star, numeric: bo
     labels), with ``star`` the s-norm on values; point i is row i, and id 0
     is the distance 0.  Each law compares whole rows over its last
     variable; only a row that fails is swept again, to register its
-    witnesses in tuple order.  Off the grid, each star-triangle row
-    ``d(a, c) * d(c, b)`` over c comes from tables.kernel_row on the kernel
-    of ``star`` and is compared with ``d(a, b)`` by cross-multiplication:
+    witnesses in tuple order.  On a closed grid of at most 256 values the
+    star-triangle of each a is one byte test over every (c, b): the bounds
+    ``d(a, c) * d(c, b)`` over b are row c of the distance table translated
+    through the star's row ``d(a, c)``.  Off the grid, each star-triangle
+    row ``d(a, c) * d(c, b)`` over c comes from kernel_row on the kernel of
+    ``star`` and is compared with ``d(a, b)`` by cross-multiplication:
     nothing is interned or memoised for it."""
     values, le = table.values, table.le
     m = len(points)
@@ -163,9 +167,17 @@ def _metric_laws(prefix: str, points, dist, table: ValueTable, star, numeric: bo
     fractions = lambda rows: [([num[i] for i in row], [den[i] for i in row]) for row in rows]
     if kernel is not None:
         row_fractions, col_fractions = fractions(dist), fractions(cols)
+    # Where the ids are their own ranks and each fits in a byte: one byte test per a.
+    star_rows_hold = [False] * m
+    if kernel is None and table.ranks() is None and row_kind(len(values)) is ByteRows:
+        star_tables, dist_rows = [ByteRows.table(row) for row in star_sq], list(map(bytes, dist))
+        bounds_of = lambda a: b"".join(map(bytes.translate, dist_rows, map(star_tables.__getitem__, dist[a])))
+        star_rows_hold = [ByteRows.all_le(dist_rows[a] * m, bounds_of(a)) for a in rng]
     for a, b in itertools.product(rng, repeat=2):
         d_ab = dist[a][b]
-        if kernel is None:
+        if star_rows_hold[a]:
+            star_holds = True
+        elif kernel is None:
             star_holds = table.all_le([d_ab] * m, star_row(dist[a], cols[b]))
         else:
             ns, ds = kernel_row(kernel, *row_fractions[a], *col_fractions[b])

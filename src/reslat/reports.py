@@ -3,7 +3,8 @@
 A violation records the law id, the offending tuple, and both sides of the
 failed comparison, so every witness can be re-evaluated independently.
 Witness collection is capped but failures keep counting, and sweeps iterate
-in lexicographic order, so the first witness is deterministic.
+in lexicographic order, so the first witness is deterministic.  ``emit``
+prints titled sections of reports as the commands of reslat.cli do.
 """
 
 from __future__ import annotations
@@ -82,3 +83,39 @@ class LawReport:
 
 def all_ok(reports) -> bool:
     return all(r.ok for r in reports)
+
+
+def emit(args, sections, notes=(), extra=None) -> int:
+    """Print titled sections of reports, with notes and extra fields, as text
+    or (``args.format == "json"``) one JSON document; the exit code is 0 when
+    every report passes and 1 otherwise."""
+    ok = all(all_ok(section) for _, section in sections)
+    args.verdict = 0 if ok else 1  # the exit code, also when stdout is closed (see reslat.cli.main)
+    if args.format == "json":
+        import json  # only JSON output loads it
+
+        doc = {
+            "ok": ok,
+            "sections": [
+                {"title": title, "reports": [r.to_dict() for r in section]}
+                for title, section in sections
+            ],
+        }
+        if notes:
+            doc["notes"] = list(notes)
+        if extra:
+            doc.update(extra)
+        print(json.dumps(doc, indent=2))
+    else:
+        for title, section in sections:
+            print(f"== {title}")
+            for report in section:
+                for line in report.lines():
+                    print(line)
+        for note in notes:
+            print(f"note: {note}")
+        if extra:
+            for key, value in extra.items():
+                print(f"{key}: {value}")
+        print("result: " + ("PASS" if ok else "FAIL"))
+    return args.verdict

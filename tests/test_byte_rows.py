@@ -23,7 +23,7 @@ from reslat.norms import NormFamily, NormKind, NormSide
 from reslat.tables import ByteRows, RankRows, ValueTable, associativity_rows, row_kind
 from reslat.unitval import GridSpec, UnitValue
 
-from test_grid_tables import dicts, ref_continuity, ref_norm_axioms
+from test_grid_tables import dicts, ref_continuity, ref_distance, ref_metric_axioms, ref_norm_axioms, ref_numeric
 
 CLOSED = (NormKind.LUKASIEWICZ, NormKind.GOEDEL)
 
@@ -234,3 +234,52 @@ def test_product_continuity_on_ranks(n, kind, star_seed, res_seed, spy_kind):
     assert dicts(got) == dicts(ref_continuity(alg, pts))
     assert spy_kind == [kind]
     assert all(r.ok for r in got) == (star_seed is None and res_seed is None)
+
+
+# -- the star-triangle on closed grids ------------------------------------------------
+
+
+class NormsAlgebra:
+    """The s-algebra of ``family`` as reslat.norms serves it, with any patch
+    that patch_norms installed there."""
+
+    def __init__(self, family):
+        self.norm, self.star, self.res = family, norms.closed_form(family), norms.residuum_form(family)
+
+
+@pytest.mark.parametrize("seed", (None, 1, 2, 3, 4), ids=lambda s: "valid" if s is None else f"star-{s}")
+@pytest.mark.parametrize("kind", CLOSED, ids=lambda k: k.value)
+@pytest.mark.parametrize("n", (3, 4, 5, 6))
+def test_byte_row_star_triangle_is_the_definition(n, kind, seed, patch_norms, spy_bytes):
+    pts = GridSpec(n).points()
+    family = NormFamily.s_norm(kind)
+    if seed is not None:
+        patch_norms(family, seeded_break(norms.closed_form(family), pts, seed))
+    alg = NormsAlgebra(family)
+    got = metric.metric_axioms_check(alg, GridSpec(n))
+    assert dicts(got) == dicts(ref_metric_axioms("d", pts, ref_distance(alg), alg.star, ref_numeric(alg, pts)))
+    # One byte test per a, over every (b, c): the byte path ran.
+    assert spy_bytes["all_le"] == len(pts)
+    if seed is None:
+        assert all(r.ok for r in got)
+
+
+def test_seeded_star_breaks_fail_the_star_triangle_somewhere(patch_norms):
+    # The seeded breaks above are not vacuous.
+    failing = 0
+    for kind, n, seed in itertools.product(CLOSED, (3, 4, 5, 6), (1, 2, 3, 4)):
+        family = NormFamily.s_norm(kind)
+        patch_norms(family, seeded_break(SAlgebra.of(kind).star, GridSpec(n).points(), seed))
+        failing += not metric.metric_axioms_check(NormsAlgebra(family), GridSpec(n))[2].ok
+    assert failing >= 8
+
+
+@pytest.mark.parametrize("kind", CLOSED, ids=lambda k: k.value)
+def test_a_star_that_leaves_the_grid_takes_the_list_path(kind, spy_bytes):
+    pts = GridSpec(4).points()
+    alg = SAlgebra.of(kind)
+    star = lambda x, y: UnitValue(alg.star(x, y) / 3) if (x, y) == (pts[1], pts[1]) else alg.star(x, y)
+    table = ValueTable(pts)
+    got = metric._metric_laws("d", pts, metric._distance_square(table, alg), table, star, True)
+    assert dicts(got) == dicts(ref_metric_axioms("d", pts, ref_distance(alg), star, True))
+    assert spy_bytes["all_le"] == 0

@@ -547,3 +547,54 @@ class TestValuations:
     def test_atoms_helper(self):
         assert atoms(parse("(p -> q) | (q -> p)")) == ("p", "q")
         assert atoms(parse("0 -> 0")) == ()
+
+
+# -- tokens on demand ------------------------------------------------------------
+
+
+@pytest.fixture
+def made_tokens(monkeypatch):
+    """The number of tokens the tokenizer makes while a test parses."""
+    made = [0]
+
+    class Counted(formulas_module._Token):
+        __slots__ = ()
+
+        def __init__(self, *fields):
+            made[0] += 1
+            super().__init__(*fields)
+
+    monkeypatch.setattr(formulas_module, "_Token", Counted)
+    return made
+
+
+@pytest.mark.parametrize("formula", ["(" * 500 + "p" + ")" * 500, "!" * 2000 + "p"], ids=["parens", "negations"])
+def test_a_deep_input_is_refused_after_the_tokens_it_reads(formula, made_tokens):
+    with pytest.raises(FormulaSyntaxError) as exc:
+        parse(formula)
+    assert (exc.value.line, exc.value.column) == (1, _Parser.MAX_DEPTH + 1)
+    # The refused token is the 101st: none past it is made.
+    assert made_tokens[0] == _Parser.MAX_DEPTH + 1
+
+
+def test_a_parse_makes_each_token_once(made_tokens):
+    assert parse(" p ->\n(q & !r) <-> 1 ") == Impl(Atom("p"), Iff(Conj(Atom("q"), Neg(Atom("r"))), Top()))
+    assert made_tokens[0] == 11  # ten tokens and the end of input
+
+
+@pytest.mark.parametrize(
+    "text, where",
+    [
+        ("(" * 500 + "p" + ")" * 500 + " @", (1, 1003)),
+        ("!" * 2000 + "p\n  #", (2, 3)),
+        ("p -> -> q\n\n -", (3, 2)),
+        (")" + " " * 10 + "P", (1, 12)),
+        ("p <- q", (1, 3)),
+    ],
+    ids=["after-deep-parens", "after-deep-negations", "after-a-missing-operand", "after-a-stray-paren", "half-an-arrow"],
+)
+def test_an_unknown_character_is_reported_before_an_earlier_error(text, where, made_tokens):
+    with pytest.raises(UnknownToken) as exc:
+        parse(text)
+    assert (exc.value.line, exc.value.column) == where
+    assert made_tokens[0] == 0

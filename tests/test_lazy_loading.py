@@ -18,6 +18,7 @@ from pathlib import Path
 import pytest
 
 import reslat
+import reslat.cli
 from reslat.cli import FAMILY_NAMES, RESIDUATED_NAMES
 from reslat.norms import NormKind
 
@@ -86,15 +87,39 @@ def probe(tmp_path, mode, *argv):
 
 # command -> layer modules it must never execute
 NEVER_EXECUTED = [
-    (["algebra", "check", "l4.alg"], {"formulas", "metric", "norms", "tables", "unitval"}),
-    (["algebra", "topology", "l4.alg"], {"formulas", "metric", "norms", "tables", "unitval"}),
-    (["algebra", "dualize", "l4.alg"], {"formulas", "laws", "metric", "norms", "reports", "tables", "topology", "unitval"}),
-    (["eval", "p -> q", "--t-algebra", "product", "--assign", "p=1/2,q=1/3"], {"finite", "laws", "metric", "topology"}),
-    (["eval", "(p->q)|(q->p)", "--t-algebra", "goedel", "--sweep", "4"], {"finite", "laws", "metric", "topology"}),
+    (
+        ["algebra", "check", "l4.alg"],
+        {"commands", "families", "formulas", "metric", "norms", "tables", "unitval", "valuetable"},
+    ),
+    (
+        ["algebra", "topology", "l4.alg"],
+        {"commands", "families", "formulas", "metric", "norms", "tables", "unitval", "valuetable"},
+    ),
+    (
+        ["algebra", "dualize", "l4.alg"],
+        {
+            "commands", "families", "formulas", "laws", "metric", "norms", "reports", "tables", "topology", "unitval",
+            "valuetable",
+        },
+    ),
+    # Over [0,1], eval runs the families and the value table, and none of the
+    # norm checkers, the reports, the row sweeps or the other commands' handlers.
+    (
+        ["eval", "p -> q", "--t-algebra", "product", "--assign", "p=1/2,q=1/3"],
+        {"commands", "finite", "laws", "metric", "norms", "reports", "tables", "topology"},
+    ),
+    (
+        ["eval", "(p->q)|(q->p)", "--t-algebra", "goedel", "--sweep", "4"],
+        {"commands", "finite", "laws", "metric", "norms", "reports", "tables", "topology"},
+    ),
     # A refused formula: parsing runs no norm or table code.
-    (["eval", "p ->", "--t-algebra", "product", "--assign", "p=1"], {"finite", "laws", "metric", "norms", "tables", "topology"}),
+    (
+        ["eval", "p ->", "--t-algebra", "product", "--assign", "p=1"],
+        {"commands", "families", "finite", "laws", "metric", "norms", "reports", "tables", "topology", "valuetable"},
+    ),
     (["norms", "--family", "goedel", "--grid", "4"], {"finite", "formulas", "laws", "metric", "topology"}),
-    (["metric", "--family", "goedel", "--grid", "4", "--grid4", "2"], {"finite", "formulas", "topology"}),
+    # The metric checkers read the families, not the norm checkers.
+    (["metric", "--family", "goedel", "--grid", "4", "--grid4", "2"], {"finite", "formulas", "norms", "topology"}),
 ]
 
 
@@ -212,3 +237,15 @@ def test_readme_library_example_runs():
 def test_family_name_literals_match_norm_kinds():
     assert FAMILY_NAMES == [kind.value for kind in NormKind]
     assert RESIDUATED_NAMES == [kind.value for kind in NormKind if kind is not NormKind.DRASTIC]
+
+
+@pytest.mark.parametrize("argv", [argv for argv, _ in NEVER_EXECUTED[3:5]], ids=["assign", "sweep"])
+def test_eval_over_the_unit_interval_executes_the_evaluator_only(tmp_path, argv):
+    doc = probe(tmp_path, "run", *argv)
+    assert doc["executed"] == {"__init__", "__main__", "cli", "errors", "families", "formulas", "unitval", "valuetable"}
+
+
+@pytest.mark.parametrize("action", ["check", "topology", "dualize"])
+def test_algebra_never_runs_the_eval_handler(capsys, monkeypatch, action):
+    monkeypatch.setattr(reslat.cli, "cmd_eval", lambda args: pytest.fail("the eval handler ran"))
+    assert reslat.cli.main(["algebra", action, str(FIXTURES / "l4.alg")]) == 0
