@@ -381,18 +381,18 @@ def _operations(algebra):
     by entry, and an id's value.  A t-norm family's ids are a ValueTable's,
     whose engine maps rows on the closed forms; a finite algebra's are its
     carrier's, read in its DBL form, where 0 is ``one`` (it absorbs ``&``)
-    and 1 is ``zero``.  Over [0,1] the finite layer is never imported, and
-    parsing a formula imports neither layer."""
-    from .families import NormFamily, NormSide, closed_form, residuum_form
+    and 1 is ``zero``.  Each backend imports only its own layer, and parsing
+    a formula imports neither."""
+    if _is_finite(algebra):
+        from .finite import dbl_context
 
-    if not isinstance(algebra, NormFamily):
-        from .finite import FiniteAlgebra, dbl_context
-
-        if not isinstance(algebra, FiniteAlgebra):
-            raise TypeError(f"unsupported algebra: {algebra!r}")
         ctx = dbl_context(algebra)
         row = lambda table: lambda xs, ys: list(map(getitem, map(table.__getitem__, xs), ys))
         return algebra.index, ctx.one, ctx.zero, row(ctx.star), row(ctx.res), algebra.labels.__getitem__
+    from .families import NormFamily, NormSide, closed_form, residuum_form
+
+    if not isinstance(algebra, NormFamily):
+        raise TypeError(f"unsupported algebra: {algebra!r}")
     if algebra.side is not NormSide.TNORM:
         raise ValueError("formula evaluation needs the t-norm side of a family")
     if not algebra.is_residuated:
@@ -403,6 +403,12 @@ def _operations(algebra):
     read = lambda value: table.intern(value if isinstance(value, UnitValue) else UnitValue(Fraction(value)))
     star, arrow = partial(table.map, closed_form(algebra)), partial(table.map, residuum_form(algebra))
     return read, read(ZERO), read(ONE), star, arrow, table.values.__getitem__
+
+
+def _is_finite(algebra) -> bool:
+    """``isinstance(algebra, FiniteAlgebra)``, read from the names of its
+    type's classes, so that telling the backends apart imports neither layer."""
+    return any((c.__module__, c.__qualname__) == ("reslat.finite", "FiniteAlgebra") for c in type(algebra).__mro__)
 
 
 def _walk(f: Formula, domains: dict, bottom, star, arrow):
@@ -453,11 +459,10 @@ def check_prelinearity_tautology(algebra, g: GridSpec | None = None) -> LawRepor
     """(p -> q) | (q -> p) must evaluate to 1, the unit of ``&``, under every
     valuation: grid valuations for t-norm families, carrier valuations for
     finite algebras (there 1 is ``zero`` of the DBL form)."""
-    from .families import NormFamily
     from .reports import LawReport
 
     read, bottom, top, star, arrow, show = _operations(algebra)
-    domain = (g or GridSpec()).points() if isinstance(algebra, NormFamily) else algebra.labels
+    domain = algebra.labels if _is_finite(algebra) else (g or GridSpec()).points()
     n = len(domain)
     report = LawReport("prelinearity", n * n)
     values = _walk(parse("(p -> q) | (q -> p)"), dict.fromkeys("pq", list(map(read, domain))), bottom, star, arrow)

@@ -10,10 +10,11 @@ the square, and both the s-norm and its residuum move outputs by at most the
 pair distance of their inputs (the Lipschitz-style continuity contracts).
 
 The grid checkers run on reslat.valuetable and reslat.tables.  The distance square is the star
-of the residuum's square with its transpose; off the grid (product) the
-star-triangle compares rows of the star's kernel with ``d(a, b)`` and
-interns nothing, and the continuity contracts pick each row from a square
-of the star, the residuum or the distance on the values the grid takes.
+of the residuum's square with its transpose; the star-triangle compares
+rows of a row kind of reslat.tables on a closed grid and rows of the star's
+kernel with ``d(a, b)`` elsewhere (product), interning nothing, and the
+continuity contracts pick each row from a square of the star, the residuum
+or the distance on the values the grid takes.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from __future__ import annotations
 import itertools
 import operator
 from fractions import Fraction
-from functools import partial
 from itertools import repeat
 from math import lcm
 
@@ -29,7 +29,7 @@ from .errors import InvalidRadius
 from .families import NormFamily, NormKind, NormSide, closed_form, residuum_form
 from .laws import D_LAWS, LawContext, LazyTable, check_signature_axioms, run_catalogue
 from .reports import LawReport, Violation
-from .tables import ByteRows, positions, row_kind
+from .tables import positions, row_kind
 from .unitval import ONE, ZERO, GridSpec, UnitValue
 from .valuetable import ValueTable, kernel_of, kernel_row
 
@@ -129,15 +129,20 @@ def _metric_laws(prefix: str, points, dist, table: ValueTable, star, numeric: bo
     labels), with ``star`` the s-norm on values; point i is row i, and id 0
     is the distance 0.  Each law compares whole rows over its last
     variable; only a row that fails is swept again, to register its
-    witnesses in tuple order.  On a closed grid of at most 256 values the
-    star-triangle of each a is one byte test over every (c, b): the bounds
-    ``d(a, c) * d(c, b)`` over b are row c of the distance table translated
-    through the star's row ``d(a, c)``.  Off the grid, each star-triangle
-    row ``d(a, c) * d(c, b)`` over c comes from kernel_row on the kernel of
-    ``star`` and is compared with ``d(a, b)`` by cross-multiplication:
-    nothing is interned or memoised for it."""
+    witnesses in tuple order.
+
+    On a closed grid (every distance, and the star of any two points, is a
+    point) the star-triangle of each a is one ``all_le`` over every (c, b),
+    in the row kind of reslat.tables for the grid: the bounds over b are row
+    c of the distance table gathered from the star's row ``d(a, c)``.  A
+    row that holds there also holds the numeric triangle, as ``numeric``
+    means ``x * y <= min(1, x + y)`` on the grid's points (both callers
+    decide it with :func:`weaker_than_lukasiewicz`).  Every other row ``d(a,
+    c) * d(c, b)`` over c comes from kernel_row on the kernel of ``star``
+    and is compared with ``d(a, b)`` by cross-multiplication, interning
+    nothing; a failing one is swept again on :meth:`ValueTable.map`."""
     values, le = table.values, table.le
-    m = len(points)
+    m, n = len(points), table.n_points
     rng = range(m)
     cols = [list(col) for col in zip(*dist)]
     identity, symmetry = LawReport(f"{prefix}-identity", m**2), LawReport(f"{prefix}-symmetry", m**2)
@@ -153,38 +158,28 @@ def _metric_laws(prefix: str, points, dist, table: ValueTable, star, numeric: bo
 
     star_triangle = LawReport(f"{prefix}-star-triangle", m**3)
     triangle = LawReport(f"{prefix}-triangle", m**3) if numeric else None
+    holds = [False] * m
+    if max(map(max, dist)) < n and max(map(max, star_sq := table.square(star))) < n:
+        # On the grid the ids are their own ranks; row a of the table, m times, is the left side.
+        kind = row_kind(n)
+        star_rows, gathers = [kind.table(row) for row in star_sq], list(map(kind.index, dist))
+        lhs = lambda a: kind.concat([gathers[a](kind.table(range(n)))] * m)
+        rhs = lambda a: kind.concat([at(star_rows[x]) for at, x in zip(gathers, dist[a])])
+        holds = [kind.all_le(lhs(a), rhs(a)) for a in rng]
     # The numeric triangle in integers: every distance over one common denominator.
     common = lcm(*(values[i].denominator for row in dist for i in row))
     scaled = [[values[i].numerator * (common // values[i].denominator) for i in row] for row in dist]
     scaled_cols = [list(col) for col in zip(*scaled)]
-    if max(map(max, dist)) < table.n_points:
-        # Distances on the grid: the star of two of them is read from the star's square.
-        kernel, star_sq = None, table.square(star)
-        star_row = lambda xs, ys: list(map(operator.getitem, map(star_sq.__getitem__, xs), ys))
-    else:
-        kernel, star_row = kernel_of(star), partial(table.map, star)
-    num, den = table._num, table._den
+    kernel, num, den = kernel_of(star), table._num, table._den
     fractions = lambda rows: [([num[i] for i in row], [den[i] for i in row]) for row in rows]
-    if kernel is not None:
-        row_fractions, col_fractions = fractions(dist), fractions(cols)
-    # Where the ids are their own ranks and each fits in a byte: one byte test per a.
-    star_rows_hold = [False] * m
-    if kernel is None and table.ranks() is None and row_kind(len(values)) is ByteRows:
-        star_tables, dist_rows = [ByteRows.table(row) for row in star_sq], list(map(bytes, dist))
-        bounds_of = lambda a: b"".join(map(bytes.translate, dist_rows, map(star_tables.__getitem__, dist[a])))
-        star_rows_hold = [ByteRows.all_le(dist_rows[a] * m, bounds_of(a)) for a in rng]
-    for a, b in itertools.product(rng, repeat=2):
+    row_fractions, col_fractions = fractions(dist), fractions(cols)
+    for a, b in itertools.product([a for a in rng if not holds[a]], rng):
         d_ab = dist[a][b]
-        if star_rows_hold[a]:
-            star_holds = True
-        elif kernel is None:
-            star_holds = table.all_le([d_ab] * m, star_row(dist[a], cols[b]))
-        else:
-            ns, ds = kernel_row(kernel, *row_fractions[a], *col_fractions[b])
-            star_holds = all(map(operator.le, map(operator.mul, repeat(num[d_ab]), ds), map(operator.mul, ns, repeat(den[d_ab]))))
+        ns, ds = kernel_row(kernel, *row_fractions[a], *col_fractions[b])
+        star_holds = all(map(operator.le, map(operator.mul, repeat(num[d_ab]), ds), map(operator.mul, ns, repeat(den[d_ab]))))
         if star_holds and (triangle is None or scaled[a][b] <= min(map(operator.add, scaled[a], scaled_cols[b]))):
             continue
-        bounds = star_row(dist[a], cols[b])
+        bounds = table.map(star, dist[a], cols[b])
         for c in rng:
             if not le(d_ab, bounds[c]):
                 star_triangle.register(

@@ -4,14 +4,14 @@ The value-table core (:class:`ValueTable`, :func:`kernel_of`,
 :func:`kernel_row`) lives in reslat.valuetable and is re-exported here.
 This module holds what compares whole blocks of rows: the residuation test
 of two squares, closed-grid and off-grid associativity, and the row kinds
-of the continuity contracts.  A checker that only compares results
-(product associativity, the star-triangle) compares the rows themselves
-and interns nothing.
+of the continuity contracts and the star-triangle.  A checker that only
+compares results (product associativity, the star-triangle) compares the
+rows themselves and interns nothing.
 
-A row sweep that gathers and compares many rows of ranks (the continuity
-contracts) picks a row kind once, from the table's size: :class:`RankRows`
-holds lists, and :class:`ByteRows`, for at most 256 ranks, bytes, which it
-gathers with ``bytes.translate`` and compares with one big-integer test.
+A row sweep that gathers and compares many rows of ranks picks a row kind
+once, from the table's size: :class:`RankRows` holds lists, and
+:class:`ByteRows`, for at most 256 ranks, bytes, which it gathers with
+``bytes.translate`` and compares with one big-integer test.
 Closed-grid associativity compares whole blocks of byte rows with ``==``.
 """
 
@@ -104,8 +104,8 @@ def associativity_rows(table: ValueTable, fn: Callable, sq: list[list[int]]):
     a point) of at most 256 points as the square alone decides it, else as
     :func:`rows_associative` decides it on the kernel of ``fn``.  Otherwise
     the function ``(x, y) -> (lhs, rhs)``, the two sides as rows of ids over
-    z, read from the square on such a closed grid and computed by
-    :meth:`ValueTable.map` otherwise.
+    z, computed by :meth:`ValueTable.map` (on a closed grid it gives the
+    square's ids and interns nothing).
     """
     m = table.n_points
     if m <= 256 and max(map(max, sq)) < m:
@@ -113,15 +113,13 @@ def associativity_rows(table: ValueTable, fn: Callable, sq: list[list[int]]):
         # joins rows of the square, and (T(x, T(y, z)))_y,z gathers every row
         # of the square through row x.
         rows = list(map(bytes, sq))
-        if all(
+        holds = all(
             b"".join(itemgetter(*row)(rows)) == b"".join(map(bytes.translate, rows, repeat(ByteRows.table(row))))
             for row in sq
-        ):
-            return None
-        return lambda x, y: (sq[sq[x][y]], list(map(sq[x].__getitem__, sq[y])))
-    if rows_associative(table, kernel_of(fn), sq):
-        return None
-    return lambda x, y: (table.map(fn, [sq[x][y]] * m, range(m)), table.map(fn, [x] * m, sq[y]))
+        )
+    else:
+        holds = rows_associative(table, kernel_of(fn), sq)
+    return None if holds else lambda x, y: (table.map(fn, [sq[x][y]] * m, range(m)), table.map(fn, [x] * m, sq[y]))
 
 
 def rows_associative(table: ValueTable, kernel: Callable, sq: list[list[int]]) -> bool:

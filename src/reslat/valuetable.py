@@ -89,11 +89,6 @@ class ValueTable:
             self._ranks = n, rank
         return self._ranks[1]
 
-    @property
-    def ids_ordered(self) -> bool:
-        """Whether the ids increase with their values."""
-        return self.ranks() is None
-
     def all_le(self, xs: Iterable[int], ys: Iterable[int]) -> bool:
         """``le(x, y)`` for every pair of ``zip(xs, ys)``, in C."""
         rank = self.ranks()

@@ -8,7 +8,9 @@ evaluation gives, on valid and on seeded broken operations, and the byte
 path must be the one that runs where it applies.
 """
 
+import hashlib
 import itertools
+import json
 import random
 from operator import le
 
@@ -275,7 +277,7 @@ def test_seeded_star_breaks_fail_the_star_triangle_somewhere(patch_norms):
 
 
 @pytest.mark.parametrize("kind", CLOSED, ids=lambda k: k.value)
-def test_a_star_that_leaves_the_grid_takes_the_list_path(kind, spy_bytes):
+def test_a_star_that_leaves_the_grid_takes_the_kernel_rows(kind, spy_bytes):
     pts = GridSpec(4).points()
     alg = SAlgebra.of(kind)
     star = lambda x, y: UnitValue(alg.star(x, y) / 3) if (x, y) == (pts[1], pts[1]) else alg.star(x, y)
@@ -283,3 +285,36 @@ def test_a_star_that_leaves_the_grid_takes_the_list_path(kind, spy_bytes):
     got = metric._metric_laws("d", pts, metric._distance_square(table, alg), table, star, True)
     assert dicts(got) == dicts(ref_metric_axioms("d", pts, ref_distance(alg), star, True))
     assert spy_bytes["all_le"] == 0
+
+
+@pytest.mark.parametrize("seed", (None, 1, 2, 3, 4), ids=lambda s: "valid" if s is None else f"star-{s}")
+@pytest.mark.parametrize("kind", CLOSED, ids=lambda k: k.value)
+@pytest.mark.parametrize("n", (3, 4, 5, 6))
+def test_rank_row_star_triangle_is_the_definition(n, kind, seed, patch_norms, spy_bytes, monkeypatch):
+    """The closed-grid star-triangle on lists of ranks, the row kind of grids
+    past 256 points, against the definition."""
+    picked = []
+    monkeypatch.setattr(metric, "row_kind", lambda ranks: picked.append(ranks) or RankRows)
+    pts = GridSpec(n).points()
+    family = NormFamily.s_norm(kind)
+    if seed is not None:
+        patch_norms(family, seeded_break(norms.closed_form(family), pts, seed))
+    alg = NormsAlgebra(family)
+    got = metric.metric_axioms_check(alg, GridSpec(n))
+    assert dicts(got) == dicts(ref_metric_axioms("d", pts, ref_distance(alg), alg.star, ref_numeric(alg, pts)))
+    assert picked == [len(pts)] and spy_bytes["all_le"] == 0
+    if seed is None:
+        assert all(r.ok for r in got)
+
+
+# Taken from the pair check before its closed-grid rows became the row kinds
+# of reslat.tables: 289 pairs, so a row has more entries than a byte indexes.
+PAIR_DIGEST = "c29cf7173a4a8f18f18b347798dc663950c49354ffbd4cccdc0150d01d2ccffe"
+
+
+@pytest.mark.parametrize("kind", CLOSED, ids=lambda k: k.value)
+def test_pair_metric_axioms_at_grid_16_are_pinned(kind, spy_bytes):
+    got = metric.pair_metric_axioms_check(SAlgebra.of(kind), GridSpec(16))
+    assert hashlib.sha256(json.dumps(dicts(got)).encode()).hexdigest() == PAIR_DIGEST
+    # One byte test per pair: the closed-grid rows ran.
+    assert spy_bytes["all_le"] == 17**2

@@ -295,6 +295,23 @@ class TestEvaluation:
         with pytest.raises(ValueError):
             evaluate(parse("p"), NormFamily.s_norm(NormKind.PRODUCT), {"p": u(1)})
 
+    @pytest.mark.parametrize(
+        "algebra", [object(), None, "lukasiewicz", NormKind.GOEDEL, Signature.BL], ids=lambda a: type(a).__name__
+    )
+    def test_an_algebra_of_neither_kind_is_refused(self, algebra):
+        # A Signature is a class of reslat.finite, but not a finite algebra.
+        with pytest.raises(TypeError, match="unsupported algebra"):
+            evaluate(parse("p"), algebra, {"p": u(1)})
+        with pytest.raises(TypeError, match="unsupported algebra"):
+            sweep_values(parse("p"), algebra, [ZERO, ONE])
+
+    def test_a_subclass_of_a_finite_algebra_is_finite(self, fixture_algebras):
+        alg = fixture_algebras["l4"]
+        sub = copy.copy(alg)
+        sub.__class__ = type("Sub", (type(alg),), {})
+        f = parse("(p -> q) | !p")
+        assert sweep_values(f, sub, alg.labels) == sweep_values(f, alg, alg.labels)
+
 
 def semantic_value(f, algebra, valuation, lattice=True):
     """Reference: the formula's value by the lattice semantics of the sugar

@@ -120,6 +120,12 @@ NEVER_EXECUTED = [
     (["norms", "--family", "goedel", "--grid", "4"], {"finite", "formulas", "laws", "metric", "topology"}),
     # The metric checkers read the families, not the norm checkers.
     (["metric", "--family", "goedel", "--grid", "4", "--grid4", "2"], {"finite", "formulas", "norms", "topology"}),
+    # On a finite algebra eval runs the finite layer and neither the
+    # families nor the value table.
+    (
+        ["eval", "p->q", "--algebra", "l4.alg", "--sweep"],
+        {"commands", "families", "metric", "norms", "tables", "topology", "valuetable"},
+    ),
 ]
 
 

@@ -118,10 +118,10 @@ def assert_order_matches_le(table):
 
 def test_all_le_on_a_grid_and_after_an_off_grid_intern():
     table = ValueTable(GridSpec(6).points())
-    assert table.ids_ordered
+    assert table.ranks() is None
     assert_order_matches_le(table)
     table.intern(UnitValue(1, 7))  # id 7, below the ids 1..6
-    assert not table.ids_ordered
+    assert table.ranks() is not None
     assert_order_matches_le(table)
 
 
@@ -130,7 +130,7 @@ def test_ids_interned_in_increasing_order_keep_id_order():
     table.intern(UnitValue(1, 2))
     table.intern(UnitValue(1))
     table.intern(UnitValue(1, 3))  # already there: no new id
-    assert table.ids_ordered
+    assert table.ranks() is None
     assert_order_matches_le(table)
 
 
@@ -139,10 +139,10 @@ def test_ids_interned_in_increasing_order_keep_id_order():
 def test_an_intern_below_every_value_gives_a_fresh_order(ordered, first):
     points = [Fraction(1, 3), Fraction(1, 2), Fraction(1)]
     table = ValueTable(UnitValue(v) for v in (points if ordered else points[::-1]))
-    assert table.ids_ordered == ordered
+    assert (table.ranks() is None) == ordered
     assert table.all_le([0], [1]) == ordered if first == "all_le" else (table.ranks() is None) == ordered
     low = table.intern(UnitValue(1, 7))
-    assert not table.ids_ordered and table.ranks()[low] == 0
+    assert table.ranks() is not None and table.ranks()[low] == 0
     assert not table.all_le([0], [low]) and table.all_le([low] * 4, range(4))
     assert_order_matches_le(table)
 
@@ -151,7 +151,7 @@ def test_an_intern_below_every_value_gives_a_fresh_order(ordered, first):
 def test_all_le_on_arbitrary_points(points):
     table = ValueTable(UnitValue(p) for p in points)
     distinct = list(dict.fromkeys(points))
-    assert table.ids_ordered == (distinct == sorted(distinct))
+    assert (table.ranks() is None) == (distinct == sorted(distinct))
     assert_order_matches_le(table)
 
 
