@@ -19,11 +19,11 @@ _EXPORTS = {
     "errors": """CarrierTooLarge DrasticNotResiduated FormulaSyntaxError InadmissibleRadius InvalidRadius
         NotALattice NotAPartialOrder ParseError ReslatError TableOutOfRange TheoremViolation
         UnbalancedParens UnboundAtom UnknownToken""",
-    "families": "NormFamily NormKind NormSide dualize",
     "finite": """FiniteAlgebra Signature algebra_from_document algebra_to_document biresiduum check_axioms
         check_derived_laws dualize_algebra load_algebra loads_algebra pair_biresiduum""",
     "formulas": """Atom Bottom Conj Formula Iff Impl Join Meet Neg Top atoms check_prelinearity_tautology
         desugar evaluate parse parse_valuation sweep_values to_text""",
+    "kernels": "NormFamily NormKind NormSide dualize",
     "metric": """IntervalBall PairValue SAlgebra continuity_inequalities_check d_bigstar d_star
         d_star_closed_form d_star_closed_form_check dbl_axioms_check dbl_laws_check interval_ball
         metric_axioms_check pair_metric_axioms_check weaker_than_lukasiewicz""",
@@ -34,7 +34,7 @@ _EXPORTS = {
         product_ball product_is_open verify_operation_continuity""",
     "unitval": "ONE ZERO GridSpec UnitValue format_unit parse_unit",
 }
-_SUBMODULES = (*_EXPORTS, "cli", "commands", "fixtures", "laws", "tables", "valuetable")
+_SUBMODULES = (*_EXPORTS, "cli", "commands", "fixtures", "laws", "tables")
 _ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 
 __all__ = list(_ORIGIN)

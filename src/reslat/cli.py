@@ -43,9 +43,9 @@ def _lazy(name: str):
 # ``sys.modules`` (perfbench/tracer.py) find them all after ``import
 # reslat.cli``; a command executes only the layers it calls into.
 commands = _lazy("commands")
-families = _lazy("families")
 finite = _lazy("finite")
 formulas = _lazy("formulas")
+kernels = _lazy("kernels")
 laws = _lazy("laws")
 metric = _lazy("metric")
 norms = _lazy("norms")
@@ -53,7 +53,6 @@ reports = _lazy("reports")
 tables = _lazy("tables")
 topology = _lazy("topology")
 unitval = _lazy("unitval")
-valuetable = _lazy("valuetable")
 
 FAMILY_NAMES = ["lukasiewicz", "goedel", "product", "drastic"]
 RESIDUATED_NAMES = ["lukasiewicz", "goedel", "product"]
@@ -153,7 +152,7 @@ def cmd_eval(args) -> int:
     if on_carrier:
         algebra = finite.load_algebra(args.algebra)
     else:
-        algebra = families.NormFamily.from_name(args.t_algebra, families.NormSide.TNORM)
+        algebra = kernels.NormFamily.from_name(args.t_algebra, kernels.NormSide.TNORM)
 
     names = formulas.atoms(formula)
     direct = args.assign is not None or args.assign_file is not None or (not names and args.sweep is None)

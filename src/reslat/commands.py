@@ -10,7 +10,7 @@ budget and law selector through the module, so that a patch of
 from __future__ import annotations
 
 from . import cli
-from .cli import metric, norms, reports, tables, unitval
+from .cli import kernels, metric, norms, reports, unitval
 
 
 def cmd_norms(args) -> int:
@@ -23,7 +23,7 @@ def cmd_norms(args) -> int:
     cli._refuse_over_budget(norms.tuples_checked(kinds, args.grid))
     # One table of the grid for the whole run: each norm and residuum square
     # is built once, and every checker reads it from there.
-    table = tables.ValueTable(grid.points())
+    table = kernels.ValueTable(grid.points())
     sections = []
     notes = []
     for kind in kinds:

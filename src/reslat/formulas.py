@@ -22,7 +22,7 @@ atom assignment homomorphically over 0, ``&`` and ``->`` and reads the sugar
 by these definitions.  Desugaring, ``atoms`` and evaluation run through it.
 Evaluation walks once per prefix of all atoms but the last, each atom a row
 of ids along the last atom's values, and ``&`` and ``->`` map whole rows: by
-reslat.valuetable over a t-norm family, by the DBL-form tables of a finite
+reslat.kernels over a t-norm family, by the DBL-form tables of a finite
 algebra.
 """
 
@@ -389,7 +389,7 @@ def _operations(algebra):
         ctx = dbl_context(algebra)
         row = lambda table: lambda xs, ys: list(map(getitem, map(table.__getitem__, xs), ys))
         return algebra.index, ctx.one, ctx.zero, row(ctx.star), row(ctx.res), algebra.labels.__getitem__
-    from .families import NormFamily, NormSide, closed_form, residuum_form
+    from .kernels import NormFamily, NormSide, ValueTable, closed_form, residuum_form
 
     if not isinstance(algebra, NormFamily):
         raise TypeError(f"unsupported algebra: {algebra!r}")
@@ -397,8 +397,6 @@ def _operations(algebra):
         raise ValueError("formula evaluation needs the t-norm side of a family")
     if not algebra.is_residuated:
         raise DrasticNotResiduated("cannot evaluate '->' over the drastic t-norm")
-    from .valuetable import ValueTable
-
     table = ValueTable(())
     read = lambda value: table.intern(value if isinstance(value, UnitValue) else UnitValue(Fraction(value)))
     star, arrow = partial(table.map, closed_form(algebra)), partial(table.map, residuum_form(algebra))

@@ -9,12 +9,12 @@ the Lukasiewicz one this is an ordinary metric.  The pair distance
 the square, and both the s-norm and its residuum move outputs by at most the
 pair distance of their inputs (the Lipschitz-style continuity contracts).
 
-The grid checkers run on reslat.valuetable and reslat.tables.  The distance square is the star
-of the residuum's square with its transpose; the star-triangle compares
-rows of a row kind of reslat.tables on a closed grid and rows of the star's
-kernel with ``d(a, b)`` elsewhere (product), interning nothing, and the
-continuity contracts pick each row from a square of the star, the residuum
-or the distance on the values the grid takes.
+The grid checkers run on reslat.kernels and reslat.tables.  The distance
+square is the star of the residuum's square with its transpose; the
+star-triangle compares rows of a row kind of reslat.tables on a closed grid
+and rows of the star's kernel with ``d(a, b)`` elsewhere (product),
+interning nothing, and the continuity contracts pick each row from a square
+of the star, the residuum or the distance on the values the grid takes.
 """
 
 from __future__ import annotations
@@ -26,12 +26,11 @@ from itertools import repeat
 from math import lcm
 
 from .errors import InvalidRadius
-from .families import NormFamily, NormKind, NormSide, closed_form, residuum_form
+from .kernels import NormFamily, NormKind, NormSide, ValueTable, closed_form, kernel_of, kernel_row, residuum_form
 from .laws import D_LAWS, LawContext, LazyTable, check_signature_axioms, run_catalogue
 from .reports import LawReport, Violation
 from .tables import positions, row_kind
 from .unitval import ONE, ZERO, GridSpec, UnitValue
-from .valuetable import ValueTable, kernel_of, kernel_row
 
 # The largest grid denominator ``reslat metric`` checks the signature axioms on.
 MAX_AXIOM_GRID = 16
@@ -82,7 +81,7 @@ def d_star(alg: SAlgebra, a: UnitValue, b: UnitValue) -> UnitValue:
 
 
 # The per-family closed form of the induced distance, as an integer kernel on
-# x = a/b and y = c/d (see reslat.families): |x - y| (Lukasiewicz); 0 if x == y,
+# x = a/b and y = c/d (see reslat.kernels): |x - y| (Lukasiewicz); 0 if x == y,
 # else max(x, y) (Goedel); 0 if x == y, else |x - y| / (1 - min(x, y)) (product).
 _DISTANCE_KERNELS = {
     NormKind.LUKASIEWICZ: lambda a, b, c, d: (abs(a * d - c * b), b * d),
@@ -105,7 +104,12 @@ def d_bigstar(alg: SAlgebra, a: PairValue, b: PairValue) -> UnitValue:
 
 def weaker_than_lukasiewicz(alg: SAlgebra, g: GridSpec) -> bool:
     """True if the s-norm is pointwise <= min(1, x+y) on the grid."""
-    table, luk = ValueTable(g.points()), closed_form(NormFamily.s_norm(NormKind.LUKASIEWICZ))
+    return _weaker_than_lukasiewicz(ValueTable(g.points()), alg)
+
+
+def _weaker_than_lukasiewicz(table: ValueTable, alg: SAlgebra) -> bool:
+    # On the table's points, with the squares the table shares with the caller's checks.
+    luk = closed_form(NormFamily.s_norm(NormKind.LUKASIEWICZ))
     return all(map(table.all_le, table.square(alg.star), table.square(luk)))
 
 
@@ -137,7 +141,8 @@ def _metric_laws(prefix: str, points, dist, table: ValueTable, star, numeric: bo
     c of the distance table gathered from the star's row ``d(a, c)``.  A
     row that holds there also holds the numeric triangle, as ``numeric``
     means ``x * y <= min(1, x + y)`` on the grid's points (both callers
-    decide it with :func:`weaker_than_lukasiewicz`).  Every other row ``d(a,
+    decide it on ``table`` before they build ``dist``, so that the closed path
+    reads the star square that decision built).  Every other row ``d(a,
     c) * d(c, b)`` over c comes from kernel_row on the kernel of ``star``
     and is compared with ``d(a, b)`` by cross-multiplication, interning
     nothing; a failing one is swept again on :meth:`ValueTable.map`."""
@@ -204,7 +209,8 @@ def metric_axioms_check(alg: SAlgebra, g: GridSpec) -> list[LawReport]:
     and (when the norm is weaker than Lukasiewicz) the numeric triangle
     inequality, all exhaustively on the grid."""
     table = ValueTable(g.points())
-    return _metric_laws("d", g.points(), _distance_square(table, alg), table, alg.star, weaker_than_lukasiewicz(alg, g))
+    numeric = _weaker_than_lukasiewicz(table, alg)
+    return _metric_laws("d", g.points(), _distance_square(table, alg), table, alg.star, numeric)
 
 
 def pair_metric_axioms_check(alg: SAlgebra, g: GridSpec) -> list[LawReport]:
@@ -213,12 +219,13 @@ def pair_metric_axioms_check(alg: SAlgebra, g: GridSpec) -> list[LawReport]:
     pts = g.points()
     rng = range(len(pts))
     table = ValueTable(pts)
+    numeric = _weaker_than_lukasiewicz(table, alg)
     dist = _distance_square(table, alg)
     pairs = [(x, y) for x in rng for y in rng]
     repeated, tiled = [[x for x in row for _ in rng] for row in dist], [row * len(pts) for row in dist]
     pair_dist = [table.map(alg.star, repeated[a1], tiled[a2]) for a1, a2 in pairs]
     labels = [PairValue(pts[x], pts[y]) for x, y in pairs]
-    return _metric_laws("pair", labels, pair_dist, table, alg.star, weaker_than_lukasiewicz(alg, g))
+    return _metric_laws("pair", labels, pair_dist, table, alg.star, numeric)
 
 
 def continuity_inequalities_check(alg: SAlgebra, g: GridSpec) -> list[LawReport]:

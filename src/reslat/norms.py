@@ -1,8 +1,10 @@
 """Exhaustive grid checkers of the norm families and their residua.
 
-The families, their closed forms and residua live in reslat.families and are
+The families, their closed forms and residua live in reslat.kernels and are
 re-exported here; the checkers look ``closed_form`` and ``residuum_form`` up
-in this module, as do the scalar helpers below.
+in this module, as do the scalar helpers below.  The grid checkers share
+squares through an optional ValueTable of their grid: ``reslat norms``
+passes one table to all of them.
 """
 
 from __future__ import annotations
@@ -12,16 +14,14 @@ from math import lcm
 from operator import ge, le
 
 from .errors import DrasticNotResiduated
-from .families import NormFamily, NormKind, NormSide, closed_form, dualize, residuum_form  # noqa: F401  (dualize)
+from .kernels import NormFamily, NormKind, NormSide, ValueTable, closed_form, kernel_of, residuum_form
+from .kernels import dualize  # noqa: F401  (re-exported)
 from .reports import LawReport, Violation
+from .tables import associativity_rows, residuated
 from .unitval import GridSpec, UnitValue
 
 # The largest grid denominator ``reslat norms`` runs the residuum oracle on.
 MAX_ORACLE_GRID = 16
-
-# The grid checkers import reslat.tables when they run, and share squares
-# through an optional ValueTable of their grid: ``reslat norms`` passes one
-# table to all of them.
 
 
 def apply_norm(f: NormFamily, x: UnitValue, y: UnitValue) -> UnitValue:
@@ -68,8 +68,6 @@ def residuum_oracle(f: NormFamily, x: UnitValue, y: UnitValue, g: GridSpec) -> U
     the norm's integer kernel, and its result is compared with y by
     cross-multiplication; a result outside [0, 1] is refused by UnitValue.
     """
-    from .tables import kernel_of
-
     if not f.is_residuated:
         raise DrasticNotResiduated("the drastic norms are not continuous; no residuum exists")
     denom, kernel = _oracle_denominator(f, x, y, g), kernel_of(closed_form(f))
@@ -93,8 +91,6 @@ def adjointness_check(f: NormFamily, g: GridSpec, table=None) -> LawReport:
     s-norm side: a >= R(b, c)  iff  S(a, b) >= c.
     t-norm side: a <= R(b, c)  iff  T(a, b) <= c.
     """
-    from .tables import ValueTable, residuated
-
     if not f.is_residuated:
         raise DrasticNotResiduated("adjointness is undefined for the drastic family")
     pts = g.points()
@@ -134,8 +130,6 @@ def oracle_agreement_check(f: NormFamily, g: GridSpec) -> LawReport:
 
 def norm_axioms_check(f: NormFamily, g: GridSpec, table=None) -> list[LawReport]:
     """Associativity, commutativity, monotonicity, and the boundary condition."""
-    from .tables import ValueTable, associativity_rows
-
     pts = g.points()
     m = len(pts)
     rng = range(m)
@@ -185,8 +179,6 @@ def ordering_chain_check(side: NormSide, g: GridSpec, table=None) -> LawReport:
     t-norms: drastic <= lukasiewicz <= product <= goedel;
     s-norms the reverse chain: goedel <= product <= lukasiewicz <= drastic.
     """
-    from .tables import ValueTable
-
     chain = [NormKind.DRASTIC, NormKind.LUKASIEWICZ, NormKind.PRODUCT, NormKind.GOEDEL]
     families = [NormFamily(k, side) for k in (chain if side is NormSide.TNORM else reversed(chain))]
     pts = g.points()
@@ -218,8 +210,6 @@ def ordering_chain_check(side: NormSide, g: GridSpec, table=None) -> LawReport:
 def duality_check(kind: NormKind, g: GridSpec, table=None) -> LawReport:
     """Duality identity on all grid pairs for one family kind: the grid is
     closed under complement, and grid id k complements to id N - k."""
-    from .tables import ValueTable
-
     pts = g.points()
     top = len(pts) - 1
     report = LawReport("duality", len(pts) ** 2)

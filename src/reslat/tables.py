@@ -1,8 +1,4 @@
-"""Row sweeps over the value tables of reslat.valuetable.
-
-The value-table core (:class:`ValueTable`, :func:`kernel_of`,
-:func:`kernel_row`) lives in reslat.valuetable and is re-exported here.
-This module holds what compares whole blocks of rows: the residuation test
+"""Row sweeps over the value tables of reslat.kernels: the residuation test
 of two squares, closed-grid and off-grid associativity, and the row kinds
 of the continuity contracts and the star-triangle.  A checker that only
 compares results (product associativity, the star-triangle) compares the
@@ -25,8 +21,7 @@ from math import lcm
 from operator import floordiv, itemgetter, le, mod, mul
 from typing import Callable
 
-# The value-table core, re-exported: its names keep working from here.
-from .valuetable import ValueTable, kernel_of, kernel_row
+from .kernels import ValueTable, kernel_of, kernel_row
 
 
 def residuated(res: list, nrm: list, pts, upper: bool) -> bool:
@@ -142,7 +137,7 @@ def rows_associative(table: ValueTable, kernel: Callable, sq: list[list[int]]) -
     picks = [itemgetter(*map(pos.__getitem__, row)) for row in sq]
     id_num, id_den = [num[i] for i in ids], [den[i] for i in ids]
     pt_num, pt_den = num[:m], den[:m]
-    # Every kernel of reslat.families gives a denominator that divides the
+    # Every family kernel of reslat.kernels gives a denominator that divides the
     # product of its arguments' denominators.
     common = lcm(*pt_den) * lcm(*id_den)
 

@@ -64,7 +64,10 @@ with open(out, "w", encoding="utf-8") as handle:
     }, handle)
 """
 
-ALL_LAYERS = {"cli", "errors", "finite", "formulas", "laws", "metric", "norms", "reports", "tables", "topology", "unitval"}
+ALL_LAYERS = {
+    "cli", "commands", "errors", "finite", "formulas", "kernels", "laws", "metric", "norms", "reports", "tables", "topology",
+    "unitval",
+}
 
 
 def probe(tmp_path, mode, *argv):
@@ -89,21 +92,18 @@ def probe(tmp_path, mode, *argv):
 NEVER_EXECUTED = [
     (
         ["algebra", "check", "l4.alg"],
-        {"commands", "families", "formulas", "metric", "norms", "tables", "unitval", "valuetable"},
+        {"commands", "formulas", "kernels", "metric", "norms", "tables", "unitval"},
     ),
     (
         ["algebra", "topology", "l4.alg"],
-        {"commands", "families", "formulas", "metric", "norms", "tables", "unitval", "valuetable"},
+        {"commands", "formulas", "kernels", "metric", "norms", "tables", "unitval"},
     ),
     (
         ["algebra", "dualize", "l4.alg"],
-        {
-            "commands", "families", "formulas", "laws", "metric", "norms", "reports", "tables", "topology", "unitval",
-            "valuetable",
-        },
+        {"commands", "formulas", "kernels", "laws", "metric", "norms", "reports", "tables", "topology", "unitval"},
     ),
-    # Over [0,1], eval runs the families and the value table, and none of the
-    # norm checkers, the reports, the row sweeps or the other commands' handlers.
+    # Over [0,1], eval runs the kernels and none of the norm checkers, the
+    # reports, the row sweeps or the other commands' handlers.
     (
         ["eval", "p -> q", "--t-algebra", "product", "--assign", "p=1/2,q=1/3"],
         {"commands", "finite", "laws", "metric", "norms", "reports", "tables", "topology"},
@@ -115,16 +115,15 @@ NEVER_EXECUTED = [
     # A refused formula: parsing runs no norm or table code.
     (
         ["eval", "p ->", "--t-algebra", "product", "--assign", "p=1"],
-        {"commands", "families", "finite", "laws", "metric", "norms", "reports", "tables", "topology", "valuetable"},
+        {"commands", "finite", "kernels", "laws", "metric", "norms", "reports", "tables", "topology"},
     ),
     (["norms", "--family", "goedel", "--grid", "4"], {"finite", "formulas", "laws", "metric", "topology"}),
-    # The metric checkers read the families, not the norm checkers.
+    # The metric checkers read the kernels, not the norm checkers.
     (["metric", "--family", "goedel", "--grid", "4", "--grid4", "2"], {"finite", "formulas", "norms", "topology"}),
-    # On a finite algebra eval runs the finite layer and neither the
-    # families nor the value table.
+    # On a finite algebra eval runs the finite layer and not the kernels.
     (
         ["eval", "p->q", "--algebra", "l4.alg", "--sweep"],
-        {"commands", "families", "metric", "norms", "tables", "topology", "valuetable"},
+        {"commands", "kernels", "metric", "norms", "tables", "topology"},
     ),
 ]
 
@@ -248,10 +247,25 @@ def test_family_name_literals_match_norm_kinds():
 @pytest.mark.parametrize("argv", [argv for argv, _ in NEVER_EXECUTED[3:5]], ids=["assign", "sweep"])
 def test_eval_over_the_unit_interval_executes_the_evaluator_only(tmp_path, argv):
     doc = probe(tmp_path, "run", *argv)
-    assert doc["executed"] == {"__init__", "__main__", "cli", "errors", "families", "formulas", "unitval", "valuetable"}
+    assert doc["executed"] == {"__init__", "__main__", "cli", "errors", "formulas", "kernels", "unitval"}
 
 
 @pytest.mark.parametrize("action", ["check", "topology", "dualize"])
 def test_algebra_never_runs_the_eval_handler(capsys, monkeypatch, action):
     monkeypatch.setattr(reslat.cli, "cmd_eval", lambda args: pytest.fail("the eval handler ran"))
     assert reslat.cli.main(["algebra", action, str(FIXTURES / "l4.alg")]) == 0
+
+
+# The norm and metric commands run the kernels, the row sweeps and their own
+# checkers, and nothing of the finite layer or the evaluator.
+UNIT_GRID_LAYERS = {"__init__", "__main__", "cli", "commands", "errors", "kernels", "reports", "tables", "unitval"}
+
+
+def test_norms_executes_exactly_its_layers(tmp_path):
+    doc = probe(tmp_path, "run", "norms", "--family", "goedel", "--grid", "4")
+    assert doc["executed"] == UNIT_GRID_LAYERS | {"norms"}
+
+
+def test_metric_executes_exactly_its_layers(tmp_path):
+    doc = probe(tmp_path, "run", "metric", "--family", "goedel", "--grid", "4", "--grid4", "2")
+    assert doc["executed"] == UNIT_GRID_LAYERS | {"laws", "metric"}

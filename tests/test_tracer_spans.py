@@ -5,8 +5,8 @@ holds them, so a per-layer metric survives a function moving between modules
 only if each command still makes the same spans, in the same order, under
 the same parents.  For one command of each kind this runs the tracer, as
 the benchmark runs it, and compares its spans with the spans it made before
-the evaluator, the norm families and the value table were split from the
-checkers.
+the evaluator and the integer kernels (reslat.kernels: the norm families and
+the value table) were split from the checkers.
 """
 
 import json
