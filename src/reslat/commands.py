@@ -10,7 +10,7 @@ budget and law selector through the module, so that a patch of
 from __future__ import annotations
 
 from . import cli
-from .cli import kernels, metric, norms, reports, unitval
+from .cli import kernels, laws, metric, norms, reports, unitval
 
 
 def cmd_norms(args) -> int:
@@ -55,6 +55,14 @@ def cmd_norms(args) -> int:
 def cmd_metric(args) -> int:
     if args.approx and not args.ball:
         raise ValueError(cli._APPROX_ONLY)
+    if args.ball and args.laws is not None:
+        raise ValueError("--ball checks one ball; it cannot be given with --laws")
+    ids = ()
+    if args.laws is not None:
+        # Refuse a bad selector or grid before any sweep runs.  Each law runs
+        # once, in catalogue order, and is counted once in the budget.
+        ids = sorted(set(cli._parse_law_selector(args.laws, "D", len(laws.D_LAWS))), key=lambda law_id: int(law_id[1:]))
+    laws_grid, grid, grid4 = (unitval.GridSpec(n) for n in (args.laws_grid, args.grid, args.grid4))
     alg = metric.SAlgebra.of(args.family)
     if args.ball:
         center_text, _, radius_text = args.ball.partition(",")
@@ -73,14 +81,6 @@ def cmd_metric(args) -> int:
         }
         return reports.emit(args, [("ball closed form vs predicate", [agreement])], extra=extra)
 
-    ids = ()
-    if args.laws is not None:
-        # Refuse a bad selector or laws grid before any sweep runs.  Each law
-        # runs once, in catalogue order, and is counted once in the budget.
-        ids = sorted(set(cli._parse_law_selector(args.laws, "D", 15)), key=lambda law_id: int(law_id[1:]))
-        laws_grid = unitval.GridSpec(args.laws_grid)
-    grid = unitval.GridSpec(args.grid)
-    grid4 = unitval.GridSpec(args.grid4)
     axioms_grid = unitval.GridSpec(min(args.grid, metric.MAX_AXIOM_GRID))
     cli._refuse_over_budget(metric.tuples_checked(args.grid, args.grid4, args.laws_grid, ids))
     sections = [

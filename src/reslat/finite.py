@@ -273,11 +273,11 @@ def check_derived_laws(alg: FiniteAlgebra, ids=None) -> list[LawReport]:
     if alg.signature is Signature.DBL:
         return run_catalogue(dbl_context(alg), D_LAWS, ids)
     if ids is not None:
-        b_laws = {"B" + law_id[1:] for law_id, *_ in D_LAWS}
-        wrong = [i for i in ids if i.upper() not in b_laws]
+        d_ids = {"B" + law_id[1:]: law_id for law_id, *_ in D_LAWS}
+        wrong = [i for i in ids if i.upper() not in d_ids]
         if wrong:
-            raise ValueError(f"a BL-algebra has only the laws B1..B15, not {', '.join(wrong)}")
-        ids = ["D" + i[1:] for i in ids]
+            raise ValueError(f"a BL-algebra has only the laws B1..B{len(d_ids)}, not {', '.join(wrong)}")
+        ids = [d_ids[i.upper()] for i in ids]
     return as_bl(run_catalogue(dbl_context(alg), D_LAWS, ids))
 
 

@@ -191,10 +191,15 @@ _TOKEN_RE = re.compile(
 
 
 class _Token:
-    __slots__ = ("kind", "text", "line", "column")
+    __slots__ = ("kind", "text", "start")
 
-    def __init__(self, kind: str, text: str, line: int, column: int):
-        self.kind, self.text, self.line, self.column = kind, text, line, column
+    def __init__(self, kind: str, text: str, start: int):
+        self.kind, self.text, self.start = kind, text, start
+
+
+def _position(text: str, offset: int) -> tuple[int, int]:
+    """The 1-based line and column of ``offset`` in ``text``."""
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
 
 def _tokenize(text: str) -> Iterator[_Token]:
@@ -206,24 +211,15 @@ def _tokenize(text: str) -> Iterator[_Token]:
     last = deque(iter(_TOKEN_RE.scanner(text).match, None), maxlen=1)
     end = last[0].end() if last else 0
     if end < len(text):
-        line_start = text.rfind("\n", 0, end) + 1
-        raise UnknownToken(f"unexpected character {text[end]!r}", text.count("\n", 0, end) + 1, end - line_start + 1)
+        raise UnknownToken(f"unexpected character {text[end]!r}", *_position(text, end))
     return _tokens(text)
 
 
 def _tokens(text: str) -> Iterator[_Token]:
-    line, line_start = 1, 0
     for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        if kind == "ws":
-            chunk = m.group()
-            newlines = chunk.count("\n")
-            if newlines:
-                line += newlines
-                line_start = m.start() + chunk.rfind("\n") + 1
-        else:
-            yield _Token(kind, m.group(), line, m.start() - line_start + 1)
-    yield _Token("eof", "", line, len(text) - line_start + 1)
+        if m.lastgroup != "ws":
+            yield _Token(m.lastgroup, m.group(), m.start())
+    yield _Token("eof", "", len(text))
 
 
 class _Parser:
@@ -234,8 +230,8 @@ class _Parser:
     # of 1000.
     MAX_DEPTH = 100
 
-    def __init__(self, tokens: Iterator[_Token]):
-        self.next_token = tokens.__next__
+    def __init__(self, text: str):
+        self.text, self.next_token = text, _tokenize(text).__next__
         self.current = self.next_token()
         self.depth = 0
 
@@ -243,8 +239,7 @@ class _Parser:
         self.current = self.next_token()
 
     def error(self, message: str, cls=FormulaSyntaxError):
-        tok = self.current
-        raise cls(message, tok.line, tok.column)
+        raise cls(message, *_position(self.text, self.current.start))
 
     def nest(self) -> None:
         """Step past the operator or parenthesis at the current token, one level deeper."""
@@ -325,7 +320,7 @@ class _Parser:
 
 def parse(text: str) -> Formula:
     """Parse formula text; errors carry 1-based line and column."""
-    return _Parser(_tokenize(text)).parse()
+    return _Parser(text).parse()
 
 
 _PRINT = {node: (symbol, level, assoc) for node, symbol, level, assoc in _BINARY.values()}

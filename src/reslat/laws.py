@@ -23,6 +23,7 @@ D1..D15 are clause lists, all swept by :func:`_sweep`, and one runner,
 from __future__ import annotations
 
 import itertools
+import re
 from functools import partial
 from itertools import repeat
 from operator import eq, getitem, itemgetter
@@ -132,6 +133,9 @@ _LATTICE = ("DBL1", 2, None, (
     (a, ">=", ZERO, "0/1 not extreme"), (ONE, ">=", a, "0/1 not extreme"),
 ))
 
+# DBL1..DBL5, the signature catalogue, in the DBL argument order.
+SIGNATURE_LAWS = [_LATTICE, *_AXIOMS[False]]
+
 
 # -- the sweep ------------------------------------------------------------------
 
@@ -227,32 +231,26 @@ def check_signature_axioms(ctx: LawContext, bl: bool = False) -> list[LawReport]
     return run_catalogue(ctx, [_LATTICE, *_AXIOMS[bl]])
 
 
-# Report ids and notes of the DBL form -> the BL wording of the same check.
+# Report ids of the DBL form -> the BL ids of the same checks.
 _BL_IDS = {"DBL": "BL", "D": "B", "G": "L"}
-_BL_NOTES = {
-    "a*1 != 1": "a*0 != 0",
-    "a*(a->b) < b": "a*(a->b) > b",
-    "a < b->(a*b)": "a > b->(a*b)",
-    "a>=b iff a->b=0": "a<=b iff a->b=1",
-    "star does not distribute over inf": "star does not distribute over sup",
-    "a*b < a": "a*b > a",
-    "a < b->a": "a > b->a",
-    "inf identity fails": "sup identity fails",
-    "(a->b) < ((b->c)->(a->c))": "(a->b) > ((b->c)->(a->c))",
-    "(a->b)*(b->c) < (a->c)": "(a->b)*(b->c) > (a->c)",
-    "a->a != 0": "a->a != 1",
-    "(a->b) < (a*c)->(b*c)": "(a->b) > (a*c)->(b*c)",
-    "(a->b)*(c->d) < (a*c)->(b*d)": "(a->b)*(c->d) > (a*c)->(b*d)",
-}
+
+# A note in BL wording is its DBL note read in the reversed order: < and >
+# swap (not the > of ->), as do the constants 0 and 1 (not the 0/1 of a pair
+# of extremes, nor the 1 of 1st) and inf and sup.
+_ORDER_WORDS = re.compile(r"(?<!-)[<>]|(?<![\w/])[01](?![\w/])|\binf\b|\bsup\b")
+_DUAL_WORDS = dict(zip("<>01", "><10")) | {"inf": "sup", "sup": "inf"}
+
+
+def _bl_note(note: str) -> str:
+    return _ORDER_WORDS.sub(lambda word: _DUAL_WORDS[word[0]], note)
 
 
 def as_bl(reports: list[LawReport]) -> list[LawReport]:
     """Rename, in place, reports of the DBL form run on the order dual of a
-    BL-algebra to the BL reports they are: DBL -> BL, D -> B, G -> L."""
+    BL-algebra to the BL reports they are: DBL -> BL, D -> B, G -> L, and
+    each note by the order-duality rule."""
     for report in reports:
         head = report.law_id.rstrip("0123456789")
         report.law_id = _BL_IDS[head] + report.law_id[len(head):]
-        report.witnesses = [
-            Violation(report.law_id, w.args, w.lhs, w.rhs, _BL_NOTES.get(w.note, w.note)) for w in report.witnesses
-        ]
+        report.witnesses = [Violation(report.law_id, w.args, w.lhs, w.rhs, _bl_note(w.note)) for w in report.witnesses]
     return reports

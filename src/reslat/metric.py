@@ -27,7 +27,7 @@ from math import lcm
 
 from .errors import InvalidRadius
 from .kernels import NormFamily, NormKind, NormSide, ValueTable, closed_form, kernel_of, kernel_row, residuum_form
-from .laws import D_LAWS, LawContext, LazyTable, check_signature_axioms, run_catalogue
+from .laws import D_LAWS, SIGNATURE_LAWS, LawContext, LazyTable, check_signature_axioms, run_catalogue
 from .reports import LawReport, Violation
 from .tables import positions, row_kind
 from .unitval import ONE, ZERO, GridSpec, UnitValue
@@ -309,8 +309,8 @@ def tuples_checked(grid: int, grid4: int, laws_grid: int, ids=()) -> int:
     signature axioms at most at MAX_AXIOM_GRID, the continuity contracts at
     ``grid4`` and the D-laws ``ids`` at ``laws_grid``."""
     m, s, n, k = grid + 1, min(grid, MAX_AXIOM_GRID) + 1, grid4 + 1, laws_grid + 1
-    arity = {law_id: arity for law_id, arity, _, _ in D_LAWS}
-    return 3 * m**2 + 2 * m**3 + (2 * s**3 + 4 * s**2 + s) + 5 * n**4 + sum(k ** arity[i] for i in ids)
+    signature = sum(s**arity for _, arity, _, _ in SIGNATURE_LAWS)
+    return 3 * m**2 + 2 * m**3 + signature + 5 * n**4 + sum(k**arity for law_id, arity, _, _ in D_LAWS if law_id in ids)
 
 
 def _grid_context(alg: SAlgebra, g: GridSpec) -> LawContext:

@@ -191,6 +191,22 @@ class TestMetric:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert sweeps == []
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--ball", "1/2,1/2", "--laws", "d1..d99", "--grid", "1", "--grid4", "0", "--laws-grid", "-3"],
+             "--ball checks one ball; it cannot be given with --laws"),
+            (["--ball", "1/2,1/2", "--laws", "d1..d3"], "--ball checks one ball; it cannot be given with --laws"),
+            (["--ball", "1/2,1/2", "--grid", "1"], "grid denominator must be >= 2"),
+            (["--ball", "1/2,1/2", "--laws-grid", "-3"], "grid denominator must be >= 2"),
+            (["--grid", "2", "--grid4", "2", "--laws-grid", "0"], "grid denominator must be >= 2"),
+        ],
+        ids=["ball-laws-and-bad-grids", "ball-and-laws", "ball-bad-grid", "ball-bad-laws-grid", "bad-laws-grid-without-laws"],
+    )
+    def test_an_option_a_mode_ignores_is_still_refused(self, capsys, argv, message):
+        code, out, err = run(capsys, "metric", "--family", "goedel", *argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
 
     @pytest.mark.parametrize("laws", ["d3,", "d1..", "dx", "..d3", "d1..d3..d5", ",", "d1,,d2", "d1 d2", ""])
     def test_malformed_law_selector_exit_2(self, capsys, laws):

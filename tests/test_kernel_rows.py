@@ -8,7 +8,9 @@ out of order.  Each fast path hands a failure to the row sweep it replaces,
 so every report must equal the brute-force reference of
 ``test_grid_tables.py``.  The breaks below sit where only the fast paths look
 first: off the grid, deep inside a row, in a non-monotone column, and in a
-third-level result outside [0, 1].
+third-level result outside [0, 1].  A slip that makes a fast test always
+fail leaves every report right, so the last tests spy on the slow paths: on
+valid input none of them runs.
 """
 
 import itertools
@@ -18,7 +20,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import reslat.kernels as kernels
 import reslat.norms as norms
+from reslat import laws
+from reslat.finite import algebra_from_document, dbl_context
+from reslat.fixtures import boolean_algebra, lukasiewicz_chain
+from reslat.kernels import closed_form, kernel_of
+from reslat.laws import D_LAWS, run_catalogue
 from reslat.metric import (
     SAlgebra,
     _distance_square,
@@ -27,7 +35,7 @@ from reslat.metric import (
     pair_metric_axioms_check,
     PairValue,
 )
-from reslat.norms import NormFamily, NormKind, NormSide
+from reslat.norms import NormFamily, NormKind, NormSide, norm_axioms_check, ordering_chain_check
 from reslat.tables import ValueTable, associativity_rows, kernel_row, residuated
 from reslat.unitval import ONE, ZERO, GridSpec, UnitValue
 
@@ -341,3 +349,74 @@ def test_all_le_decides_exactly_when_two_values_share_a_float():
     assert table.ranks() is not None
     assert_order_matches_le(table)
     assert not table.all_le([0], [1]) and table.all_le([2, 1], [1, 0])
+
+
+# -- the slow paths stay idle on valid input ---------------------------------------------
+
+
+def counting(monkeypatch, owner, name):
+    """The number of calls of ``owner.name`` while the test runs."""
+    calls, fn = [0], getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("side", list(NormSide), ids=lambda s: s.value)
+@pytest.mark.parametrize("kind", list(NormKind), ids=lambda k: k.value)
+def test_monotonicity_of_a_valid_norm_is_one_chain_of_row_comparisons(monkeypatch, kind, side):
+    g = GridSpec(8)
+    calls = counting(monkeypatch, ValueTable, "all_le")
+    assert all(r.ok for r in norm_axioms_check(NormFamily(kind, side), g))
+    assert calls[0] == len(g.points()) - 1
+
+
+@pytest.mark.parametrize("side", list(NormSide), ids=lambda s: s.value)
+def test_a_valid_ordering_chain_compares_no_single_pair(monkeypatch, side):
+    calls = counting(monkeypatch, ValueTable, "le")
+    assert ordering_chain_check(side, GridSpec(8)).ok
+    assert calls[0] == 0
+
+
+class Order:
+    """An order table that counts the row comparisons reading it: a ``>=``
+    clause looks up ``__getitem__`` once per row it compares."""
+
+    def __init__(self, rows):
+        self.rows, self.compared = rows, 0
+
+    @property
+    def __getitem__(self):
+        self.compared += 1
+        return self.rows.__getitem__
+
+
+def test_a_valid_algebra_compares_each_clause_once_per_prefix():
+    ctx = dbl_context(algebra_from_document(lukasiewicz_chain(5)))
+    ctx.le = order = Order(ctx.le)
+    # The laws whose clauses all compare by the order and read it nowhere else.
+    catalogue = [laws._LATTICE] + [law for law in D_LAWS if law[0] in ("D3", "D7", "D9", "D10", "D14", "D15")]
+    assert all(r.ok for r in run_catalogue(ctx, catalogue))
+    # One comparison of a whole row of the last variable per prefix and clause.
+    assert order.compared == sum(5 ** (arity - 1) * len(clauses) for _, arity, _, clauses in catalogue)
+
+
+def test_a_valid_order_is_found_transitive_without_a_walk_over_triples(monkeypatch):
+    product, walks = itertools.product, []
+    monkeypatch.setattr(itertools, "product", lambda *args, repeat=1: walks.append(repeat) or product(*args, repeat=repeat))
+    for doc in (lukasiewicz_chain(6), boolean_algebra(3)):
+        algebra_from_document(doc)
+    assert 2 in walks and 3 not in walks
+
+
+def test_a_kernel_row_in_range_builds_no_unitvalue(monkeypatch):
+    pts = GridSpec(8).points()
+    built = counting(monkeypatch, kernels, "UnitValue")
+    xn, xd = [x.numerator for x in pts], [x.denominator for x in pts]
+    ns, ds = kernel_row(kernel_of(closed_form(NormFamily.s_norm(PRODUCT))), xn, xd, xn[::-1], xd[::-1])
+    assert list(map(Fraction, ns, ds)) == [x + y - x * y for x, y in zip(pts, pts[::-1])]
+    assert built[0] == 0

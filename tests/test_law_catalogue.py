@@ -5,6 +5,7 @@ term evaluated by recursion on scalars."""
 import itertools
 import json
 import random
+import re
 
 import pytest
 
@@ -128,13 +129,19 @@ def test_grid_sweep_matches_tuple_at_a_time(n, kind, how):
     assert dicts(dbl_axioms_check(alg, g)) == dicts(ref_axioms(_grid_context(alg, g), False))
 
 
-def test_every_bl_wording_names_a_catalogue_clause():
-    notes = {
-        note
-        for _, _, _, clauses in [*D_LAWS, *laws._AXIOMS[False], *laws._AXIOMS[True]]
-        for _, _, _, note in clauses
-    }
-    assert set(laws._BL_NOTES) <= notes
+def test_the_bl_wording_is_an_involution_that_changes_exactly_the_order_words():
+    notes = {note for _, _, _, clauses in [*D_LAWS, *laws.SIGNATURE_LAWS] for _, _, _, note in clauses}
+    for note in notes:
+        # Order words: < or > outside an arrow, a constant 0 or 1 standing alone, inf or sup.
+        words = re.findall(r"[\w/]+", note)
+        ordered = "<" in note or ">" in note.replace("->", "") or bool({"0", "1", "inf", "sup"} & set(words))
+        bl = laws._bl_note(note)
+        assert laws._bl_note(bl) == note
+        assert (bl != note) == ordered, note
+    assert laws._bl_note("a>=b iff a->b=0") == "a<=b iff a->b=1"
+    assert laws._bl_note("star does not distribute over inf") == "star does not distribute over sup"
+    assert laws._bl_note("0/1 not extreme") == "0/1 not extreme"
+    assert laws._bl_note("res not antitone in 1st arg") == "res not antitone in 1st arg"
 
 
 def test_reports_own_their_witnesses_and_as_bl_renames_in_place():

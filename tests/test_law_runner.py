@@ -114,7 +114,6 @@ def test_the_runner_names_every_unknown_id():
 # -- witness replay ---------------------------------------------------------------
 
 ALGEBRAS = build_algebras()
-UNNOTE = {bl: dbl for dbl, bl in laws._BL_NOTES.items()}
 
 
 def evaluate(ctx, term, args):
@@ -151,7 +150,7 @@ def replays(ctx, law_id, witness):
     args = tuple(element[a] for a in witness["args"])
     found, bl = entries(law_id)
     note = witness.get("note", "")
-    note = UNNOTE.get(note, note) if bl else note
+    note = laws._bl_note(note) if bl else note  # the order-duality rule is its own inverse
     for _, arity, guard, clauses in found:
         if arity != len(args) or (guard is not None and not evaluate(ctx, guard, args)):
             continue

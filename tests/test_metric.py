@@ -6,6 +6,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from reslat.errors import InvalidRadius
+from reslat.finite import algebra_from_document, pair_biresiduum
+from reslat.fixtures import goedel_chain, lukasiewicz_chain
 from reslat.metric import (
     Interval,
     IntervalBall,
@@ -92,6 +94,18 @@ class TestPairDistance:
         assert d_bigstar(GOE, a, c) == Fraction(7, 10)
         for alg in ALL:
             assert d_bigstar(alg, a, a) == ZERO
+
+    @pytest.mark.parametrize("alg, chain", [(LUK, lukasiewicz_chain), (GOE, goedel_chain)], ids=("lukasiewicz", "goedel"))
+    def test_the_pair_distance_is_one_minus_the_pair_biresiduum_of_the_chain(self, alg, chain):
+        # x -> 1 - x carries the grid of N onto the BL-chain of N + 1 elements
+        # and the s-norm onto the chain's t-norm, so d* is 1 minus the chain's
+        # pair biresiduum of the complements.
+        n = 4
+        bl_chain, pts = algebra_from_document(chain(n + 1)), GridSpec(n).points()
+        bar = lambda x: str(1 - x)
+        for a1, a2, b1, b2 in itertools.product(pts, repeat=4):
+            dual = pair_biresiduum(bl_chain, (bar(a1), bar(a2)), (bar(b1), bar(b2)))
+            assert d_bigstar(alg, PairValue(a1, a2), PairValue(b1, b2)) == 1 - Fraction(dual)
 
     @pytest.mark.parametrize("alg", ALL, ids=lambda a: a.norm.kind.value)
     def test_pair_axioms(self, alg):
