@@ -9,8 +9,9 @@ executed checks pass, 1 when a check fails, 2 for usage and precondition
 errors.  A command's output depends only on its arguments and input
 files; ``--help`` prints each grid default.
 
-The handlers of ``norms`` and ``metric`` are in reslat.commands, so that
-``eval`` and ``algebra`` compile neither.
+The handlers of ``norms`` and ``metric``, their sweep budget and law
+selector are in reslat.commands, so that ``eval`` and ``algebra`` compile
+none of them.
 """
 
 from __future__ import annotations
@@ -19,10 +20,9 @@ import argparse
 import contextlib
 import importlib.util
 import os
-import re
 import sys
 
-from .errors import ReslatError, TheoremViolation
+from .errors import ReslatError, TheoremViolation, cut
 
 
 def _lazy(name: str):
@@ -69,47 +69,10 @@ SWEEP_GRID = 64
 _APPROX_ONLY = "--approx applies only to metric --ball and to a single eval --t-algebra value printed as text"
 
 
-# The most tuples one ``norms`` or ``metric`` command checks: the sum of the
-# ``checked`` counts of its reports, computed before any sweep starts.  On a
-# shared 2-core x86 host the row sweeps (norm axioms, adjointness, the
-# continuity contracts) check about 2.2M tuples/s, so a command of them at
-# the limit ends in about 20 s; the product metric axioms and D-law sweeps
-# check about 0.55M/s, about 80 s at the limit.  The largest command the
-# tests and the benchmark run, ``norms --all --grid 64`` with 4,213,712
-# tuples, is 10.7 times below it.
-MAX_TUPLES = 45_000_000
-
-
-def _refuse_over_budget(tuples: int) -> None:
-    if tuples > MAX_TUPLES:
-        raise ValueError(f"a sweep of {tuples} tuples is over the limit of {MAX_TUPLES}")
-
-
 def _print_json(doc, indent=2) -> None:
     import json  # only JSON output loads it
 
     print(json.dumps(doc, indent=indent))
-
-
-def _parse_law_selector(selector: str, prefix: str, count: int) -> list[str]:
-    selector = selector.strip().lower()
-    number = rf"\s*{prefix.lower()}?([0-9]+)\s*"
-    if ".." in selector:
-        match = re.fullmatch(rf"{number}\.\.{number}", selector)
-        if match is None:
-            raise ValueError(f"bad law selector {selector!r}")
-        lo, hi = map(int, match.groups())
-        if not (1 <= lo <= hi <= count):
-            raise ValueError(f"bad law range {selector!r}")
-        return [f"{prefix}{i}" for i in range(lo, hi + 1)]
-    matches = [re.fullmatch(number, part) for part in selector.split(",")]
-    if not all(matches):
-        raise ValueError(f"bad law selector {selector!r}")
-    ids = [int(match.group(1)) for match in matches]
-    bad = [i for i in ids if not 1 <= i <= count]
-    if bad:
-        raise ValueError(f"law numbers out of range: {bad}")
-    return [f"{prefix}{i}" for i in ids]
 
 
 def cmd_algebra(args) -> int:
@@ -176,7 +139,7 @@ def cmd_eval(args) -> int:
         else:
             denominator = SWEEP_GRID if args.sweep is True else args.sweep
             if denominator > MAX_SWEEP:
-                raise ValueError(f"sweep grid denominator {denominator} is over the limit of {MAX_SWEEP}")
+                raise ValueError(f"sweep grid denominator {cut(str(denominator))} is over the limit of {MAX_SWEEP}")
             domain = unitval.GridSpec(denominator).points()
         # Past MAX_SWEEP.bit_length() atoms, any domain of two or more values is over the limit.
         size, k = len(domain), len(names)

@@ -268,12 +268,12 @@ def check_derived_laws(alg: FiniteAlgebra, ids=None) -> list[LawReport]:
 
     The arity-4 laws sweep n^4 tuples; carriers up to n = 24 stay practical.
     """
-    from .laws import D_LAWS, as_bl, run_catalogue
+    from .laws import _BL_IDS, D_LAWS, as_bl, run_catalogue
 
     if alg.signature is Signature.DBL:
         return run_catalogue(dbl_context(alg), D_LAWS, ids)
     if ids is not None:
-        d_ids = {"B" + law_id[1:]: law_id for law_id, *_ in D_LAWS}
+        d_ids = {_BL_IDS["D"] + law_id[1:]: law_id for law_id, *_ in D_LAWS}
         wrong = [i for i in ids if i.upper() not in d_ids]
         if wrong:
             raise ValueError(f"a BL-algebra has only the laws B1..B{len(d_ids)}, not {', '.join(wrong)}")

@@ -37,7 +37,7 @@ The table orders its ids exactly: :meth:`ValueTable.ranks` lists the rank
 of each id in value order, computed again only after an intern, and is
 None while the ids increase with their values, as on a grid.  ``all_le``
 tests a whole row of order pairs in C, on the ids or on their ranks.  The
-row sweeps that compare whole blocks of rows are in reslat.tables.
+row sweeps that compare whole blocks of rows are in reslat.norms and metric.
 """
 
 from __future__ import annotations

@@ -10,14 +10,19 @@ passes one table to all of them.
 from __future__ import annotations
 
 import itertools
+from array import array
+from bisect import bisect_left, bisect_right
+from collections import defaultdict
+from itertools import repeat
 from math import lcm
-from operator import ge, le
+from operator import floordiv, ge, itemgetter, le, mod, mul
+from typing import Callable
 
 from .errors import DrasticNotResiduated
-from .kernels import NormFamily, NormKind, NormSide, ValueTable, closed_form, kernel_of, residuum_form
+from .kernels import NormFamily, NormKind, NormSide, ValueTable, closed_form, kernel_of, kernel_row, residuum_form
 from .kernels import dualize  # noqa: F401  (re-exported)
 from .reports import LawReport, Violation
-from .tables import associativity_rows, residuated
+from .tables import ByteRows, positions
 from .unitval import GridSpec, UnitValue
 
 # The largest grid denominator ``reslat norms`` runs the residuum oracle on.
@@ -85,6 +90,27 @@ def residuum_oracle(f: NormFamily, x: UnitValue, y: UnitValue, g: GridSpec) -> U
     raise AssertionError("unreachable: S(1, x) = 1 >= y and T(0, x) = 0 <= y")
 
 
+def residuated(res: list, nrm: list, pts, upper: bool) -> bool:
+    """Whether ``a >= res[b][c]`` iff ``nrm[a][b] >= pts[c]`` for all a, b,
+    c, or with ``upper`` false ``a <= res[b][c]`` iff ``nrm[a][b] <= pts[c]``
+    (a reads ``pts[a]``), on order ranks with ``pts`` increasing.
+
+    For each b the column ``a -> nrm[a][b]`` must be non-decreasing; else
+    the answer is False.  Then both sides, as sets of a, are up-sets (down-
+    sets) of the chain of points, and they are equal iff their thresholds
+    are: the first a with ``pts[a] >= res[b][c]`` and the first a with
+    ``nrm[a][b] >= pts[c]``, both found by ``bisect_left`` (by
+    ``bisect_right`` for down-sets), one comparison per (b, c).
+    """
+    cols = list(zip(*nrm))
+    if not all(all(map(le, col, col[1:])) for col in cols):
+        return False
+    find = bisect_left if upper else bisect_right
+    return all(
+        list(map(find, repeat(pts), res_b)) == list(map(find, repeat(col), pts)) for res_b, col in zip(res, cols)
+    )
+
+
 def adjointness_check(f: NormFamily, g: GridSpec, table=None) -> LawReport:
     """Residuation as a biconditional, exhaustively over grid triples.
 
@@ -128,6 +154,78 @@ def oracle_agreement_check(f: NormFamily, g: GridSpec) -> LawReport:
     return report
 
 
+def associativity_rows(table: ValueTable, fn: Callable, sq: list[list[int]]):
+    """None where ``T(T(x, y), z) == T(x, T(y, z))`` for all points x, y, z,
+    with T ``fn`` and ``sq`` its square: on a closed grid (every ``T(x, y)``
+    a point) of at most 256 points as the square alone decides it, else as
+    :func:`rows_associative` decides it on the kernel of ``fn``.  Otherwise
+    the function ``(x, y) -> (lhs, rhs)``, the two sides as rows of ids over
+    z, computed by :meth:`ValueTable.map` (on a closed grid it gives the
+    square's ids and interns nothing).
+    """
+    m = table.n_points
+    if m <= 256 and max(map(max, sq)) < m:
+        # Row x of each side at once, as bytes over (y, z): (T(T(x, y), z))_y,z
+        # joins rows of the square, and (T(x, T(y, z)))_y,z gathers every row
+        # of the square through row x.
+        rows = list(map(bytes, sq))
+        holds = all(
+            b"".join(itemgetter(*row)(rows)) == b"".join(map(bytes.translate, rows, repeat(ByteRows.table(row))))
+            for row in sq
+        )
+    else:
+        holds = rows_associative(table, kernel_of(fn), sq)
+    return None if holds else lambda x, y: (table.map(fn, [sq[x][y]] * m, range(m)), table.map(fn, [x] * m, sq[y]))
+
+
+def rows_associative(table: ValueTable, kernel: Callable, sq: list[list[int]]) -> bool:
+    """Whether ``T(T(x, y), z) == T(x, T(y, z))`` for all points x, y, z,
+    where T is ``kernel`` and ``sq`` its square of ids on the points.
+
+    ``T(x, .)`` runs over the square's ids once per x, and ``T(s, .)`` over
+    the points once per distinct ``s = T(x, y)``, as rows of kernel_row.
+    Every result is a key over one common denominator ``L``, so that rows
+    compare with ``==``; only the rows ``T(x, .)`` are kept, as int64
+    arrays, and no result is interned.  False also where a result is
+    refused (the caller's row sweep then meets the refusal in its own
+    order) or a key cannot be formed: a result denominator that does not
+    divide ``L``, or a key past int64.
+    """
+    num, den = table._num, table._den
+    m = table.n_points
+    ids, pos = positions(sq)
+    # picks[y] takes (T(x, T(y, z)))_z from the row of T(x, .) over the square's ids.
+    picks = [itemgetter(*map(pos.__getitem__, row)) for row in sq]
+    id_num, id_den = [num[i] for i in ids], [den[i] for i in ids]
+    pt_num, pt_den = num[:m], den[:m]
+    # Every family kernel of reslat.kernels gives a denominator that divides the
+    # product of its arguments' denominators.
+    common = lcm(*pt_den) * lcm(*id_den)
+
+    def keys(ns, ds) -> list[int]:
+        if any(map(mod, repeat(common), ds)):
+            raise ArithmeticError("a result denominator does not divide the common one")
+        return list(map(mul, ns, map(floordiv, repeat(common), ds)))
+
+    try:
+        rows = [
+            array("q", keys(*kernel_row(kernel, repeat(num[x], len(ids)), repeat(den[x], len(ids)), id_num, id_den)))
+            for x in range(m)
+        ]
+        pairs = defaultdict(list)
+        for x, row in enumerate(sq):
+            for y, s in enumerate(row):
+                pairs[s].append((x, y))
+        for s, xys in pairs.items():
+            lhs = tuple(keys(*kernel_row(kernel, repeat(num[s], m), repeat(den[s], m), pt_num, pt_den)))
+            for x, y in xys:
+                if lhs != picks[y](rows[x]):
+                    return False
+    except (ArithmeticError, ValueError):  # ZeroDivisionError and OverflowError included
+        return False
+    return True
+
+
 def norm_axioms_check(f: NormFamily, g: GridSpec, table=None) -> list[LawReport]:
     """Associativity, commutativity, monotonicity, and the boundary condition."""
     pts = g.points()
@@ -169,8 +267,8 @@ def tuples_checked(kinds, grid: int) -> int:
     each residuated kind, and the two ordering chains."""
     m, oracle = grid + 1, min(grid, MAX_ORACLE_GRID) + 1
     axioms = m**3 + m**2 + m * m * (m + 1) // 2 + m
-    residuated = sum(kind is not NormKind.DRASTIC for kind in kinds)
-    return len(kinds) * (2 * axioms + m**2) + residuated * (m**3 + oracle**2) + 2 * 3 * m**2
+    adjoint = sum(kind is not NormKind.DRASTIC for kind in kinds)
+    return len(kinds) * (2 * axioms + m**2) + adjoint * (m**3 + oracle**2) + 2 * 3 * m**2
 
 
 def ordering_chain_check(side: NormSide, g: GridSpec, table=None) -> LawReport:

@@ -21,8 +21,9 @@ from hypothesis import strategies as st
 import reslat.metric as metric
 import reslat.norms as norms
 from reslat.metric import SAlgebra, continuity_inequalities_check
-from reslat.norms import NormFamily, NormKind, NormSide
-from reslat.tables import ByteRows, RankRows, ValueTable, associativity_rows, row_kind
+from reslat.kernels import ValueTable
+from reslat.norms import NormFamily, NormKind, NormSide, associativity_rows
+from reslat.tables import ByteRows, RankRows, row_kind
 from reslat.unitval import GridSpec, UnitValue
 
 from test_grid_tables import dicts, ref_continuity, ref_distance, ref_metric_axioms, ref_norm_axioms, ref_numeric

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import reslat.cli
+import reslat.commands
 import reslat.metric
 import reslat.norms
 import reslat.reports
@@ -226,7 +227,7 @@ class TestMetric:
         ],
     )
     def test_law_selector_forms(self, selector, ids):
-        assert reslat.cli._parse_law_selector(selector, "D", 15) == ids
+        assert reslat.commands._parse_law_selector(selector, "D", 15) == ids
 
     @pytest.mark.parametrize(
         "laws, title, ids",
@@ -423,6 +424,24 @@ def test_a_long_assigned_value_is_echoed_cut(capsys, fixtures_dir, name):
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1 and len(err) <= 200
     assert "…" in err
+
+
+HUGE = "1" + "0" * 1200
+LONG_NUMBERS = {
+    "norms-grid": ["norms", "--family", "goedel", "--grid", HUGE],
+    "metric-grid4": ["metric", "--family", "goedel", "--grid4", HUGE],
+    "eval-sweep": ["eval", "p", "--t-algebra", "goedel", "--sweep", HUGE],
+    "laws-200-digits": ["metric", "--family", "goedel", "--laws", "d" + "9" * 200],
+    "laws-5000-digits": ["metric", "--family", "goedel", "--laws", "d" + "9" * 5000],
+}
+
+
+@pytest.mark.parametrize("name", LONG_NUMBERS)
+def test_a_long_number_is_echoed_cut(capsys, name):
+    code, out, err = run(capsys, *LONG_NUMBERS[name])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and len(err) < 200
+    assert "set_int_max_str_digits" not in err
 
 
 class TestEval:
@@ -683,8 +702,10 @@ class TestSweepBudget:
     )
     def test_count_is_the_sum_of_the_checked_counts(self, capsys, monkeypatch, argv):
         counts = []
-        budget = reslat.cli._refuse_over_budget
-        monkeypatch.setattr(reslat.cli, "_refuse_over_budget", lambda tuples: counts.append(tuples) or budget(tuples))
+        budget = reslat.commands._refuse_over_budget
+        monkeypatch.setattr(
+            reslat.commands, "_refuse_over_budget", lambda tuples, grid: counts.append(tuples) or budget(tuples, grid)
+        )
         code, out, _ = run(capsys, *argv, "--format", "json")
         assert code == 0
         doc = json.loads(out)
@@ -694,7 +715,7 @@ class TestSweepBudget:
         # norms --all --grid 64 is the largest command a test or benchmark op runs.
         largest = reslat.norms.tuples_checked(list(reslat.norms.NormKind), 64)
         assert largest == 4_213_712
-        assert reslat.cli.MAX_TUPLES >= 10 * largest
+        assert reslat.commands.MAX_TUPLES >= 10 * largest
 
     @pytest.mark.parametrize(
         "argv",
@@ -712,11 +733,11 @@ class TestSweepBudget:
         code, out, err = run(capsys, *argv)
         assert time.perf_counter() - start < 0.5
         assert code == 2 and out == ""
-        assert err.startswith("error: a sweep of ") and err.endswith(f" tuples is over the limit of {reslat.cli.MAX_TUPLES}\n")
+        assert err.startswith("error: a sweep of ") and err.endswith(f" tuples is over the limit of {reslat.commands.MAX_TUPLES}\n")
 
     def test_just_under_the_budget_is_accepted(self, capsys, monkeypatch):
         grid = 2
-        while reslat.norms.tuples_checked([reslat.norms.NormKind.GOEDEL], grid + 1) <= reslat.cli.MAX_TUPLES:
+        while reslat.norms.tuples_checked([reslat.norms.NormKind.GOEDEL], grid + 1) <= reslat.commands.MAX_TUPLES:
             grid += 1
         monkeypatch.setattr(reslat.norms, "norm_axioms_check", lambda *args: [])
         monkeypatch.setattr(reslat.norms, "duality_check", lambda *args: reslat.reports.LawReport("duality"))

@@ -30,7 +30,7 @@ from reslat.fixtures import (
     product,
     write_fixture_files,
 )
-from reslat.laws import as_bl
+from reslat.laws import D_LAWS, as_bl
 from reslat.reports import all_ok
 
 
@@ -205,6 +205,17 @@ class TestDualization:
             d_side = as_bl(check_derived_laws(dualize_algebra(alg)))
             assert [r.to_dict() for r in b_side] == [r.to_dict() for r in d_side]
         assert not all_ok(b_side)
+
+    @pytest.mark.parametrize("d_id", [law_id for law_id, *_ in D_LAWS])
+    def test_each_b_id_is_its_d_law_on_the_dual(self, fixture_algebras, corrupt_algebra, d_id):
+        b_id = "B" + d_id[1:]
+        for alg in [*fixture_algebras.values(), corrupt_algebra]:
+            (b_report,) = check_derived_laws(alg, [b_id])
+            (d_report,) = as_bl(check_derived_laws(dualize_algebra(alg), [d_id]))
+            assert b_report.law_id == b_id
+            assert b_report.to_dict() == d_report.to_dict()
+        with pytest.raises(ValueError, match=rf"^a BL-algebra has only the laws B1\.\.B15, not {d_id}$"):
+            check_derived_laws(corrupt_algebra, [d_id])
 
     def test_involution(self, fixture_algebras):
         for alg in fixture_algebras.values():

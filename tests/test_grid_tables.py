@@ -17,6 +17,7 @@ from fractions import Fraction
 import pytest
 
 import reslat.norms as norms
+from reslat.kernels import ValueTable
 from reslat.laws import D_LAWS, LawContext, check_signature_axioms, lazy_table, run_catalogue
 from reslat.metric import (
     SAlgebra,
@@ -29,7 +30,6 @@ from reslat.metric import (
 )
 from reslat.norms import NormFamily, NormKind, NormSide
 from reslat.reports import LawReport, Violation
-from reslat.tables import ValueTable
 from reslat.unitval import ONE, ZERO, GridSpec, UnitValue
 
 GRIDS = (4, 5, 8)

@@ -2,7 +2,7 @@
 
 The tables run a function's ``kernel`` attribute on the ids' numerators and
 denominators when it has one, and otherwise the adapter kernel of
-``tables.kernel_of``, which runs the function itself on values.  Both paths
+``kernels.kernel_of``, which runs the function itself on values.  Both paths
 must intern the same values under the same ids, and a kernel whose result is
 not a value in [0, 1] must be refused as ``UnitValue`` refuses it.
 ``ValueTable.ranks`` must order ids as ``le`` does.
@@ -19,10 +19,10 @@ from hypothesis import strategies as st
 
 import reslat.metric as metric
 import reslat.norms as norms
+from reslat.kernels import ValueTable
 from reslat.metric import SAlgebra, d_star, d_star_closed_form, d_star_closed_form_check
 from reslat.norms import NormFamily, NormKind, NormSide, closed_form, residuum, residuum_form
 from reslat.reports import LawReport, Violation
-from reslat.tables import ValueTable
 from reslat.unitval import GridSpec, UnitValue
 
 from test_grid_tables import Broken, square

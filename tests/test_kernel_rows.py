@@ -1,4 +1,4 @@
-"""The kernel rows of reslat.tables, and the fast paths built on them.
+"""The kernel rows of reslat.kernels, and the fast paths built on them.
 
 Product associativity and the star-triangle compare rows of a kernel
 without interning them, also for a function without a kernel of its own,
@@ -25,7 +25,7 @@ import reslat.norms as norms
 from reslat import laws
 from reslat.finite import algebra_from_document, dbl_context
 from reslat.fixtures import boolean_algebra, lukasiewicz_chain
-from reslat.kernels import closed_form, kernel_of
+from reslat.kernels import ValueTable, closed_form, kernel_of, kernel_row
 from reslat.laws import D_LAWS, run_catalogue
 from reslat.metric import (
     SAlgebra,
@@ -35,8 +35,15 @@ from reslat.metric import (
     pair_metric_axioms_check,
     PairValue,
 )
-from reslat.norms import NormFamily, NormKind, NormSide, norm_axioms_check, ordering_chain_check
-from reslat.tables import ValueTable, associativity_rows, kernel_row, residuated
+from reslat.norms import (
+    NormFamily,
+    NormKind,
+    NormSide,
+    associativity_rows,
+    norm_axioms_check,
+    ordering_chain_check,
+    residuated,
+)
 from reslat.unitval import ONE, ZERO, GridSpec, UnitValue
 
 from test_grid_tables import (
@@ -411,6 +418,15 @@ def test_a_valid_order_is_found_transitive_without_a_walk_over_triples(monkeypat
     for doc in (lukasiewicz_chain(6), boolean_algebra(3)):
         algebra_from_document(doc)
     assert 2 in walks and 3 not in walks
+
+
+@pytest.mark.parametrize("side", list(NormSide), ids=lambda s: s.value)
+@pytest.mark.parametrize("kind", RESIDUATED, ids=lambda k: k.value)
+def test_a_valid_adjointness_is_decided_without_a_row_per_pair(monkeypatch, kind, side):
+    product, walks = itertools.product, []
+    monkeypatch.setattr(itertools, "product", lambda *args, repeat=1: walks.append(repeat) or product(*args, repeat=repeat))
+    assert norms.adjointness_check(NormFamily(kind, side), GridSpec(16)).ok
+    assert walks == []
 
 
 def test_a_kernel_row_in_range_builds_no_unitvalue(monkeypatch):

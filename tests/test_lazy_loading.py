@@ -151,6 +151,14 @@ def test_import_reslat_executes_no_layer(tmp_path):
     assert doc["registered"] == ["reslat"]
 
 
+def test_import_tables_executes_no_other_layer(tmp_path):
+    # The row kinds serve any layer, finite algebras included, so they load
+    # neither the value tables nor Fraction arithmetic.
+    doc = probe(tmp_path, "reslat.tables")
+    assert doc["executed"] == {"__init__", "tables"}
+    assert not doc["fractions"]
+
+
 def test_import_cli_registers_every_traced_module(tmp_path):
     spec = importlib.util.spec_from_file_location("perfbench_tracer", ROOT / "perfbench" / "tracer.py")
     tracer = importlib.util.module_from_spec(spec)

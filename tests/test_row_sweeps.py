@@ -1,4 +1,4 @@
-"""The row engine of reslat.tables, and the row sweeps built on it.
+"""The row engine of reslat.kernels, and the row sweeps built on it.
 
 ``ValueTable.map`` and the scalar ``ValueTable.operation`` must give the ids
 the scalar definition gives, the operation computing each pair once,
@@ -17,10 +17,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reslat.norms as norms
+from reslat.kernels import ValueTable
 from reslat.laws import lazy_table
 from reslat.metric import SAlgebra, continuity_inequalities_check, metric_axioms_check
 from reslat.norms import NormFamily, NormKind, NormSide
-from reslat.tables import ValueTable
 from reslat.unitval import GridSpec, UnitValue
 
 from test_grid_tables import (
